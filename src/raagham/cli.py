@@ -36,7 +36,6 @@ class RunConfig:
     steps: int = 2000
     max_len: int = 2
     samples: int = 200
-    threads: int = 1
     schottky_s: float = 0.98
     polydisk_n: int = 2
 
@@ -60,9 +59,6 @@ def _load_config(args) -> RunConfig:
         v = getattr(args, k, None)
         if v is not None:
             setattr(cfg, k, v)
-    env_threads = os.environ.get("RAAGHAM_THREADS")
-    if env_threads:
-        cfg.threads = max(1, min(cfg.threads, int(env_threads)))
     cfg.validate()
     return cfg
 

@@ -297,7 +297,8 @@ def _layout_component(g: nx.Graph):
     if g.number_of_edges() == 0:
         return {v: (float(i), 0.0) for i, v in enumerate(sorted(g.nodes))}
     is_planar, cert = nx.check_planarity(g)
-    assert is_planar
+    if not is_planar:
+        raise RuntimeError("component of a planar graph failed the planarity test")
     pos = nx.combinatorial_embedding_to_pos(cert, fully_triangulate=False)
     return {v: (float(x), float(y)) for v, (x, y) in pos.items()}
 
@@ -466,7 +467,8 @@ def certificate_no_emulator(g: SimplicialGraph):
     cert = NoEmulatorCertificate(
         min_valence=min(degs), vertices=len(g.vertices), edges=len(g.edges)
     )
-    assert cert.euler_gap() <= 0
+    if cert.euler_gap() > 0:
+        raise RuntimeError("valence-6 certificate with a positive Euler gap")
     return cert
 
 

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .flows import HamiltonianField
 from .twist import RoundAnnulus, make_profile
@@ -201,7 +200,8 @@ def lambda_scale(
 
     Adaptive polar quadrature (Gauss-Legendre radially, trapezoid in angle,
     both spectrally accurate for this smooth integrand); resolution doubles
-    until successive values agree to the relative tolerance.
+    until successive values agree to the relative tolerance.  The charts use
+    the closed form (``TransportChart.mass``); this is its numerical oracle.
     """
     smap = sigma.map if isinstance(sigma, GroupElement) else sigma
     c = complex(annulus.center[0], annulus.center[1])
@@ -235,6 +235,11 @@ class TransportChart:
     the chart preserves orientation, like the flat area chart).  The
     pushforward of the normalized pulled-back form is exactly the normalized
     product form.
+
+    The radial leg is closed form: the pulled-back mass inside |w - c| = r is
+    the area pi R(r)^2 of the image disk, so ``mass`` (lambda^2) is the area
+    between the images of the boundary circles; ``lambda_scale`` is its
+    quadrature oracle.
     """
 
     def __init__(
@@ -242,7 +247,6 @@ class TransportChart:
         annulus: RoundAnnulus,
         sigma,
         circle_radius: Optional[float] = None,
-        n_cheb: int = 48,
         n_theta: int = 512,
     ):
         self.annulus = annulus
@@ -252,40 +256,40 @@ class TransportChart:
             circle_radius = math.sqrt(0.5 * (annulus.r_inner**2 + annulus.r_outer**2))
         self.circle_radius = float(circle_radius)
         self.n_theta = n_theta
-        thetas = np.arange(n_theta) * TWO_PI / n_theta
-
-        def marginal(r):
-            r = np.atleast_1d(np.asarray(r, float))
-            vals = _deriv_sq_polar(self.sigma, self.c, r, thetas)
-            return vals.mean(1) * TWO_PI * r
-
-        self._marg = cheb.Chebyshev.interpolate(
-            marginal, deg=n_cheb, domain=[annulus.r_inner, annulus.r_outer]
-        )
-        self._cum = self._marg.integ(lbnd=annulus.r_inner)
-        self.mass = float(self._cum(annulus.r_outer))
-        self._dmarg = self._marg  # dM/dr is the marginal itself
+        # sigma(w) = e^{i theta} (w - a) / (1 - conj(a) w) maps |w - c| = r to
+        # a circle of radius k r / (D - q r^2); the pole lies off the disk,
+        # so D > q r^2 on the annulus
+        self._q = abs(self.sigma.a) ** 2
+        self._k = 1.0 - self._q
+        self._D = abs(1.0 - np.conj(self.sigma.a) * self.c) ** 2
+        R_in, R_out = self._image_radius(np.array([annulus.r_inner, annulus.r_outer]))[0]
+        self._R2_inner = R_in**2
+        self.mass = float(math.pi * (R_out**2 - self._R2_inner))
         self.b = float(self.t_of_r(self.circle_radius))
         self._angular = None
 
     # radial leg -------------------------------------------------------------
 
+    def _image_radius(self, r):
+        """R(r), the radius of the image of |w - c| = r, and dR/dr."""
+        qr2 = self._q * r * r
+        den = self._D - qr2
+        return self._k * r / den, self._k * (self._D + qr2) / den**2
+
     def t_of_r(self, r):
-        return self._cum(np.asarray(r, float)) / self.mass - 0.5
+        R = self._image_radius(np.asarray(r, float))[0]
+        return math.pi * (R * R - self._R2_inner) / self.mass - 0.5
 
     def dt_dr(self, r):
-        return self._marg(np.asarray(r, float)) / self.mass
+        R, dR = self._image_radius(np.asarray(r, float))
+        return TWO_PI * R * dR / self.mass
 
     def r_of_t(self, t):
-        t = np.atleast_1d(np.asarray(t, float))
-        lo = np.full(t.shape, self.annulus.r_inner)
-        hi = np.full(t.shape, self.annulus.r_outer)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            high = self.t_of_r(mid) > t
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        return 0.5 * (lo + hi)
+        t = np.clip(np.atleast_1d(np.asarray(t, float)), -0.5, 0.5)
+        R = np.sqrt((t + 0.5) * self.mass / math.pi + self._R2_inner)
+        # q R r^2 + k r - D R = 0, positive root without cancellation
+        disc = np.sqrt(self._k**2 + 4.0 * self._q * self._D * R * R)
+        return 2.0 * self._D * R / (self._k + disc)
 
     # angular leg (built lazily) ----------------------------------------------
 
@@ -329,7 +333,7 @@ class TransportChart:
         F = (-st[:, 0] / TWO_PI) % 1.0
         theta = self._Finv.ev(r, F)
         # Newton polish against the exact conditional density
-        norm = self._marg(r) / r  # integral of |sigma'|^2 over the circle
+        norm = self.dt_dr(r) * self.mass / r  # integral of |sigma'|^2 over the circle
         for _ in range(4):
             resid = self._F.ev(r, theta % TWO_PI) - F
             dens = (
@@ -356,6 +360,8 @@ class CorrectedHamiltonian:
     where t is the transported height and h a bump with h'(b) = 2 pi at the
     height b of the translated circle; the scale makes the time-1 flow with
     respect to the Euclidean form rotate that circle exactly once.
+    lambda^2 is the chart's closed-form mass, the image-disk area difference
+    (``lambda_scale`` is the quadrature oracle).
     """
 
     def __init__(self, element: GroupElement, annulus: RoundAnnulus, circle_radius=None):
@@ -450,20 +456,6 @@ def corrected_hamiltonian(
     return CorrectedHamiltonian(sigma, annulus, circle_radius=circle_radius)
 
 
-def _regions_disjoint(a: CorrectedHamiltonian, b: CorrectedHamiltonian) -> bool:
-    d = abs(a.outer_center - b.outer_center)
-    if d > a.outer_radius + b.outer_radius - 1e-13:
-        return True
-    # nested: one translate sits entirely inside the other's hole
-    d_ab = abs(a.inner_center - b.outer_center)
-    if d_ab + b.outer_radius <= a.inner_radius + 1e-13:
-        return True
-    d_ba = abs(b.inner_center - a.outer_center)
-    if d_ba + a.outer_radius <= b.inner_radius + 1e-13:
-        return True
-    return False
-
-
 class AssembledHamiltonian:
     """Continuous Hamiltonian on the closed disk supported on the translates."""
 
@@ -471,12 +463,24 @@ class AssembledHamiltonian:
         self.vertex = vertex
         self.pieces = list(pieces)
         self.tail_estimate = tail_estimate
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if not _regions_disjoint(self.pieces[i], self.pieces[j]):
-                    raise RegionOverlapError(
-                        f"translate regions {i} and {j} overlap"
-                    )
+        self._check_disjoint()
+
+    def _check_disjoint(self):
+        """Translates pairwise apart or nested; rows of pairs (i, j > i) in
+        order, so the first overlapping pair is the one reported."""
+        cols = ("outer_center", "outer_radius", "inner_center", "inner_radius")
+        oc, orad, ic, irad = (np.array([getattr(p, k) for p in self.pieces]) for k in cols)
+        for i in range(len(self.pieces) - 1):
+            j = slice(i + 1, None)
+            apart = np.abs(oc[i] - oc[j]) > orad[i] + orad[j] - 1e-13
+            # nested: one translate sits entirely inside the other's hole
+            j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
+            i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
+            bad = np.flatnonzero(~(apart | j_in_i | i_in_j))
+            if bad.size:
+                raise RegionOverlapError(
+                    f"translate regions {i} and {i + 1 + bad[0]} overlap"
+                )
 
     def value_complex(self, z):
         z = np.atleast_1d(np.asarray(z, complex))
@@ -545,7 +549,7 @@ def assemble_Hv(
     pieces = [CorrectedHamiltonian(el, annulus, circle_radius) for el in elements]
     tail = None
     if tail_elements:
-        lam_max = max(lambda_scale(el, annulus) for el in tail_elements)
+        lam_max = max(TransportChart(annulus, el).mass for el in tail_elements)
         sup_h = (
             np.abs(make_profile(0.5, pieces[0].b).h(np.linspace(-0.5, 0.5, 2001))).max()
             if pieces
@@ -629,23 +633,21 @@ class EstimateReport:
     rows: list = field(default_factory=list)
 
 
-def _fd_derivative(f, z0, order, h):
-    """n-th central difference along x and y; returns the larger magnitude."""
-    best = 0.0
-    for direction in (1.0, 1j):
-        e = direction * h
-        if order == 1:
-            val = (f(z0 + e) - f(z0 - e)) / (2 * h)
-        elif order == 2:
-            val = (f(z0 + e) - 2 * f(z0) + f(z0 - e)) / h**2
-        elif order == 3:
-            val = (f(z0 + 2 * e) - 2 * f(z0 + e) + 2 * f(z0 - e) - f(z0 - 2 * e)) / (
-                2 * h**3
-            )
-        else:
-            raise ValueError("order must be 1, 2 or 3")
-        best = max(best, float(np.abs(val).max()))
-    return best
+def _fd_derivatives(f, z0, orders, h):
+    """n-th central differences along x and y from one evaluation of f on
+    the stacked stencil; per order n, "dn" is the larger of the two sups."""
+    if any(n not in (1, 2, 3) for n in orders):
+        raise ValueError("order must be 1, 2 or 3")
+    e = np.array([h, 1j * h])
+    offsets = np.concatenate([[0.0], e, -e, 2 * e, -2 * e])
+    vals = f((np.asarray(z0, complex)[None, :] + offsets[:, None]).ravel())
+    f0, (fp, fm, fp2, fm2) = vals[: len(z0)], vals[len(z0) :].reshape(4, 2, -1)
+    quotients = {
+        1: (fp - fm) / (2 * h),
+        2: (fp - 2 * f0 + fm) / h**2,
+        3: (fp2 - 2 * fp + 2 * fm - fm2) / (2 * h**3),
+    }
+    return {f"d{n}": float(np.abs(quotients[n]).max()) for n in orders}
 
 
 def analytic_report(
@@ -677,7 +679,6 @@ def analytic_report(
         if a >= 2
     )
 
-    per_piece = []
     rows = []
     for p in assembled.pieces:
         pts = p.tracked_circle_points(samples_per_piece)
@@ -685,15 +686,13 @@ def analytic_report(
         r = float((1.0 - np.abs(z0)).min())
         h = 1e-3 * r
         entry = {"length": p.element.length, "r": r, "lambda2": p.lambda2}
-        for n in orders:
-            entry[f"d{n}"] = _fd_derivative(p.value_complex, z0, n, h)
-        per_piece.append(entry)
+        entry.update(_fd_derivatives(p.value_complex, z0, orders, h))
         rows.append(entry)
 
     slopes, verdicts = {}, {}
     for n in orders:
-        xs = np.array([math.log(1.0 / e["r"]) for e in per_piece])
-        ys = np.array([e[f"d{n}"] for e in per_piece])
+        xs = np.array([math.log(1.0 / e["r"]) for e in rows])
+        ys = np.array([e[f"d{n}"] for e in rows])
         keep = ys > 0
         if keep.sum() < 4:
             raise ValueError("insufficient data points for the slope regression")
@@ -703,12 +702,12 @@ def analytic_report(
 
     d1_by_length = []
     for L in lengths:
-        vals = [e["d1"] for e in per_piece if e["length"] == L]
+        vals = [e["d1"] for e in rows if e["length"] == L]
         d1_by_length.append((L, max(vals)))
     d1_trend = all(
         b_ < a_ for (La, a_), (Lb, b_) in zip(d1_by_length, d1_by_length[1:]) if La >= 2
     )
-    d2_max = max(e["d2"] for e in per_piece) if 2 in orders else float("nan")
+    d2_max = max(e["d2"] for e in rows) if 2 in orders else float("nan")
 
     return EstimateReport(
         lambda_table=lambda_table,

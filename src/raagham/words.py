@@ -362,7 +362,8 @@ def hom_diagonal(graph: SimplicialGraph) -> Homomorphism:
     dg = double(graph)
     images = {v: Word(dg, (((v, +1), 1), ((v, -1), 1))) for v in graph.vertices}
     h = Homomorphism(source=graph, target=dg, images=images)
-    assert check_well_defined(h)
+    if not check_well_defined(h):
+        raise RuntimeError("diagonal images of commuting generators do not commute")
     return h
 
 
@@ -380,7 +381,7 @@ def hom_pullback(p: GraphMorphism, validate: bool = True) -> Homomorphism:
 
     Requires p to be a certified orbi-cover; fibers over a vertex are never
     joined by an edge upstairs, so the product order does not change the
-    element (asserted through the oracle when validate is set).
+    element (checked through the oracle when validate is set).
     """
     cert = check_orbicover(p)
     if isinstance(cert, Violation):
@@ -397,8 +398,10 @@ def hom_pullback(p: GraphMorphism, validate: bool = True) -> Homomorphism:
         for v in base.vertices:
             fiber = images[v].letters
             for (x, _), (y, _) in itertools.combinations(fiber, 2):
-                assert not cover.has_edge(x, y), "fiber vertices joined by an edge"
-        assert check_well_defined(h)
+                if cover.has_edge(x, y):
+                    raise RuntimeError(f"fiber vertices {x!r} and {y!r} joined by an edge")
+        if not check_well_defined(h):
+            raise RuntimeError("pulled-back images of commuting generators do not commute")
     return h
 
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from raagham import graphs
 from raagham.graphs import (
     EmulatorResult,
     GraphMorphism,
@@ -177,3 +178,25 @@ def test_incidence_nerve():
     assert g2.has_edge("a", "b")
     with pytest.raises(ValueError):
         incidence_nerve(["a", "b"], [[False, True], [False, False]])
+
+
+class TestChecksSurviveOptimize:
+    """Invariant checks raise errors, so `python -O` keeps them."""
+
+    def test_component_layout_refuted_raises(self, monkeypatch):
+        real = graphs.nx.check_planarity
+
+        def refute_layout(g, counterexample=False):
+            # the whole-graph test passes; the per-component layout test fails
+            if counterexample:
+                return real(g, counterexample=True)
+            return False, None
+
+        monkeypatch.setattr(graphs.nx, "check_planarity", refute_layout)
+        with pytest.raises(RuntimeError, match="planarity"):
+            planarity(path_graph(["a", "b", "c"]))
+
+    def test_positive_euler_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(NoEmulatorCertificate, "euler_gap", lambda self: 1.0)
+        with pytest.raises(RuntimeError, match="Euler gap"):
+            certificate_no_emulator(complete_graph(list("abcdefg")))

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from raagham.flows import flow_map
 from raagham.lift import (
+    AssembledHamiltonian,
     CorrectedHamiltonian,
     GroupElement,
     Mollifier,
@@ -25,6 +27,7 @@ from raagham.lift import (
     schottky_pair,
     smooth_Hv,
     transport_chart,
+    _deriv_sq_polar,
 )
 from raagham.twist import RoundAnnulus
 
@@ -136,8 +139,6 @@ class TestTransport:
         assert abs(ch.mass - lam) < 1e-7 * lam
         assert -0.5 < ch.b < 0.5
         # mass below the distinguished circle is b + 1/2
-        from raagham.lift import _deriv_sq_polar
-
         nr, nt = 600, 600
         x, w = np.polynomial.legendre.leggauss(nr)
         r = 0.5 * (ch.circle_radius - A.r_inner) * (x + 1) + A.r_inner
@@ -169,6 +170,58 @@ class TestTransport:
         for t0 in (-0.3, 0.0, 0.2):
             r0 = float(ch.r_of_t(np.array([t0]))[0])
             assert abs(float(ch.t_of_r(r0)) - t0) < 1e-10
+
+
+def _radial_cases():
+    """Depth-3 Schottky elements on the study annulus, plus an off-centre one."""
+    gens = schottky_pair(0.98)
+    cases = [(default_study_annulus(), el) for el in enumerate_group(gens, 3)]
+    cases.append((RoundAnnulus((0.1, -0.05), 0.3, 0.5), enumerate_group(gens, 2)[9]))
+    return cases
+
+
+def _quadrature_radial_leg(sigma, annulus, radii, nr=64, nt=512):
+    """Cumulative mass inside each radius and the marginal there, by polar
+    quadrature of |sigma'|^2: Gauss-Legendre in r, trapezoid in angle."""
+    c = complex(*annulus.center)
+    th = np.arange(nt) * 2 * math.pi / nt
+    x, w = np.polynomial.legendre.leggauss(nr)
+    cum = []
+    for r in radii:
+        rho = 0.5 * (r - annulus.r_inner) * (x + 1) + annulus.r_inner
+        marg = _deriv_sq_polar(sigma, c, rho, th).mean(1) * 2 * math.pi * rho
+        cum.append(0.5 * (r - annulus.r_inner) * (w * marg).sum())
+    marg = _deriv_sq_polar(sigma, c, np.asarray(radii), th).mean(1) * 2 * math.pi * radii
+    return np.array(cum), marg
+
+
+class TestClosedFormRadialLeg:
+    def test_t_of_r_matches_quadrature(self):
+        for annulus, el in _radial_cases():
+            ch = transport_chart(annulus, el)
+            rr = np.linspace(annulus.r_inner, annulus.r_outer, 11)
+            cum, marg = _quadrature_radial_leg(el.map, annulus, rr)
+            mass = cum[-1]
+            assert abs(ch.mass - mass) <= 1e-12 * mass
+            assert np.abs(ch.t_of_r(rr) - (cum / mass - 0.5)).max() <= 1e-12
+            assert np.abs(ch.dt_dr(rr) - marg / mass).max() <= 1e-12 * np.abs(marg / mass).max()
+
+    def test_dt_dr_matches_central_difference(self):
+        h = 1e-5
+        for annulus, el in _radial_cases():
+            ch = transport_chart(annulus, el)
+            rr = np.linspace(annulus.r_inner + h, annulus.r_outer - h, 9)
+            fd = (ch.t_of_r(rr + h) - ch.t_of_r(rr - h)) / (2 * h)
+            assert np.abs(fd - ch.dt_dr(rr)).max() <= 1e-8 * np.abs(ch.dt_dr(rr)).max()
+
+    def test_r_of_t_inverts_t_of_r(self):
+        ts = np.linspace(-0.5, 0.5, 41)
+        for annulus, el in _radial_cases():
+            ch = transport_chart(annulus, el)
+            rr = ch.r_of_t(ts)
+            assert np.abs(ch.t_of_r(rr) - ts).max() <= 1e-13
+            assert abs(rr[0] - annulus.r_inner) <= 1e-14
+            assert abs(rr[-1] - annulus.r_outer) <= 1e-14
 
 
 class TestCorrected:
@@ -235,6 +288,52 @@ class TestAssembled:
         A = default_study_annulus()
         with pytest.raises(RegionOverlapError):
             assemble_Hv("v", [IDENT, GroupElement((), MobiusMap.rotation(0.5))], A)
+
+    def test_overlap_names_first_pair(self):
+        A = default_study_annulus()
+        els = enumerate_group(schottky_pair(0.98), 2)
+        # a rotation fixes the annulus, so this copy covers translate 5 exactly
+        twin = GroupElement(els[5].word, els[5].map.compose(MobiusMap.rotation(0.5)))
+        with pytest.raises(RegionOverlapError, match="regions 5 and 17 overlap"):
+            assemble_Hv("v", els + [twin], A)
+
+    def test_nested_translates_accepted(self):
+        outer = CorrectedHamiltonian(IDENT, default_study_annulus())
+        inner = CorrectedHamiltonian(IDENT, RoundAnnulus((0.02, 0.0), 0.1, 0.2))
+        for pieces in ([outer, inner], [inner, outer]):
+            assert len(AssembledHamiltonian("v", pieces).pieces) == 2
+
+    def test_overlap_check_matches_pairwise_loop(self):
+        def disjoint(a, b):
+            if abs(a.outer_center - b.outer_center) > a.outer_radius + b.outer_radius - 1e-13:
+                return True
+            if abs(a.inner_center - b.outer_center) + b.outer_radius <= a.inner_radius + 1e-13:
+                return True
+            return abs(b.inner_center - a.outer_center) + a.outer_radius <= b.inner_radius + 1e-13
+
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = 12
+            centres = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+            outer = rng.uniform(0.2, 1.0, n)
+            inner = outer * rng.uniform(0.1, 0.9, n)
+            pieces = [
+                SimpleNamespace(outer_center=c, outer_radius=ro, inner_center=c, inner_radius=ri)
+                for c, ro, ri in zip(centres, outer, inner)
+            ]
+            if trial % 2:  # a small disk inside one hole
+                pieces.append(SimpleNamespace(outer_center=centres[3], outer_radius=0.5 * inner[3],
+                                              inner_center=centres[3], inner_radius=0.1 * inner[3]))
+            first = next(
+                ((i, j) for i in range(len(pieces)) for j in range(i + 1, len(pieces))
+                 if not disjoint(pieces[i], pieces[j])),
+                None,
+            )
+            if first is None:
+                AssembledHamiltonian("v", pieces)
+            else:
+                with pytest.raises(RegionOverlapError, match=f"regions {first[0]} and {first[1]} "):
+                    AssembledHamiltonian("v", pieces)
 
     def test_matches_piece_on_its_region(self, assembled_depth6):
         H = assembled_depth6
@@ -314,6 +413,31 @@ class TestReport:
         assert rep.slopes[2] <= 0.3
         assert rep.slopes[3] <= 1.3
         assert rep.d1_trend
+
+    def test_stacked_stencil_matches_per_offset_differences(self):
+        H = assemble_Hv("v", enumerate_group(schottky_pair(0.98), 4), default_study_annulus())
+        rep = analytic_report(H)
+        assert len(rep.rows) == len(H.pieces)
+        for p, row in zip(H.pieces, rep.rows):
+            pts = p.tracked_circle_points(8)
+            z0 = pts[:, 0] + 1j * pts[:, 1]
+            h = 1e-3 * float((1.0 - np.abs(z0)).min())
+            f = p.value_complex
+            want = {1: 0.0, 2: 0.0, 3: 0.0}
+            for e in (h, 1j * h):
+                quotients = {
+                    1: (f(z0 + e) - f(z0 - e)) / (2 * h),
+                    2: (f(z0 + e) - 2 * f(z0) + f(z0 - e)) / h**2,
+                    3: (f(z0 + 2 * e) - 2 * f(z0 + e) + 2 * f(z0 - e) - f(z0 - 2 * e)) / (2 * h**3),
+                }
+                for n, q in quotients.items():
+                    want[n] = max(want[n], float(np.abs(q).max()))
+            for n in (1, 2, 3):
+                assert abs(row[f"d{n}"] - want[n]) <= 1e-12 * want[n]
+
+    def test_rejects_unknown_order(self, assembled_depth6):
+        with pytest.raises(ValueError, match="order"):
+            analytic_report(assembled_depth6, orders=(1, 4))
 
     def test_needs_depth(self):
         gens = schottky_pair(0.98)

@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from raagham.graphs import SimplicialGraph, complete_graph, path_graph
+from raagham import words
+from raagham.graphs import (
+    GraphMorphism,
+    SimplicialGraph,
+    complete_graph,
+    double_projection,
+    path_graph,
+)
 from raagham.words import (
     ResourceCapExceeded,
     Word,
@@ -202,3 +209,24 @@ def test_enumerate_normal_forms_edge_graph():
     nontrivial = [w for w in forms if len(w)]
     # free group of rank 2: 4 one-letter words, 16 - 4 reduced two-letter words
     assert len(nontrivial) == 16
+
+
+class TestChecksSurviveOptimize:
+    """Invariant checks raise errors, so `python -O` keeps them."""
+
+    def test_diagonal_not_well_defined_raises(self, monkeypatch):
+        monkeypatch.setattr(words, "check_well_defined", lambda h: False)
+        with pytest.raises(RuntimeError, match="diagonal"):
+            hom_diagonal(path_graph(["u", "v", "w"]))
+
+    def test_pullback_not_well_defined_raises(self, monkeypatch):
+        monkeypatch.setattr(words, "check_well_defined", lambda h: False)
+        with pytest.raises(RuntimeError, match="pulled-back"):
+            hom_pullback(double_projection(path_graph(["u", "v", "w"])))
+
+    def test_pullback_fiber_edge_raises(self, monkeypatch):
+        # a collapsed edge, certified anyway: its two ends share a fiber
+        collapse = GraphMorphism(FREE2, SimplicialGraph(["x"], []), {"u": "x", "v": "x"})
+        monkeypatch.setattr(words, "check_orbicover", lambda p: None)
+        with pytest.raises(RuntimeError, match="joined by an edge"):
+            hom_pullback(collapse)
