@@ -312,6 +312,8 @@ def cmd_lambda_decay(args):
     print(f"depth {cfg.depth}: lambda^2 monotone beyond length 2: {report.lambda_monotone}; "
           f"slopes {['%.3f' % report.slopes[n] for n in sorted(report.slopes)]}; "
           f"verdicts {report.slope_verdicts}; truncation tail <= {assembled.tail_estimate:.3e}")
+    print(f"slope fits kept {report.slope_rows} of {len(report.rows)} rows "
+          "(rows with a zero derivative sup are dropped)")
     ok = report.lambda_monotone and all(report.slope_verdicts.values())
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -423,7 +425,7 @@ def make_parser():
     add("certificate", cmd_certificate, graph=True)
     add("build-config", cmd_build_config, graph=True)
     add("build-rep", cmd_build_rep, graph=True, N=True, sheets=True)
-    add("simulate", cmd_simulate, graph=True, word=True, N=True, sheets=True, steps=True)
+    add("simulate", cmd_simulate, graph=True, word=True, N=True, sheets=True)
     add("verify", cmd_verify, graph=True, N=True, sheets=True, samples=True)
     add("probe-faithful", cmd_probe_faithful, graph=True, N=True, sheets=True, max_len=True)
     add("lambda-decay", cmd_lambda_decay, depth=True)

@@ -26,6 +26,9 @@ class IntegrationError(RuntimeError):
     pass
 
 
+FIXED_POINT_MAX_ITER = 50
+
+
 class HamiltonianField:
     """Scalar Hamiltonian with gradient; the flow field is J grad H.
 
@@ -65,14 +68,14 @@ def flow_map(
     T: float,
     steps: Optional[int] = None,
     tol: float = 1e-12,
-    max_iter: int = 50,
     record: bool = False,
 ) -> FlowResult:
     """Implicit-midpoint integration of z' = X_H(z) for time T.
 
     Works on batches: z0 may be a single point or an (n, d) array.  The
-    implicit stage is solved by fixed-point iteration to tol; failure to
-    contract raises IntegrationError rather than returning a bad point.
+    implicit stage is solved by fixed-point iteration to tol, at most
+    FIXED_POINT_MAX_ITER sweeps; failure to contract raises IntegrationError
+    rather than returning a bad point.
     """
     z = np.atleast_2d(np.asarray(z0, float)).copy()
     single = np.asarray(z0).ndim == 1
@@ -84,7 +87,7 @@ def flow_map(
     for _ in range(steps):
         y = z + h * field.vector_field(z)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(FIXED_POINT_MAX_ITER):
             y_new = z + h * field.vector_field(0.5 * (z + y))
             delta = np.abs(y_new - y).max()
             y = y_new
@@ -113,7 +116,7 @@ def flow_map(
 # ------------------------- applying representations -------------------------
 
 
-def rep_apply(rep, w: Word, pts, route: str = "closed", fields=None, steps=None):
+def rep_apply(rep, w: Word, pts, route: str = "closed", steps=None):
     """Evaluate the image of a word on a batch of points.
 
     Letters act right to left.  The closed route multiplies exact twist maps
@@ -133,12 +136,8 @@ def rep_apply(rep, w: Word, pts, route: str = "closed", fields=None, steps=None)
             out = rep.generator_map(v, rep.N * e).apply(out)
     elif route == "integrated":
         for v, e in reversed(w.letters):
-            if fields is not None and v in fields:
-                fld = fields[v]
-            else:
-                H, grad = rep.generator_field(v)
-                fld = HamiltonianField(H, grad)
-            out = flow_map(fld, out, T=rep.N * e, steps=steps).final
+            H, grad = rep.generator_field(v)
+            out = flow_map(HamiltonianField(H, grad), out, T=rep.N * e, steps=steps).final
     else:
         raise ValueError(f"unknown route {route!r}")
     return out[0] if single else out
@@ -293,20 +292,19 @@ def _central_jacobian(apply, pts, step):
     return ax, ay
 
 
-def jacobian_probe(plane_map, pts, step: float = 1e-6, richardson: bool = True) -> dict:
+def jacobian_probe(plane_map, pts, step: float = 1e-6) -> dict:
     """Central-difference Jacobian determinants of a plane map at points.
 
-    With richardson the stencil at step and step/2 is extrapolated, clearing
+    The stencils at step and step/2 are Richardson-extrapolated, clearing
     the h^2 truncation term; twist bumps have enormous high derivatives near
     the support edge and a single step cannot certify 1e-6 there.
     """
     apply = plane_map.apply if hasattr(plane_map, "apply") else plane_map
     pts = np.atleast_2d(np.asarray(pts, float))
     ax, ay = _central_jacobian(apply, pts, step)
-    if richardson:
-        ax2, ay2 = _central_jacobian(apply, pts, step / 2)
-        ax = (4 * ax2 - ax) / 3
-        ay = (4 * ay2 - ay) / 3
+    ax2, ay2 = _central_jacobian(apply, pts, step / 2)
+    ax = (4 * ax2 - ax) / 3
+    ay = (4 * ay2 - ay) / 3
     det = ax[:, 0] * ay[:, 1] - ax[:, 1] * ay[:, 0]
     dev = np.abs(det - 1.0)
     return {

@@ -36,6 +36,16 @@ class RegionOverlapError(RuntimeError):
     pass
 
 
+class KeplerError(RuntimeError):
+    pass
+
+
+# Newton on Kepler's equation takes at most 6 steps for e <= 0.85 (every
+# depth-6 Schottky chart) and 12 for e = 0.999; the cap only bounds a failure
+KEPLER_MAX_ITER = 16
+KEPLER_TOL = 1e-14
+
+
 # ------------------------------ Mobius maps ---------------------------------
 
 
@@ -236,37 +246,41 @@ class TransportChart:
     pushforward of the normalized pulled-back form is exactly the normalized
     product form.
 
-    The radial leg is closed form: the pulled-back mass inside |w - c| = r is
-    the area pi R(r)^2 of the image disk, so ``mass`` (lambda^2) is the area
-    between the images of the boundary circles; ``lambda_scale`` is its
-    quadrature oracle.
+    Both legs are closed form, with q = |a|^2, k = 1 - q, alpha = 1 - conj(a) c
+    and D = |alpha|^2 for sigma(w) = e^{i theta} (w - a) / (1 - conj(a) w).
+    Radial: the pulled-back mass inside |w - c| = r is the area pi R(r)^2 of
+    the image disk, R(r) = k r / (D - q r^2), so ``mass`` (lambda^2) is the
+    area between the images of the boundary circles.  Angular: on
+    |w - c| = r the density is proportional to (A - B cos psi)^-2, where
+    A = D + q r^2, B = 2 r |a| |alpha| and psi = arg(w - c) - arg(a alpha).
+    The circle Mobius map phi = psi + 2 atan2(rho sin psi, 1 - rho cos psi),
+    rho = B / (A + sqrt(A^2 - B^2)) = r |a| / |alpha|, turns it into
+    (1 + e cos phi) / 2 pi with e = B / A < 1 (the pole lies off the disk), so
+    the CDF from arg(w - c) = 0 is [K(phi) - K(phi_0)] / 2 pi with Kepler's
+    K(phi) = phi + e sin phi.  ``inverse`` solves Kepler's equation by Newton
+    and maps back with -rho.  Quadrature of ``_deriv_sq_polar`` is the oracle
+    of both legs (``lambda_scale`` for the mass).
     """
 
-    def __init__(
-        self,
-        annulus: RoundAnnulus,
-        sigma,
-        circle_radius: Optional[float] = None,
-        n_theta: int = 512,
-    ):
+    def __init__(self, annulus: RoundAnnulus, sigma, circle_radius: Optional[float] = None):
         self.annulus = annulus
         self.sigma = sigma.map if isinstance(sigma, GroupElement) else sigma
         self.c = complex(annulus.center[0], annulus.center[1])
         if circle_radius is None:
             circle_radius = math.sqrt(0.5 * (annulus.r_inner**2 + annulus.r_outer**2))
         self.circle_radius = float(circle_radius)
-        self.n_theta = n_theta
-        # sigma(w) = e^{i theta} (w - a) / (1 - conj(a) w) maps |w - c| = r to
-        # a circle of radius k r / (D - q r^2); the pole lies off the disk,
-        # so D > q r^2 on the annulus
-        self._q = abs(self.sigma.a) ** 2
+        a = self.sigma.a
+        alpha = 1.0 - np.conj(a) * self.c
+        # the pole 1/conj(a) lies off the disk, so D > q r^2 on the annulus
+        self._q = abs(a) ** 2
         self._k = 1.0 - self._q
-        self._D = abs(1.0 - np.conj(self.sigma.a) * self.c) ** 2
+        self._D = abs(alpha) ** 2
+        self._rho_per_r = abs(a) / abs(alpha)
+        self._phase = float(np.angle(a * alpha))
         R_in, R_out = self._image_radius(np.array([annulus.r_inner, annulus.r_outer]))[0]
         self._R2_inner = R_in**2
         self.mass = float(math.pi * (R_out**2 - self._R2_inner))
         self.b = float(self.t_of_r(self.circle_radius))
-        self._angular = None
 
     # radial leg -------------------------------------------------------------
 
@@ -291,57 +305,52 @@ class TransportChart:
         disc = np.sqrt(self._k**2 + 4.0 * self._q * self._D * R * R)
         return 2.0 * self._D * R / (self._k + disc)
 
-    # angular leg (built lazily) ----------------------------------------------
+    # angular leg ------------------------------------------------------------
 
-    def _build_angular(self):
-        from scipy.interpolate import RectBivariateSpline
-
-        nr, nt = 64, self.n_theta
-        radii = np.linspace(self.annulus.r_inner, self.annulus.r_outer, nr)
-        thetas = np.linspace(0.0, TWO_PI, nt + 1)
-        dens = _deriv_sq_polar(self.sigma, self.c, radii, thetas[:-1] % TWO_PI)
-        dens = np.concatenate([dens, dens[:, :1]], axis=1)
-        cum = np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]) * np.diff(thetas), axis=1)
-        cum = np.concatenate([np.zeros((nr, 1)), cum], axis=1)
-        cdf = cum / cum[:, -1:]
-        self._F = RectBivariateSpline(radii, thetas, cdf, kx=3, ky=3)
-        fgrid = np.linspace(0.0, 1.0, nt + 1)
-        theta_inv = np.empty((nr, nt + 1))
-        for i in range(nr):
-            theta_inv[i] = np.interp(fgrid, cdf[i], thetas)
-        self._Finv = RectBivariateSpline(radii, fgrid, theta_inv, kx=3, ky=3)
-        self._angular = True
+    def _anomaly(self, theta, r):
+        """Kepler's K(phi) at arg(w - c) = theta on |w - c| = r, with rho and e."""
+        rho = self._rho_per_r * r
+        e = 2.0 * rho / (1.0 + rho * rho)
+        psi = theta - self._phase
+        phi = psi + 2.0 * np.arctan2(rho * np.sin(psi), 1.0 - rho * np.cos(psi))
+        return phi + e * np.sin(phi), rho, e
 
     def forward(self, w):
         """Plane points of the annulus (complex) -> (s, t) product points."""
-        if self._angular is None:
-            self._build_angular()
         w = np.atleast_1d(np.asarray(w, complex))
         rel = w - self.c
         r = np.abs(rel)
-        theta = np.angle(rel) % TWO_PI
-        F = self._F.ev(r, theta)
-        s = (-TWO_PI * F) % TWO_PI
-        t = self.t_of_r(r)
-        return np.stack([s, np.asarray(t)], -1)
+        K, _, _ = self._anomaly(np.angle(rel), r)
+        K0, _, _ = self._anomaly(0.0, r)
+        return np.stack([(K0 - K) % TWO_PI, self.t_of_r(r)], -1)
 
     def inverse(self, st):
-        if self._angular is None:
-            self._build_angular()
         st = np.atleast_2d(np.asarray(st, float))
         r = self.r_of_t(st[:, 1])
-        F = (-st[:, 0] / TWO_PI) % 1.0
-        theta = self._Finv.ev(r, F)
-        # Newton polish against the exact conditional density
-        norm = self.dt_dr(r) * self.mass / r  # integral of |sigma'|^2 over the circle
-        for _ in range(4):
-            resid = self._F.ev(r, theta % TWO_PI) - F
-            dens = (
-                np.abs(self.sigma.derivative(self.c + r * np.exp(1j * theta))) ** 2
-                / norm
-            )
-            theta = theta - resid / np.maximum(dens, 1e-12)
-        return self.c + r * np.exp(1j * theta)
+        K0, rho, e = self._anomaly(0.0, r)
+        # K(phi) = K0 - s, i.e. E - e sin E = K0 - s + pi with E = phi + pi
+        phi = _solve_kepler(K0 - st[:, 0] + math.pi, e) - math.pi
+        psi = phi - 2.0 * np.arctan2(rho * np.sin(phi), 1.0 + rho * np.cos(phi))
+        return self.c + r * np.exp(1j * (psi + self._phase))
+
+
+def _solve_kepler(M, e):
+    """Solve E - e sin(E) = M (mod 2 pi) for e < 1 by Newton from the starter
+    E0 = M + 0.85 e sign(sin M), with M in [-pi, pi) so that the flat stretch
+    of E - e sin E (near 0) has the finest floating point.  Raises KeplerError
+    rather than return an angle whose last step is not below KEPLER_TOL.
+    """
+    M = np.mod(M + math.pi, TWO_PI) - math.pi
+    E = M + 0.85 * e * np.sign(np.sin(M))
+    for _ in range(KEPLER_MAX_ITER):
+        step = (E - e * np.sin(E) - M) / (1.0 - e * np.cos(E))
+        E = E - step
+        if np.all(np.abs(step) < KEPLER_TOL):
+            return E
+    raise KeplerError(
+        f"Kepler's equation unsolved after {KEPLER_MAX_ITER} Newton steps "
+        f"(last step {np.abs(step).max():.2e})"
+    )
 
 
 def transport_chart(
@@ -389,8 +398,7 @@ class CorrectedHamiltonian:
         return 2.0 * self.outer_radius
 
     def sup_abs(self) -> float:
-        tgrid = np.linspace(-0.5, 0.5, 2001)
-        return float(self.scale * np.abs(self.profile.h(tgrid)).max())
+        return self.scale * self.profile.sup_abs()
 
     def contains(self, z):
         z = np.asarray(z, complex)
@@ -482,31 +490,26 @@ class AssembledHamiltonian:
                     f"translate regions {i} and {i + 1 + bad[0]} overlap"
                 )
 
-    def value_complex(self, z):
+    def _by_piece(self, z, method: str, dtype):
+        """piece.<method> at each point of the open disk, from the first piece
+        containing it; zero elsewhere."""
         z = np.atleast_1d(np.asarray(z, complex))
-        out = np.zeros(z.shape, float)
+        out = np.zeros(z.shape, dtype)
         todo = np.abs(z) < 1.0
         for piece in self.pieces:
             if not todo.any():
                 break
             mask = todo & piece.contains(z)
             if mask.any():
-                out[mask] = piece.value_complex(z[mask])
+                out[mask] = getattr(piece, method)(z[mask])
                 todo &= ~mask
         return out
 
+    def value_complex(self, z):
+        return self._by_piece(z, "value_complex", float)
+
     def gradient_complex(self, z):
-        z = np.atleast_1d(np.asarray(z, complex))
-        out = np.zeros(z.shape, complex)
-        todo = np.abs(z) < 1.0
-        for piece in self.pieces:
-            if not todo.any():
-                break
-            mask = todo & piece.contains(z)
-            if mask.any():
-                out[mask] = piece.gradient_complex(z[mask])
-                todo &= ~mask
-        return out
+        return self._by_piece(z, "gradient_complex", complex)
 
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -550,11 +553,7 @@ def assemble_Hv(
     tail = None
     if tail_elements:
         lam_max = max(TransportChart(annulus, el).mass for el in tail_elements)
-        sup_h = (
-            np.abs(make_profile(0.5, pieces[0].b).h(np.linspace(-0.5, 0.5, 2001))).max()
-            if pieces
-            else 0.0
-        )
+        sup_h = pieces[0].profile.sup_abs() if pieces else 0.0
         tail = float(lam_max * sup_h / TWO_PI)
     return AssembledHamiltonian(vertex, pieces, tail_estimate=tail)
 
@@ -626,6 +625,7 @@ class EstimateReport:
     lambda_table: list  # rows (length, count, max_lambda2)
     lambda_monotone: bool
     slopes: dict  # n -> regression slope of log(sup |D^n H|) vs log(1/r)
+    slope_rows: dict  # n -> rows the slope fit kept (nonzero sups) of len(rows)
     slope_verdicts: dict
     d1_by_length: list  # rows (length, max first-derivative sup)
     d1_trend: bool
@@ -650,18 +650,18 @@ def _fd_derivatives(f, z0, orders, h):
     return {f"d{n}": float(np.abs(quotients[n]).max()) for n in orders}
 
 
-def analytic_report(
-    assembled: AssembledHamiltonian,
-    orders=(1, 2, 3),
-    samples_per_piece: int = 8,
-    slope_slack: float = 0.3,
-) -> EstimateReport:
+SAMPLES_PER_PIECE = 8
+SLOPE_SLACK = 0.3
+
+
+def analytic_report(assembled: AssembledHamiltonian, orders=(1, 2, 3)) -> EstimateReport:
     """Decay and smoothness evidence near the boundary circle.
 
     (i) the largest scale lambda^2 per word length, which must not increase
     beyond length 2; (ii) log-log regression of the sup of n-th finite
     difference derivatives against 1/r, r the distance to the boundary,
-    with slope verdicts slope_n <= max(0, n-2) + slack; (iii) the first
+    with slope verdicts slope_n <= max(0, n-2) + SLOPE_SLACK, fitted to the
+    rows whose sup is nonzero (counted in slope_rows); (iii) the first
     derivative sup falling toward the boundary and the second staying
     bounded.
     """
@@ -673,15 +673,11 @@ def analytic_report(
         lam.setdefault(p.element.length, []).append(p.lambda2)
     lambda_table = [(L, len(lam[L]), max(lam[L])) for L in lengths]
     lam_max = {L: max(lam[L]) for L in lengths}
-    mono = all(
-        lam_max[b] < lam_max[a]
-        for a, b in zip(lengths, lengths[1:])
-        if a >= 2
-    )
+    mono = all(lam_max[b] < lam_max[a] for a, b in zip(lengths, lengths[1:]) if a >= 2)
 
     rows = []
     for p in assembled.pieces:
-        pts = p.tracked_circle_points(samples_per_piece)
+        pts = p.tracked_circle_points(SAMPLES_PER_PIECE)
         z0 = pts[:, 0] + 1j * pts[:, 1]
         r = float((1.0 - np.abs(z0)).min())
         h = 1e-3 * r
@@ -689,16 +685,17 @@ def analytic_report(
         entry.update(_fd_derivatives(p.value_complex, z0, orders, h))
         rows.append(entry)
 
-    slopes, verdicts = {}, {}
+    slopes, verdicts, kept = {}, {}, {}
     for n in orders:
         xs = np.array([math.log(1.0 / e["r"]) for e in rows])
         ys = np.array([e[f"d{n}"] for e in rows])
         keep = ys > 0
-        if keep.sum() < 4:
+        kept[n] = int(keep.sum())
+        if kept[n] < 4:
             raise ValueError("insufficient data points for the slope regression")
         slope = float(np.polyfit(xs[keep], np.log(ys[keep]), 1)[0])
         slopes[n] = slope
-        verdicts[n] = slope <= max(0, n - 2) + slope_slack
+        verdicts[n] = slope <= max(0, n - 2) + SLOPE_SLACK
 
     d1_by_length = []
     for L in lengths:
@@ -713,6 +710,7 @@ def analytic_report(
         lambda_table=lambda_table,
         lambda_monotone=mono,
         slopes=slopes,
+        slope_rows=kept,
         slope_verdicts=verdicts,
         d1_by_length=d1_by_length,
         d1_trend=d1_trend,

@@ -58,6 +58,11 @@ class TwistProfile:
         out[inside] = TWO_PI * math.e * phi * (1.0 - 2.0 * ui * ui / (1.0 - ui * ui) ** 2)
         return out if out.ndim else float(out)
 
+    def sup_abs(self) -> float:
+        """max |h|, at |u| = (sqrt 6 - sqrt 2)/2 where dh vanishes: (1 - u^2)^2 = 2 u^2."""
+        u = 0.5 * (math.sqrt(6.0) - math.sqrt(2.0))
+        return TWO_PI * math.e * self.width * u * math.exp(-1.0 / (1.0 - u * u))
+
 
 def make_profile(a: float, b: float = 0.0) -> TwistProfile:
     if not (-a < b < a):
@@ -280,7 +285,13 @@ class PackingError(RuntimeError):
     pass
 
 
-def _pack_component(graph: SimplicialGraph, comp, pos0, gap_frac=0.35, tol=1e-10):
+# preferred clearance of non-adjacent circles, as a fraction of their radius
+# sum, and the tangency residual a packing must reach
+GAP_FRAC = 0.35
+PACKING_TOL = 1e-10
+
+
+def _pack_component(graph: SimplicialGraph, comp, pos0):
     """Tangency packing by iterative relaxation.
 
     Radii live on a log scale so they stay positive; adjacent circles are
@@ -363,16 +374,16 @@ def _pack_component(graph: SimplicialGraph, comp, pos0, gap_frac=0.35, tol=1e-10
 
     last_error = None
     x = x0
-    for attempt_gap in (gap_frac, 2.0 * gap_frac, 4.0 * gap_frac):
+    for attempt_gap in (GAP_FRAC, 2.0 * GAP_FRAC, 4.0 * GAP_FRAC):
         x = solve(x, attempt_gap)
         pts, rad = unpack(x)
         worst = 0.0
         for i, j in edges:
             worst = max(worst, abs(np.hypot(*(pts[i] - pts[j])) - rad[i] - rad[j]))
-        if worst > tol:
-            last_error = f"tangency residual {worst:.2e} above {tol:.0e}"
+        if worst > PACKING_TOL:
+            last_error = f"tangency residual {worst:.2e} above {PACKING_TOL:.0e}"
             continue
-        # gap_frac is only a preference; strict disjointness is what must hold
+        # GAP_FRAC is only a preference; strict disjointness is what must hold
         separated = all(
             np.hypot(*(pts[i] - pts[j])) > (rad[i] + rad[j]) * (1.0 + 1e-6)
             for i, j in non_edges
@@ -576,12 +587,7 @@ def _free_arc(forbidden, pad=0.02):
     return (lo + pad, hi - pad)
 
 
-def build_configuration(
-    embedding: PlanarEmbedding,
-    gap_frac: float = 0.35,
-    grid: int = 1024,
-    packing_tol: float = 1e-10,
-) -> Configuration:
+def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configuration:
     """Realize the graph as the nerve of round annuli in the plane.
 
     Pipeline: tangency circle packing of each component (least-squares
@@ -613,7 +619,7 @@ def build_configuration(
     packed = {}
     offset = 0.0
     for comp in gx_comps:
-        sub = _pack_component(graph, comp, embedding.positions, gap_frac, packing_tol)
+        sub = _pack_component(graph, comp, embedding.positions)
         xs = [c[0] - r for c, r in sub.values()] + [c[0] + r for c, r in sub.values()]
         lo, hi = min(xs), max(xs)
         shift = offset - lo
@@ -710,7 +716,7 @@ def build_configuration(
         basepoint=base,
         provenance={
             "delta": delta,
-            "gap_frac": gap_frac,
+            "gap_frac": GAP_FRAC,
             "grid": grid,
             "widths": {str(v): widths[v] for v in order},
             "components": grid_info,
@@ -719,7 +725,11 @@ def build_configuration(
 
 
 def _complementary_points(annuli, order, grid):
-    """Two interior points per component of the annulus complement."""
+    """Two interior points per component of the annulus complement.
+
+    Components of fewer than 4 grid cells get no points; their number is
+    reported as "n_dropped" next to "n_components".
+    """
     outs = np.array([annuli[v].r_outer for v in order])
     cs = np.array([annuli[v].center for v in order])
     margin = 0.6 * outs.max()
@@ -737,9 +747,11 @@ def _complementary_points(annuli, order, grid):
         blocked |= (d2 >= (a.r_inner - pad) ** 2) & (d2 <= (a.r_outer + pad) ** 2)
     labels, ncomp = ndimage.label(~blocked)
     region_points = []
+    dropped = 0
     for comp_id in range(1, ncomp + 1):
         mask = labels == comp_id
         if mask.sum() < 4:
+            dropped += 1
             continue
         edt = ndimage.distance_transform_edt(mask)
         i1 = np.unravel_index(np.argmax(edt), edt.shape)
@@ -757,7 +769,8 @@ def _complementary_points(annuli, order, grid):
         region_points.append(np.stack([p1, p2]))
     far = hi + np.array([margin, margin])
     base = np.array([hi[0] + margin, lo[1] - margin])
-    return region_points, far, base, {"n_components": len(region_points), "cell": cell}
+    info = {"n_components": len(region_points), "n_dropped": dropped, "cell": cell}
+    return region_points, far, base, info
 
 
 # ----------------------------- representation ------------------------------
@@ -801,7 +814,6 @@ def build_representation(
     graph: SimplicialGraph,
     N: int,
     emulator=None,
-    gap_frac: float = 0.35,
     grid: int = 1024,
 ) -> Representation:
     """Send each generator to the N-th power of its double Dehn twist.
@@ -822,7 +834,7 @@ def build_representation(
                 "graph is nonplanar and no emulator was supplied; "
                 "find a planar emulator or use the universal-cover route"
             )
-        config = build_configuration(emb, gap_frac=gap_frac, grid=grid)
+        config = build_configuration(emb, grid=grid)
         profiles = {
             v: _profile_for_circle(config.annuli[v], config.radii[v])
             for v in graph.vertices
@@ -831,7 +843,7 @@ def build_representation(
             word_graph=graph, config=config, N=N, profiles=profiles, pullback=None
         )
 
-    config = build_configuration(emulator.embedding, gap_frac=gap_frac, grid=grid)
+    config = build_configuration(emulator.embedding, grid=grid)
     profiles = {
         v: _profile_for_circle(config.annuli[v], config.radii[v])
         for v in emulator.cover.vertices

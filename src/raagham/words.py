@@ -376,12 +376,12 @@ def hom_retraction(graph: SimplicialGraph) -> Homomorphism:
     return Homomorphism(source=dg, target=graph, images=images)
 
 
-def hom_pullback(p: GraphMorphism, validate: bool = True) -> Homomorphism:
+def hom_pullback(p: GraphMorphism) -> Homomorphism:
     """g_v -> product of the fiber generators over v, in cover vertex order.
 
     Requires p to be a certified orbi-cover; fibers over a vertex are never
     joined by an edge upstairs, so the product order does not change the
-    element (checked through the oracle when validate is set).
+    element (checked through the oracle).
     """
     cert = check_orbicover(p)
     if isinstance(cert, Violation):
@@ -394,14 +394,13 @@ def hom_pullback(p: GraphMorphism, validate: bool = True) -> Homomorphism:
         )
         images[v] = Word(cover, tuple((x, 1) for x in fiber))
     h = Homomorphism(source=base, target=cover, images=images)
-    if validate:
-        for v in base.vertices:
-            fiber = images[v].letters
-            for (x, _), (y, _) in itertools.combinations(fiber, 2):
-                if cover.has_edge(x, y):
-                    raise RuntimeError(f"fiber vertices {x!r} and {y!r} joined by an edge")
-        if not check_well_defined(h):
-            raise RuntimeError("pulled-back images of commuting generators do not commute")
+    for v in base.vertices:
+        fiber = images[v].letters
+        for (x, _), (y, _) in itertools.combinations(fiber, 2):
+            if cover.has_edge(x, y):
+                raise RuntimeError(f"fiber vertices {x!r} and {y!r} joined by an edge")
+    if not check_well_defined(h):
+        raise RuntimeError("pulled-back images of commuting generators do not commute")
     return h
 
 

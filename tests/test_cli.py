@@ -140,6 +140,11 @@ class TestCommands:
         assert (workdir / "sim" / "orbits.csv").exists()
         assert (workdir / "sim" / "orbits.svg").exists()
 
+    def test_lambda_decay_prints_fit_rows(self, workdir, capsys):
+        assert main(["lambda-decay", "--depth", "4", "--out", "ld"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "slope fits kept {1: " in out and "of 161 rows" in out
+
     def test_smooth_study(self, workdir):
         code = main(["smooth-study", "--depth", "2", "--eps", "0.1", "0.01", "--out", "sm"])
         assert code == EXIT_OK

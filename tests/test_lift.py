@@ -4,11 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from raagham import lift
 from raagham.flows import flow_map
 from raagham.lift import (
     AssembledHamiltonian,
     CorrectedHamiltonian,
     GroupElement,
+    KeplerError,
     Mollifier,
     MobiusMap,
     QuadratureError,
@@ -160,7 +162,7 @@ class TestTransport:
         assert (st[:, 0] >= 0).all() and (st[:, 0] < 2 * math.pi).all()
         assert (np.abs(st[:, 1]) <= 0.5 + 1e-12).all()
         back = ch.inverse(st)
-        assert np.abs(back - w).max() < 1e-6
+        assert np.abs(back - w).max() <= 1e-12
 
     def test_pushforward_is_product_measure(self):
         A = default_study_annulus()
@@ -224,6 +226,49 @@ class TestClosedFormRadialLeg:
             assert abs(rr[-1] - annulus.r_outer) <= 1e-14
 
 
+def _quadrature_angular_cdf(sigma, c, r, thetas, n=256, nt=4096):
+    """Conditional CDF from arg(w - c) = 0 on |w - c| = r: Gauss-Legendre on
+    [0, theta] over the trapezoid integral of the whole circle."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rr = np.array([r])
+    total = _deriv_sq_polar(sigma, c, rr, np.arange(nt) * 2 * math.pi / nt)[0].mean() * 2 * math.pi
+    part = [0.5 * th * (w * _deriv_sq_polar(sigma, c, rr, 0.5 * th * (x + 1))[0]).sum()
+            for th in thetas]
+    return np.array(part) / total
+
+
+class TestClosedFormAngularLeg:
+    def test_cdf_matches_quadrature(self):
+        thetas = np.linspace(0.1, 2 * math.pi - 0.1, 7)
+        for annulus, el in _radial_cases():
+            ch = transport_chart(annulus, el)
+            for r in np.linspace(annulus.r_inner, annulus.r_outer, 4):
+                st = ch.forward(ch.c + r * np.exp(1j * thetas))
+                F = (-st[:, 0] / (2 * math.pi)) % 1.0
+                want = _quadrature_angular_cdf(el.map, ch.c, r, thetas)
+                assert np.abs(F - want).max() <= 1e-12
+
+    def test_roundtrip_on_depth6_pieces(self, assembled_depth6):
+        A = default_study_annulus()
+        rng = np.random.default_rng(6)
+        for piece in assembled_depth6.pieces:
+            rad = np.sqrt(rng.uniform(A.r_inner**2, A.r_outer**2, 16))
+            w = rad * np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
+            assert np.abs(piece.chart.inverse(piece.chart.forward(w)) - w).max() <= 1e-12
+
+    def test_newton_cap_raises(self, monkeypatch):
+        ch = transport_chart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
+        st = np.array([[1.0, 0.2], [4.0, -0.3]])
+        monkeypatch.setattr(lift, "KEPLER_MAX_ITER", 1)
+        with pytest.raises(KeplerError, match="1 Newton steps"):
+            ch.inverse(st)
+
+    def test_unsolvable_height_raises(self):
+        ch = transport_chart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
+        with pytest.raises(KeplerError):
+            ch.inverse(np.array([[1.0, np.nan]]))
+
+
 class TestCorrected:
     def test_identity_reduces_to_flat_twist(self):
         A = default_study_annulus()
@@ -237,6 +282,7 @@ class TestCorrected:
         ch = corrected_hamiltonian(el, A)
         sup_h = np.abs(ch.profile.h(np.linspace(-0.5, 0.5, 2001))).max()
         assert ch.sup_abs() <= ch.lambda2 * sup_h + 1e-15
+        assert ch.sup_abs() >= ch.scale * sup_h
 
     def test_gradient_matches_finite_differences(self):
         A = default_study_annulus()
@@ -342,6 +388,13 @@ class TestAssembled:
         z = pts[:, 0] + 1j * pts[:, 1]
         assert np.abs(H.value_complex(z) - piece.value_complex(z)).max() == 0.0
 
+    def test_gradient_matches_piece_on_its_region(self, assembled_depth6):
+        H = assembled_depth6
+        for piece in H.pieces[:: len(H.pieces) // 7]:
+            pts = piece.tracked_circle_points(6)
+            z = pts[:, 0] + 1j * pts[:, 1]
+            assert np.array_equal(H.gradient_complex(z), piece.gradient_complex(z))
+
 
 class TestMollifier:
     def test_peak_and_outside(self):
@@ -434,6 +487,13 @@ class TestReport:
                     want[n] = max(want[n], float(np.abs(q).max()))
             for n in (1, 2, 3):
                 assert abs(row[f"d{n}"] - want[n]) <= 1e-12 * want[n]
+
+    def test_slope_rows_count_nonzero_sups(self, assembled_depth6):
+        rep = analytic_report(assembled_depth6)
+        for n in (1, 2, 3):
+            kept = sum(row[f"d{n}"] > 0 for row in rep.rows)
+            assert rep.slope_rows[n] == kept
+            assert 4 <= kept <= len(rep.rows) == len(assembled_depth6.pieces)
 
     def test_rejects_unknown_order(self, assembled_depth6):
         with pytest.raises(ValueError, match="order"):

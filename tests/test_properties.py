@@ -1,0 +1,94 @@
+"""Property-based checks of the algebraic laws the exact routes rely on."""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raagham.graphs import SimplicialGraph
+from raagham.lift import MobiusMap, default_study_annulus, schottky_pair, transport_chart
+from raagham.twist import RoundAnnulus, area_chart, double_dehn_twist, make_profile
+from raagham.words import Word, normal_form, normal_form_closure
+
+TWO_PI = 2 * math.pi
+# derandomized so that every run draws the same examples
+FEW = settings(max_examples=40, deadline=None, derandomize=True)
+
+angles = st.floats(0.0, TWO_PI, allow_nan=False)
+
+
+@st.composite
+def disk_points(draw, radius=0.9):
+    r, theta = draw(st.floats(0.0, radius)), draw(angles)
+    return r * complex(math.cos(theta), math.sin(theta))
+
+
+mobius_maps = st.builds(MobiusMap, angles, disk_points())
+
+
+@FEW
+@given(mobius_maps, mobius_maps, st.lists(disk_points(), min_size=1, max_size=8))
+def test_mobius_compose_and_inverse_round_trip(f, g, zs):
+    z = np.array(zs)
+    assert np.abs(f.inverse()(f(z)) - z).max() <= 1e-12
+    assert np.abs(f.compose(g)(z) - f(g(z))).max() <= 1e-12
+    assert np.abs(f.compose(f.inverse())(z) - z).max() <= 1e-12
+
+
+TWIST_ANNULUS = RoundAnnulus((0.3, -0.2), 1.0, math.sqrt(3))
+TWIST_PROFILE = make_profile(area_chart(TWIST_ANNULUS).a, 0.1)
+TWIST_POINTS = TWIST_ANNULUS.sample_points(64, np.random.default_rng(3))
+taus = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@FEW
+@given(taus, taus)
+def test_double_dehn_twist_group_law(t1, t2):
+    f1 = double_dehn_twist(TWIST_ANNULUS, TWIST_PROFILE, t1)
+    f2 = double_dehn_twist(TWIST_ANNULUS, TWIST_PROFILE, t2)
+    f12 = double_dehn_twist(TWIST_ANNULUS, TWIST_PROFILE, t1 + t2)
+    assert np.abs(f1.apply(f2.apply(TWIST_POINTS)) - f12.apply(TWIST_POINTS)).max() <= 1e-11
+
+
+@st.composite
+def graph_words(draw):
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(names, 2))
+    edges = [p for p, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                     max_size=len(pairs)))) if keep]
+    letters = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    return Word(SimplicialGraph(names, edges), draw(st.lists(letters, max_size=7)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph_words())
+def test_piling_normal_form_matches_closure(w):
+    assert normal_form(w).word == normal_form_closure(w).word
+
+
+SCHOTTKY_LETTERS = [m for g in schottky_pair(0.98) for m in (g, g.inverse())]
+
+
+@st.composite
+def reduced_words(draw):
+    word = []
+    for _ in range(draw(st.integers(0, 6))):
+        choices = [l for l in range(4) if not word or l != word[-1] ^ 1]
+        word.append(draw(st.sampled_from(choices)))
+    return word
+
+
+@FEW
+@given(reduced_words(), st.lists(st.tuples(st.floats(0.0, 1.0), angles), min_size=1, max_size=8))
+def test_chart_inverse_undoes_forward(word, polar):
+    sigma = MobiusMap.identity()
+    for lid in word:
+        sigma = sigma.compose(SCHOTTKY_LETTERS[lid])
+    A = default_study_annulus()
+    ch = transport_chart(A, sigma)
+    w = np.array([math.sqrt(A.r_inner**2 + u * (A.r_outer**2 - A.r_inner**2)) * complex(
+        math.cos(th), math.sin(th)) for u, th in polar])
+    assert np.abs(ch.inverse(ch.forward(w)) - w).max() <= 1e-12

@@ -1,0 +1,23 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import raagham
+
+SOURCES = sorted(Path(raagham.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "lift.py", "words.py"}
+
+
+def test_no_assert_statements():
+    """Validation must raise: python -O strips assert statements."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from raagham.graphs import (
     SimplicialGraph,
@@ -15,6 +16,7 @@ from raagham.graphs import (
 from raagham.twist import (
     AreaChart,
     RoundAnnulus,
+    _complementary_points,
     annuli_intersect,
     area_chart,
     build_configuration,
@@ -54,6 +56,17 @@ class TestProfile:
     def test_rejects_bad_center(self):
         with pytest.raises(ValueError):
             make_profile(0.5, 0.7)
+
+    def test_sup_abs_is_exact_maximum(self):
+        for b in (0.0, 0.2, -0.37, 0.49):
+            p = make_profile(0.5, b)
+            sup = p.sup_abs()
+            for lo, hi in ((p.b, p.b + p.width), (p.b - p.width, p.b)):
+                opt = minimize_scalar(lambda t: -abs(p.h(t)), bounds=(lo, hi),
+                                      method="bounded", options={"xatol": 1e-12})
+                assert abs(abs(p.h(opt.x)) - sup) <= 1e-14 * sup
+            for n in (101, 2001, 100001):
+                assert sup >= np.abs(p.h(np.linspace(-0.5, 0.5, n))).max()
 
 
 class TestProductTwist:
@@ -218,6 +231,15 @@ class TestConfiguration:
         for v in g.vertices:
             c, r = cfg.centers[v], cfg.radii[v]
             assert np.hypot(*(cfg.far_point - c)) > r
+
+    def test_dropped_components_counted(self):
+        # grid 33 gives cells of 0.1 over [-1.6, 1.6]; a hole of radius 0.15
+        # minus the 0.75-cell pad keeps only the centre cell, which is dropped
+        for r_inner, dropped in ((0.15, 1), (0.5, 0)):
+            annuli = {"v": RoundAnnulus((0.0, 0.0), r_inner, 1.0)}
+            points, _, _, info = _complementary_points(annuli, ["v"], 33)
+            assert info["n_dropped"] == dropped
+            assert info["n_components"] == len(points) == 2 - dropped
 
     def test_disk_intersections_match_edges(self):
         g = complete_graph(list("abc"))
