@@ -72,22 +72,32 @@ class SimplicialGraph:
         out.sort(key=lambda p: (self._index[p[0]], self._index[p[1]]))
         return out
 
+    def components(self) -> list:
+        """Connected components, each in vertex order, ordered by first vertex."""
+        out, seen = [], set()
+        for v in self._vertices:
+            if v in seen:
+                continue
+            seen.add(v)
+            comp, stack = [v], [v]
+            while stack:
+                for w in self._adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            out.append(sorted(comp, key=self._index.__getitem__))
+        return out
+
     def is_connected(self) -> bool:
-        if not self._vertices:
-            return True
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        return len(self.components()) <= 1
 
     def to_networkx(self) -> nx.Graph:
+        """Node i is vertices[i]: integer labels keep networkx traversals
+        independent of the hash seed, which artifact byte-determinism needs."""
         g = nx.Graph()
-        g.add_nodes_from(self._vertices)
-        g.add_edges_from(tuple(e) for e in self._edges)
+        g.add_nodes_from(range(len(self._vertices)))
+        g.add_edges_from((self._index[u], self._index[v]) for u, v in self.sorted_edges())
         return g
 
     def __eq__(self, other):
@@ -124,10 +134,6 @@ class GraphMorphism:
     source: SimplicialGraph
     target: SimplicialGraph
     vertex_map: Mapping[VertexId, VertexId]
-
-    def image_edge(self, e: frozenset) -> frozenset:
-        u, v = tuple(e)
-        return frozenset((self.vertex_map[u], self.vertex_map[v]))
 
     def morphism_defect(self) -> Optional[frozenset]:
         """First source edge that fails to map homeomorphically onto a target edge."""
@@ -216,9 +222,6 @@ class PlanarEmbedding:
     graph: SimplicialGraph
     positions: Mapping[VertexId, tuple]
 
-    def position_array(self):
-        return np.array([self.positions[v] for v in self.graph.vertices], float)
-
 
 @dataclass(frozen=True)
 class NonplanarWitness:
@@ -291,37 +294,37 @@ def validate_embedding(emb: PlanarEmbedding) -> bool:
     return True
 
 
-def _layout_component(g: nx.Graph):
-    if g.number_of_nodes() == 1:
-        return {next(iter(g.nodes)): (0.0, 0.0)}
-    if g.number_of_edges() == 0:
-        return {v: (float(i), 0.0) for i, v in enumerate(sorted(g.nodes))}
-    is_planar, cert = nx.check_planarity(g)
-    if not is_planar:
-        raise RuntimeError("component of a planar graph failed the planarity test")
-    pos = nx.combinatorial_embedding_to_pos(cert, fully_triangulate=False)
+def _layout_component(cert: nx.PlanarEmbedding, nodes: list) -> dict:
+    """Straight-line positions of one component from the whole-graph certificate.
+
+    A component's rotation system is the restriction of the certificate to
+    it; a connected component with no edges has one vertex.
+    """
+    if len(nodes) == 1:
+        return {nodes[0]: (0.0, 0.0)}
+    # rebuilt in vertex order: a subgraph view would list the nodes in set order
+    restricted = nx.PlanarEmbedding({v: cert.adj[v] for v in nodes})
+    pos = nx.combinatorial_embedding_to_pos(restricted, fully_triangulate=False)
     return {v: (float(x), float(y)) for v, (x, y) in pos.items()}
 
 
 def planarity(g: SimplicialGraph):
     """Planarity test with a drawing or a refutation.
 
-    A planar graph gets a straight-line PlanarEmbedding (validated against the
-    segment-intersection checker); a nonplanar one gets a NonplanarWitness:
-    the cheap e > 3v - 6 count when it applies, otherwise a Kuratowski
-    subgraph found by the library test.
+    A planar graph gets a straight-line PlanarEmbedding, each component laid
+    out side by side from the rotation system of one ``nx.check_planarity``
+    certificate and validated against the segment-intersection checker; a
+    nonplanar one gets a NonplanarWitness: the cheap e > 3v - 6 count when
+    it applies, otherwise a Kuratowski subgraph found by the library test.
+    A yes/no caller should use ``nx.check_planarity`` alone: the witness
+    costs a planarity test per edge.
     """
     nv, ne = len(g.vertices), len(g.edges)
     if nv >= 3 and ne > 3 * nv - 6:
         return NonplanarWitness(
             kind="edge-bound", detail=f"e={ne} > 3v-6={3 * nv - 6}"
         )
-    # integer relabeling keeps every networkx traversal independent of the
-    # process hash seed, which byte-determinism of downstream artifacts needs
-    gx = nx.Graph()
-    gx.add_nodes_from(range(nv))
-    gx.add_edges_from((g.index(u), g.index(v)) for u, v in g.sorted_edges())
-    is_planar, cert = nx.check_planarity(gx, counterexample=True)
+    is_planar, cert = nx.check_planarity(g.to_networkx(), counterexample=True)
     if not is_planar:
         sub = frozenset(
             frozenset((g.vertices[a], g.vertices[b])) for a, b in cert.edges()
@@ -334,13 +337,12 @@ def planarity(g: SimplicialGraph):
         )
     positions = {}
     offset = 0.0
-    for comp in sorted(nx.connected_components(gx), key=min):
-        sub = _layout_component(gx.subgraph(comp).copy())
+    for comp in g.components():
+        sub = _layout_component(cert, [g.index(v) for v in comp])
         xs = [p[0] for p in sub.values()]
-        width = (max(xs) - min(xs)) if sub else 0.0
         for i, (x, y) in sub.items():
             positions[g.vertices[i]] = (x - min(xs) + offset, y)
-        offset += width + 2.0
+        offset += max(xs) - min(xs) + 2.0
     emb = PlanarEmbedding(g, positions)
     if not validate_embedding(emb):
         raise RuntimeError("planar layout failed geometric validation")
@@ -380,7 +382,7 @@ class EmulatorResult:
     cover: SimplicialGraph
     projection: GraphMorphism
     embedding: PlanarEmbedding
-    voltage: Optional[VoltageAssignment]
+    voltage: VoltageAssignment
 
 
 @dataclass(frozen=True)
@@ -401,9 +403,12 @@ def find_planar_emulator(
     Enumerates Z/k voltage assignments, k = 1..max_sheets, in lexicographic
     order and returns the first connected derived graph that is planar,
     together with its certified projection and validated embedding.
-    Disconnected derived graphs are skipped.  Returns NotFound when the
-    search space is exhausted or the assignment cap is hit; neither outcome
-    proves nonexistence.
+    Disconnected derived graphs are skipped.  Each candidate gets a bare
+    yes/no planarity test; only the returned cover is drawn, by
+    ``planarity``.  A derived graph whose projection fails the orbi-cover
+    check raises RuntimeError.  Returns NotFound when the search space is
+    exhausted or the assignment cap is hit; neither outcome proves
+    nonexistence.
     """
     if max_sheets < 2:
         raise ValueError("max_sheets must be at least 2")
@@ -420,16 +425,14 @@ def find_planar_emulator(
                 return NotFound(exhausted=False, tried=tried - 1, reason="assignment cap")
             va = VoltageAssignment(g, k, voltages)
             cover = va.derived_graph()
-            if not cover.is_connected():
-                continue
-            emb = planarity(cover)
-            if isinstance(emb, NonplanarWitness):
+            if not cover.is_connected() or not nx.check_planarity(cover.to_networkx())[0]:
                 continue
             proj = va.projection(cover)
-            cert = check_orbicover(proj)
-            if isinstance(cert, Violation):  # pragma: no cover - derived covers are covers
-                continue
-            return EmulatorResult(cover=cover, projection=proj, embedding=emb, voltage=va)
+            if isinstance(check_orbicover(proj), Violation):
+                raise RuntimeError(f"derived graph of voltages {voltages} is not an orbi-cover")
+            return EmulatorResult(
+                cover=cover, projection=proj, embedding=planarity(cover), voltage=va
+            )
     return NotFound(exhausted=True, tried=tried, reason="search space exhausted")
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy import ndimage, optimize
 
-from .graphs import PlanarEmbedding, SimplicialGraph, incidence_nerve
+from .graphs import NonplanarWitness, PlanarEmbedding, SimplicialGraph, incidence_nerve, planarity
 from .words import Homomorphism, hom_pullback
 
 TWO_PI = 2.0 * math.pi
@@ -182,10 +182,6 @@ class PlaneMap:
         out = self._backward(np.atleast_2d(pts))
         return out[0] if single else out
 
-    @staticmethod
-    def identity():
-        return PlaneMap(lambda p: p.copy(), lambda p: p.copy(), [], label="id")
-
 
 def _twist_forward(chart, profile, tau, t_lo, t_hi):
     ann = chart.annulus
@@ -296,12 +292,14 @@ def _pack_component(graph: SimplicialGraph, comp, pos0):
 
     Radii live on a log scale so they stay positive; adjacent circles are
     driven to exact tangency (polished by Gauss-Newton to 1e-13), all other
-    pairs are pushed apart softly and verified strictly disjoint.
+    pairs are pushed apart softly and verified strictly disjoint.  Returns
+    the circles and one record per least-squares attempt: its ``nfev``, its
+    ``status`` and the worst tangency residual after the polish.
     """
     comp = list(comp)
     n = len(comp)
     if n == 1:
-        return {comp[0]: (np.zeros(2), 1.0)}
+        return {comp[0]: (np.zeros(2), 1.0)}, []
     index = {v: i for i, v in enumerate(comp)}
     edges = [
         (index[u], index[v])
@@ -370,16 +368,20 @@ def _pack_component(graph: SimplicialGraph, comp, pos0):
                 J[row, 2 * n + j] = -rad[j]
             step, *_ = np.linalg.lstsq(J, r, rcond=None)
             x = x - step
-        return x
+        return x, sol
 
     last_error = None
+    attempts = []
     x = x0
     for attempt_gap in (GAP_FRAC, 2.0 * GAP_FRAC, 4.0 * GAP_FRAC):
-        x = solve(x, attempt_gap)
+        x, sol = solve(x, attempt_gap)
         pts, rad = unpack(x)
         worst = 0.0
         for i, j in edges:
             worst = max(worst, abs(np.hypot(*(pts[i] - pts[j])) - rad[i] - rad[j]))
+        attempts.append(
+            {"nfev": int(sol.nfev), "status": int(sol.status), "tangency_residual": float(worst)}
+        )
         if worst > PACKING_TOL:
             last_error = f"tangency residual {worst:.2e} above {PACKING_TOL:.0e}"
             continue
@@ -391,7 +393,7 @@ def _pack_component(graph: SimplicialGraph, comp, pos0):
         if not separated:
             last_error = "non-adjacent circles not separated"
             continue
-        return {v: (pts[index[v]], float(rad[index[v]])) for v in comp}
+        return {v: (pts[index[v]], float(rad[index[v]])) for v in comp}, attempts
     raise PackingError(last_error)
 
 
@@ -597,29 +599,18 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
     thickening each circle to an annulus of width a quarter of the local
     clearance.  Punctures: two per circle in an arc free of other annuli,
     two per complementary component located by grid flood fill, and one far
-    point q outside every disk.
+    point q outside every disk.  ``provenance["packing"]`` holds one record
+    per component: its size and the ``_pack_component`` attempt records.
     """
     graph = embedding.graph
     if not graph.vertices:
         raise ValueError("empty graph has no configuration")
-    gx_comps = []
-    seen = set()
-    for v in graph.vertices:
-        if v in seen:
-            continue
-        comp, stack = {v}, [v]
-        while stack:
-            for w in graph.neighbors(stack.pop()):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        gx_comps.append(sorted(comp, key=graph.index))
-
     packed = {}
+    packing = []
     offset = 0.0
-    for comp in gx_comps:
-        sub = _pack_component(graph, comp, embedding.positions)
+    for comp in graph.components():
+        sub, attempts = _pack_component(graph, comp, embedding.positions)
+        packing.append({"size": len(comp), "attempts": attempts})
         xs = [c[0] - r for c, r in sub.values()] + [c[0] + r for c, r in sub.values()]
         lo, hi = min(xs), max(xs)
         shift = offset - lo
@@ -720,6 +711,7 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
             "grid": grid,
             "widths": {str(v): widths[v] for v in order},
             "components": grid_info,
+            "packing": packing,
         },
     )
 
@@ -825,8 +817,6 @@ def build_representation(
     """
     if N < 2:
         raise ValueError("iteration count N must be at least 2")
-    from .graphs import NonplanarWitness, planarity
-
     if emulator is None:
         emb = planarity(graph)
         if isinstance(emb, NonplanarWitness):

@@ -193,7 +193,6 @@ def _depile(graph: SimplicialGraph, piles) -> tuple:
 @dataclass(frozen=True)
 class NormalForm:
     word: Word
-    canonical: bool = True
 
     def __len__(self):
         return len(self.word)

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from raagham.graphs import (
     PlanarEmbedding,
     SimplicialGraph,
     Violation,
+    VoltageAssignment,
     certificate_no_emulator,
     check_orbicover,
     complete_graph,
@@ -183,20 +185,124 @@ def test_incidence_nerve():
 class TestChecksSurviveOptimize:
     """Invariant checks raise errors, so `python -O` keeps them."""
 
-    def test_component_layout_refuted_raises(self, monkeypatch):
-        real = graphs.nx.check_planarity
-
-        def refute_layout(g, counterexample=False):
-            # the whole-graph test passes; the per-component layout test fails
-            if counterexample:
-                return real(g, counterexample=True)
-            return False, None
-
-        monkeypatch.setattr(graphs.nx, "check_planarity", refute_layout)
-        with pytest.raises(RuntimeError, match="planarity"):
+    def test_failed_layout_validation_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "validate_embedding", lambda emb: False)
+        with pytest.raises(RuntimeError, match="planar layout failed geometric validation"):
             planarity(path_graph(["a", "b", "c"]))
+
+    def test_derived_graph_failing_orbicover_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            graphs, "check_orbicover", lambda m: Violation(kind="malformed")
+        )
+        with pytest.raises(RuntimeError, match="not an orbi-cover"):
+            find_planar_emulator(cycle_graph(list("wxyz")), 2)
 
     def test_positive_euler_gap_raises(self, monkeypatch):
         monkeypatch.setattr(NoEmulatorCertificate, "euler_gap", lambda self: 1.0)
         with pytest.raises(RuntimeError, match="Euler gap"):
             certificate_no_emulator(complete_graph(list("abcdefg")))
+
+
+def four_vertex_graphs():
+    """One graph per isomorphism class on four vertices."""
+    pairs = list(itertools.combinations("abcd", 2))
+    out = []
+    for mask in range(2 ** len(pairs)):
+        g = SimplicialGraph(list("abcd"), [p for i, p in enumerate(pairs) if mask >> i & 1])
+        if not any(graphs_isomorphic(g, h) for h in out):
+            out.append(g)
+    assert len(out) == 11
+    return out
+
+
+def reference_emulator(g, max_sheets, allow_trivial=True):
+    """Reference route: draw every candidate with planarity() and keep the
+    lexicographically first connected one it draws.
+
+    Returns (voltage assignment or None, tried, exhausted, positions).
+    """
+    nv, ne = len(g.vertices), len(g.edges)
+    tried = 0
+    for k in range(1 if allow_trivial else 2, max_sheets + 1):
+        if k * nv >= 3 and k * ne > 3 * k * nv - 6:
+            continue
+        for voltages in itertools.product(range(k), repeat=ne):
+            tried += 1
+            va = VoltageAssignment(g, k, voltages)
+            cover = va.derived_graph()
+            if not nx.is_connected(cover.to_networkx()):
+                continue
+            emb = planarity(cover)
+            if isinstance(emb, PlanarEmbedding):
+                return va, tried, False, emb.positions
+    return None, tried, True, None
+
+
+ORACLE_CASES = (
+    [(g, 3, trivial) for g in four_vertex_graphs() for trivial in (True, False)]
+    + [
+        (SimplicialGraph(list("abcxyz"), [(u, v) for u in "abc" for v in "xyz"]), 2, True),
+        (complete_graph(list("abcde")), 2, False),
+        (complete_graph(list("abcdefg")), 3, True),
+    ]
+)
+
+
+@pytest.mark.parametrize("g, sheets, trivial", ORACLE_CASES)
+def test_emulator_search_matches_reference_route(g, sheets, trivial):
+    va, tried, exhausted, positions = reference_emulator(g, sheets, trivial)
+    res = find_planar_emulator(g, sheets, allow_trivial=trivial)
+    if va is None:
+        assert isinstance(res, NotFound)
+        assert (res.tried, res.exhausted) == (tried, exhausted)
+    else:
+        assert isinstance(res, EmulatorResult)
+        assert res.voltage == va
+        assert res.embedding.positions == positions
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("g", [
+    SimplicialGraph(list("abcdef"), [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c")]),
+    SimplicialGraph(list("abcxyz"), [(u, v) for u in "abc" for v in "xyz"]),
+    SimplicialGraph([], []),
+])
+def test_planarity_tests_once(monkeypatch, g):
+    calls = counting(monkeypatch, graphs.nx, "check_planarity")
+    planarity(g)
+    assert len(calls) == 1
+
+
+def test_emulator_search_draws_only_the_returned_cover(monkeypatch):
+    calls = counting(monkeypatch, graphs, "planarity")
+    res = find_planar_emulator(complete_graph(list("abcde")), 2, allow_trivial=False)
+    assert isinstance(res, EmulatorResult)
+    assert calls == [(res.cover,)]
+    assert isinstance(find_planar_emulator(complete_graph(list("abcdefg")), 3), NotFound)
+    assert len(calls) == 1
+
+
+def test_components_in_vertex_order():
+    g = SimplicialGraph(list("abcdef"), [("e", "a"), ("c", "f"), ("f", "b")])
+    assert g.components() == [["a", "e"], ["b", "c", "f"], ["d"]]
+    assert not g.is_connected()
+    assert SimplicialGraph([], []).components() == []
+    assert SimplicialGraph([], []).is_connected()
+
+
+def test_to_networkx_labels_are_vertex_indices():
+    g = SimplicialGraph(["x", "y", "z"], [("z", "x")])
+    gx = g.to_networkx()
+    assert list(gx.nodes) == [0, 1, 2]
+    assert list(gx.edges) == [(0, 2)]

@@ -3,11 +3,12 @@
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raagham.graphs import SimplicialGraph
+from raagham.graphs import PlanarEmbedding, SimplicialGraph, planarity
 from raagham.lift import MobiusMap, default_study_annulus, schottky_pair, transport_chart
 from raagham.twist import RoundAnnulus, area_chart, double_dehn_twist, make_profile
 from raagham.words import Word, normal_form, normal_form_closure
@@ -53,20 +54,70 @@ def test_double_dehn_twist_group_law(t1, t2):
 
 
 @st.composite
-def graph_words(draw):
-    n = draw(st.integers(1, 5))
+def simple_graphs(draw, max_vertices):
+    n = draw(st.integers(1, max_vertices))
     names = [f"v{i}" for i in range(n)]
     pairs = list(itertools.combinations(names, 2))
     edges = [p for p, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
                                                      max_size=len(pairs)))) if keep]
-    letters = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
-    return Word(SimplicialGraph(names, edges), draw(st.lists(letters, max_size=7)))
+    return SimplicialGraph(names, edges)
+
+
+@st.composite
+def graph_words(draw):
+    g = draw(simple_graphs(5))
+    letters = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
+    return Word(g, draw(st.lists(letters, max_size=7)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(graph_words())
 def test_piling_normal_form_matches_closure(w):
     assert normal_form(w).word == normal_form_closure(w).word
+
+
+@FEW
+@given(simple_graphs(9))
+def test_components_partition_like_networkx(g):
+    comps = g.components()
+    assert sorted(map(set, comps), key=sorted) == sorted(
+        ({g.vertices[i] for i in c} for c in nx.connected_components(g.to_networkx())),
+        key=sorted,
+    )
+    assert all(c == sorted(c, key=g.index) for c in comps)
+    assert [c[0] for c in comps] == sorted((c[0] for c in comps), key=g.index)
+    assert g.is_connected() == (len(comps) <= 1)
+
+
+def retest_layout(g):
+    """Each component planarity-tested and drawn on its own, side by side."""
+    positions, offset = {}, 0.0
+    for comp in g.components():
+        idx = [g.index(v) for v in comp]
+        sub = nx.Graph()
+        sub.add_nodes_from(idx)
+        sub.add_edges_from((g.index(u), g.index(v)) for u, v in g.sorted_edges() if u in comp)
+        if len(idx) == 1:
+            pos = {idx[0]: (0.0, 0.0)}
+        else:
+            is_planar, cert = nx.check_planarity(sub)
+            assert is_planar
+            pos = nx.combinatorial_embedding_to_pos(cert, fully_triangulate=False)
+        xs = [float(x) for x, _ in pos.values()]
+        for i, (x, y) in pos.items():
+            positions[g.vertices[i]] = (float(x) - min(xs) + offset, float(y))
+        offset += max(xs) - min(xs) + 2.0
+    return positions
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(simple_graphs(9))
+# the component {v1, v4, v8} is listed 8, 1, 4 by a networkx subgraph view
+@example(SimplicialGraph([f"v{i}" for i in range(9)], [("v0", "v7"), ("v1", "v8"), ("v4", "v8")]))
+def test_one_certificate_layout_matches_per_component_retest(g):
+    emb = planarity(g)
+    if isinstance(emb, PlanarEmbedding):
+        assert emb.positions == retest_layout(g)
 
 
 SCHOTTKY_LETTERS = [m for g in schottky_pair(0.98) for m in (g, g.inverse())]

@@ -14,6 +14,7 @@ from raagham.graphs import (
     planarity,
 )
 from raagham.twist import (
+    PACKING_TOL,
     AreaChart,
     RoundAnnulus,
     _complementary_points,
@@ -197,7 +198,28 @@ class TestDoubleDehnTwist:
         assert np.abs(np.stack([gx, gy], -1) - g).max() < 1e-5 * max(1, np.abs(g).max())
 
 
+def check_packing_records(cfg):
+    """One record per component; one int nfev/status pair per solver attempt."""
+    records = cfg.provenance["packing"]
+    assert [r["size"] for r in records] == [len(c) for c in cfg.graph.components()]
+    for r in records:
+        assert (r["size"] == 1) == (not r["attempts"])
+        for a in r["attempts"]:
+            assert type(a["nfev"]) is int and type(a["status"]) is int
+            assert 0 < a["nfev"] <= 6000
+            assert type(a["tangency_residual"]) is float
+        if r["attempts"]:
+            # the last attempt is the accepted packing
+            assert r["attempts"][-1]["tangency_residual"] <= PACKING_TOL
+
+
 class TestConfiguration:
+    def test_packing_records_per_component(self):
+        g = SimplicialGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "f")])
+        cfg = build_configuration(planarity(g), grid=512)
+        assert [r["size"] for r in cfg.provenance["packing"]] == [3, 2, 1]
+        check_packing_records(cfg)
+
     def test_single_vertex_puncture_count(self):
         cfg = build_configuration(planarity(SimplicialGraph(["v"], [])), grid=512)
         assert len(cfg.region_points) == 2
@@ -295,3 +317,4 @@ class TestRepresentation:
         )
         assert rep.pullback is not None
         assert len(rep.supports("a")) == 2
+        check_packing_records(rep.config)
