@@ -8,6 +8,7 @@ faithfulness probe only ever says NONTRIVIAL or INCONCLUSIVE.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +17,9 @@ import numpy as np
 from .words import (
     ResourceCapExceeded,
     Word,
+    commutator,
     enumerate_normal_forms,
+    generator,
     hom_apply,
     normal_form,
 )
@@ -119,27 +122,29 @@ def flow_map(
 def rep_apply(rep, w: Word, pts, route: str = "closed", steps=None):
     """Evaluate the image of a word on a batch of points.
 
-    Letters act right to left.  The closed route multiplies exact twist maps
-    (an inverse letter is the same twist run backwards); the integrated route
-    flows the per-generator Hamiltonian fields for time N per letter, which
-    is only as accurate as the integrator.
+    Letters act right to left.  The closed route folds the exact twist maps
+    letter by letter (an inverse letter is the same twist run backwards)
+    through ``Representation.apply_letters``, which tracks each point's
+    annulus membership so a letter touches only the points it can move; the
+    result is bit-identical to applying ``generator_map`` letter by letter.
+    The integrated route flows the per-generator Hamiltonian fields for
+    time N per letter, which is only as accurate as the integrator.
     """
+    if w.graph != rep.word_graph:
+        raise ValueError("word is not over the representation's graph")
+    if route not in ("closed", "integrated"):
+        raise ValueError(f"unknown route {route!r}")
     if rep.pullback is not None:
         w = hom_apply(rep.pullback, w)
-    elif w.graph != rep.word_graph:
-        raise ValueError("word is not over the representation's graph")
     pts = np.asarray(pts, float)
     single = pts.ndim == 1
     out = np.atleast_2d(pts).copy()
     if route == "closed":
-        for v, e in reversed(w.letters):
-            out = rep.generator_map(v, rep.N * e).apply(out)
-    elif route == "integrated":
+        out = rep.apply_letters(w.letters, out)
+    else:
         for v, e in reversed(w.letters):
             H, grad = rep.generator_field(v)
             out = flow_map(HamiltonianField(H, grad), out, T=rep.N * e, steps=steps).final
-    else:
-        raise ValueError(f"unknown route {route!r}")
     return out[0] if single else out
 
 
@@ -222,15 +227,11 @@ def verify_relations(
     up to roundoff); adjacent ones must visibly fail to commute at some
     overlap probe; every puncture must be fixed by every generator image.
     """
-    import itertools as it
-
-    from .words import commutator, generator
-
     g = rep.word_graph
     rng = np.random.default_rng(seed)
     pts = _sample_points(rep, samples, rng)
     checks = []
-    for u, v in it.combinations(g.vertices, 2):
+    for u, v in itertools.combinations(g.vertices, 2):
         word = commutator(generator(g, u), generator(g, v))
         if not g.has_edge(u, v):
             moved = rep_apply(rep, word, pts)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -104,9 +105,11 @@ class RoundAnnulus:
             return (r2 >= self.r_inner**2) & (r2 <= self.r_outer**2)
         return (r2 > self.r_inner**2) & (r2 < self.r_outer**2)
 
-    def sample_points(self, n, rng, t_range=None):
-        lo = self.r_inner**2 if t_range is None else t_range[0]
-        hi = self.r_outer**2 if t_range is None else t_range[1]
+    def sample_points(self, n, rng, r2_range=None):
+        """n area-uniform points with r^2 in r2_range (squared radii about the
+        center, default [r_inner^2, r_outer^2]), uniform in angle."""
+        lo = self.r_inner**2 if r2_range is None else r2_range[0]
+        hi = self.r_outer**2 if r2_range is None else r2_range[1]
         r = np.sqrt(rng.uniform(lo, hi, n))
         ang = rng.uniform(0.0, TWO_PI, n)
         return np.asarray(self.center) + np.stack([r * np.cos(ang), r * np.sin(ang)], -1)
@@ -183,23 +186,29 @@ class PlaneMap:
         return out[0] if single else out
 
 
-def _twist_forward(chart, profile, tau, t_lo, t_hi):
-    ann = chart.annulus
+def _twist_rows(chart, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
+    """The twist's one arithmetic, on an (m, 2) array of points of its annulus.
 
+    Returns the indices of the rows it moves (area height in [t_lo, t_hi) and
+    a nonzero angular shift tau*h'(t)) and their images.  Rows within
+    rounding of the annulus boundary have h'(t) == 0 exactly, because the
+    bump's exp(-1/(1-u^2)) underflows there, so they never move.
+    """
+    st = chart.to_product(pts)
+    ds = tau * profile.dh(st[:, 1])
+    rows = np.flatnonzero((st[:, 1] >= t_lo) & (st[:, 1] < t_hi) & (ds != 0.0))
+    st_sub = st.take(rows, axis=0)
+    st_sub[:, 0] = (st_sub[:, 0] + ds[rows]) % TWO_PI
+    return rows, chart.to_plane(st_sub)
+
+
+def _twist_forward(chart, profile, tau, t_lo, t_hi):
     def f(pts):
         out = np.array(pts, float, copy=True)
-        mask = ann.contains(out)
-        if not mask.any():
-            return out
-        st = chart.to_product(out[mask])
-        ds = tau * profile.dh(st[:, 1])
-        sub = (st[:, 1] >= t_lo) & (st[:, 1] < t_hi) & (ds != 0.0)
-        if sub.any():
-            st_sub = st[sub]
-            st_sub[:, 0] = (st_sub[:, 0] + ds[sub]) % TWO_PI
-            moved = chart.to_plane(st_sub)
-            idx = np.where(mask)[0][sub]
-            out[idx] = moved
+        idx = np.flatnonzero(chart.annulus.contains(out))
+        if len(idx):
+            rows, moved = _twist_rows(chart, profile, tau, out.take(idx, axis=0), t_lo, t_hi)
+            out[idx[rows]] = moved
         return out
 
     return f
@@ -785,6 +794,63 @@ class Representation:
 
     def generator_map(self, v, tau) -> PlaneMap:
         return double_dehn_twist(self.config.annuli[v], self.profiles[v], tau)
+
+    @cached_property
+    def _letter_tables(self):
+        """Per cover vertex: its index, its area chart and the annuli near it.
+
+        The annuli near A(v) are those whose disks meet its disk, A(v)
+        included: a superset of every annulus that can contain a point of
+        A(v), widened by a relative slack that only adds annuli.
+        """
+        charts = [AreaChart(a) for a in self.config.annuli.values()]
+        centers = np.array([ch.annulus.center for ch in charts])
+        outer = np.array([ch.annulus.r_outer for ch in charts])
+        diff = centers[:, None] - centers[None]
+        meets = np.hypot(diff[..., 0], diff[..., 1]) <= (outer[:, None] + outer) * (1.0 + 1e-9)
+        index = {v: i for i, v in enumerate(self.config.annuli)}
+        return index, charts, [np.flatnonzero(row) for row in meets]
+
+    def apply_letters(self, letters, pts):
+        """Apply cover letters (v, e) right to left to an (n, 2) array.
+
+        Letter (v, e) is the twist of A(v) with tau = N*e, by the same
+        arithmetic as ``generator_map(v, N*e).apply`` and bit-identical to
+        it.  Membership of every point in the closed annuli the word uses is
+        computed once and then tracked: a twist moves points only along
+        circles of its own annulus, so after each letter only the moved
+        rows are re-tested, against the annuli near A(v) that a later letter
+        still uses.  A membership decision that rounding could flip never
+        changes an output, because points within rounding of an annulus
+        boundary do not move.
+        """
+        index, charts, near = self._letter_tables
+        steps = [(index[v], v, e) for v, e in reversed(letters)]
+        last = np.full(len(charts), -1)  # the last step that uses each annulus
+        for step, (i, _, _) in enumerate(steps):
+            last[i] = step
+        out = np.array(pts, float, copy=True)
+        rows_of_out = out.view(complex).ravel()  # one scalar per row: fast row scatter
+
+        def inside(j, x, y):
+            ann = charts[j].annulus
+            dx, dy = x - ann.center[0], y - ann.center[1]
+            r2 = dx * dx + dy * dy
+            return (r2 >= ann.r_inner**2) & (r2 <= ann.r_outer**2)
+
+        member = np.zeros((len(charts), len(out)), bool)
+        x, y = out[:, 0].copy(), out[:, 1].copy()
+        for j in np.flatnonzero(last >= 0):
+            member[j] = inside(j, x, y)
+        for step, (i, v, e) in enumerate(steps):
+            idx = np.flatnonzero(member[i])
+            rows, moved = _twist_rows(charts[i], self.profiles[v], self.N * e, out.take(idx, axis=0))
+            idx = idx[rows]
+            rows_of_out[idx] = moved.view(complex).ravel()
+            x, y = moved[:, 0].copy(), moved[:, 1].copy()
+            for j in near[i][last[near[i]] > step]:
+                member[j, idx] = inside(j, x, y)
+        return out
 
     def generator_field(self, v):
         return twist_hamiltonian(self.config.annuli[v], self.profiles[v])

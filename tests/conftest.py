@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from raagham.graphs import complete_graph, find_planar_emulator, path_graph, planarity
+from raagham.graphs import complete_graph, cycle_graph, find_planar_emulator, path_graph, planarity
 from raagham.lift import assemble_Hv, default_study_annulus, enumerate_group, schottky_pair
 from raagham.twist import build_configuration, build_representation
 
@@ -16,6 +16,18 @@ def k5_emulator():
 @pytest.fixture(scope="session")
 def p3_rep():
     return build_representation(path_graph(["u", "v", "w"]), N=2, grid=512)
+
+
+@pytest.fixture(scope="session")
+def c4_rep():
+    return build_representation(cycle_graph(list("wxyz")), N=2, grid=256)
+
+
+@pytest.fixture(scope="session")
+def k6_rep():
+    """K6 through its 2-sheet planar emulator; the benchmark builds the same rep at grid 512."""
+    k6 = complete_graph(list("abcdef"))
+    return build_representation(k6, 2, emulator=find_planar_emulator(k6, 2), grid=256)
 
 
 @pytest.fixture(scope="session")

@@ -286,7 +286,7 @@ def _band_sample(config, v, n, rng, frac=0.75):
     t_lo = prof_b - frac * width
     t_hi = prof_b + frac * width
     mid = 0.5 * (ann.r_inner**2 + ann.r_outer**2)
-    return ann.sample_points(n, rng, t_range=(mid + 2 * t_lo, mid + 2 * t_hi))
+    return ann.sample_points(n, rng, r2_range=(mid + 2 * t_lo, mid + 2 * t_hi))
 
 
 def _mpmath_jacobian_dev(rep, v, pts, dps=50, step="1e-12"):
@@ -351,7 +351,7 @@ def test_criterion_08_area_preservation(p3_rep):
         chart_b = float(area_chart(ann).t_of_radius(p3_rep.config.radii[v]))
         width = min(area_chart(ann).a - chart_b, area_chart(ann).a + chart_b)
         tail = ann.sample_points(
-            8, rng, t_range=(mid + 2 * (chart_b + 0.8 * width), mid + 2 * (chart_b + 0.99 * width))
+            8, rng, r2_range=(mid + 2 * (chart_b + 0.8 * width), mid + 2 * (chart_b + 0.99 * width))
         )
         worst_tail = max(worst_tail, _mpmath_jacobian_dev(p3_rep, v, tail))
     assert worst_tail <= 1e-6

@@ -22,14 +22,17 @@ from raagham.lift import (
     smooth_Hv,
 )
 from raagham.twist import (
+    Representation,
     RoundAnnulus,
     area_chart,
     build_representation,
     double_dehn_twist,
+    half_twists,
     make_profile,
     twist_hamiltonian,
 )
 from raagham.words import Word, commutator, empty_word, generator, normal_form, word_from_tokens
+from twist_reference import boundary_points, reference_fold, reference_twist
 
 
 def rotation_field():
@@ -108,6 +111,119 @@ class TestRepApply:
         closed = rep_apply(p3_rep, w, ov)
         integ = rep_apply(p3_rep, w, ov, route="integrated", steps=6000)
         assert np.hypot(*(integ - closed).T).max() < 1e-3
+
+
+REPS = ["p3_rep", "c4_rep", "k6_rep"]
+
+
+def probe_points(rep, seed):
+    """Annulus samples, points on and one ulp off every annulus boundary,
+    free points among the annuli, the punctures and far points."""
+    cfg = rep.config
+    rng = np.random.default_rng(seed)
+    annuli = list(cfg.annuli.values())
+    centers = np.array([a.center for a in annuli])
+    outer = np.array([a.r_outer for a in annuli])[:, None]
+    free = rng.uniform((centers - outer).min(0), (centers + outer).max(0), size=(300, 2))
+    far = np.stack([cfg.far_point, cfg.basepoint, [1e6, -1e6]])
+    return np.concatenate(
+        [a.sample_points(40, rng) for a in annuli]
+        + [boundary_points(a) for a in annuli]
+        + [free, cfg.all_punctures(), far]
+    )
+
+
+def random_words(graph, rng, length, count):
+    """count random words of the given length, inverse letters included."""
+    out = []
+    for _ in range(count):
+        verts = rng.integers(0, len(graph.vertices), length)
+        signs = rng.choice([1, -1], length)
+        signs[:1] = -1
+        out.append(Word(graph, [(graph.vertices[i], int(e)) for i, e in zip(verts, signs)]))
+    return out
+
+
+class TestClosedRouteBitIdentity:
+    """The tracked word kernel equals the letter-by-letter fold exactly."""
+
+    @pytest.mark.parametrize("rep_name", REPS)
+    @pytest.mark.parametrize("length", [0, 1, 4, 200])
+    def test_rep_apply_equals_reference_fold(self, request, rep_name, length):
+        rep = request.getfixturevalue(rep_name)
+        rng = np.random.default_rng(length)
+        pts = probe_points(rep, length)
+        g = rep.word_graph
+        if length == 1:
+            words = [generator(g, v, e) for v in g.vertices for e in (1, -1)]
+        else:
+            words = random_words(g, rng, length, 1 if length == 200 else 3)
+        for w in words:
+            got = rep_apply(rep, w, pts)
+            assert np.array_equal(got, reference_fold(rep, w, pts))
+            if length:
+                assert (got != pts).any()
+
+    @pytest.mark.parametrize("rep_name", REPS)
+    def test_single_point(self, request, rep_name):
+        rep = request.getfixturevalue(rep_name)
+        g = rep.word_graph
+        rng = np.random.default_rng(2)
+        w = random_words(g, rng, 6, 1)[0]
+        inside = rep.config.annuli[rep.config.graph.vertices[0]].sample_points(1, rng)[0]
+        for p in (inside, rep.config.far_point):
+            got = rep_apply(rep, w, p)
+            assert got.shape == (2,)
+            assert np.array_equal(got, reference_fold(rep, w, p))
+
+    @pytest.mark.parametrize("rep_name", REPS)
+    @pytest.mark.parametrize("tau", [2.0, -2.0, 0.7])
+    def test_plane_twists_equal_reference(self, request, rep_name, tau):
+        rep = request.getfixturevalue(rep_name)
+        pts = probe_points(rep, 5)
+        for v, ann in rep.config.annuli.items():
+            prof = rep.profiles[v]
+            f = double_dehn_twist(ann, prof, tau)
+            assert np.array_equal(f.apply(pts), reference_twist(ann, prof, tau, pts))
+            assert np.array_equal(f.apply_inverse(pts), reference_twist(ann, prof, -tau, pts))
+            lower, upper = half_twists(ann, prof, tau)
+            b = prof.b
+            assert np.array_equal(lower.apply(pts), reference_twist(ann, prof, tau, pts, t_hi=b))
+            assert np.array_equal(
+                lower.apply_inverse(pts), reference_twist(ann, prof, -tau, pts, t_hi=b)
+            )
+            assert np.array_equal(upper.apply(pts), reference_twist(ann, prof, tau, pts, t_lo=b))
+            assert np.array_equal(
+                upper.apply_inverse(pts), reference_twist(ann, prof, -tau, pts, t_lo=b)
+            )
+
+
+class TestRepApplyErrors:
+    @pytest.fixture
+    def no_geometry(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("geometry ran")
+
+        monkeypatch.setattr(Representation, "apply_letters", fail)
+        monkeypatch.setattr(Representation, "generator_field", fail)
+
+    @pytest.mark.parametrize("rep_name", REPS)
+    def test_word_over_another_graph(self, request, rep_name, no_geometry):
+        rep = request.getfixturevalue(rep_name)
+        # the cover graph is the tempting wrong graph for an emulator rep
+        other = rep.config.graph if rep.pullback is not None else SimplicialGraph(["q"], [])
+        w = generator(other, other.vertices[0])
+        for route in ("closed", "integrated"):
+            with pytest.raises(ValueError, match="not over the representation's graph"):
+                rep_apply(rep, w, np.zeros((3, 2)), route=route)
+
+    @pytest.mark.parametrize("rep_name", ["p3_rep", "k6_rep"])
+    def test_unknown_route(self, request, rep_name, no_geometry):
+        rep = request.getfixturevalue(rep_name)
+        g = rep.word_graph
+        for w in (empty_word(g), generator(g, g.vertices[0])):
+            with pytest.raises(ValueError, match="unknown route 'bogus'"):
+                rep_apply(rep, w, np.zeros((3, 2)), route="bogus")
 
 
 class TestVerification:

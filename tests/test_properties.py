@@ -8,10 +8,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from raagham.flows import rep_apply
 from raagham.graphs import PlanarEmbedding, SimplicialGraph, planarity
 from raagham.lift import MobiusMap, default_study_annulus, schottky_pair, transport_chart
 from raagham.twist import RoundAnnulus, area_chart, double_dehn_twist, make_profile
 from raagham.words import Word, normal_form, normal_form_closure
+from twist_reference import reference_fold
 
 TWO_PI = 2 * math.pi
 # derandomized so that every run draws the same examples
@@ -143,3 +145,35 @@ def test_chart_inverse_undoes_forward(word, polar):
     w = np.array([math.sqrt(A.r_inner**2 + u * (A.r_outer**2 - A.r_inner**2)) * complex(
         math.cos(th), math.sin(th)) for u, th in polar])
     assert np.abs(ch.inverse(ch.forward(w)) - w).max() <= 1e-12
+
+
+C4_VERTICES = list("wxyz")
+c4_letters = st.tuples(st.sampled_from(C4_VERTICES), st.sampled_from([1, -1]))
+unit = st.floats(0.0, 1.0)
+# a point of the box around the annuli, or a point on the circle of radius
+# r_inner or r_outer (rounded down, exact, rounded up) of one annulus
+point_specs = st.one_of(
+    st.tuples(st.just("box"), unit, unit),
+    st.tuples(st.integers(0, 3), angles, st.integers(0, 5)),
+)
+
+
+@FEW
+@given(st.lists(c4_letters, max_size=24), st.lists(point_specs, min_size=1, max_size=24))
+def test_closed_route_matches_letter_fold(c4_rep, letters, specs):
+    annuli = [c4_rep.config.annuli[v] for v in C4_VERTICES]
+    centers = np.array([a.center for a in annuli])
+    outer = np.array([a.r_outer for a in annuli])[:, None]
+    lo, hi = (centers - outer).min(0) - 1.0, (centers + outer).max(0) + 1.0
+    pts = []
+    for spec in specs:
+        if spec[0] == "box":
+            pts.append(lo + (hi - lo) * np.array(spec[1:]))
+            continue
+        ann, theta, k = annuli[spec[0]], spec[1], spec[2]
+        r = (ann.r_inner, ann.r_outer)[k // 3]
+        r = (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))[k % 3]
+        pts.append(np.asarray(ann.center) + r * np.array([math.cos(theta), math.sin(theta)]))
+    pts = np.array(pts)
+    w = Word(c4_rep.word_graph, letters)
+    assert np.array_equal(rep_apply(c4_rep, w, pts), reference_fold(c4_rep, w, pts))

@@ -180,7 +180,7 @@ class TestDoubleDehnTwist:
         # step 1e-7: the h^2 truncation term carries the bump's third
         # derivatives and can exceed 1e-6 at the shoulder with step 1e-6
         f = double_dehn_twist(self.A, self.prof, 1.0)
-        interior = self.A.sample_points(100, self.rng, t_range=(1.1**2, 1.65**2))
+        interior = self.A.sample_points(100, self.rng, r2_range=(1.1**2, 1.65**2))
         h = 1e-7
         ex, ey = np.array([h, 0]), np.array([0, h])
         ax = (f.apply(interior + ex) - f.apply(interior - ex)) / (2 * h)
@@ -190,7 +190,7 @@ class TestDoubleDehnTwist:
 
     def test_hamiltonian_gradient(self):
         H, grad = twist_hamiltonian(self.A, self.prof)
-        pts = self.A.sample_points(60, self.rng, t_range=(1.1**2, 1.65**2))
+        pts = self.A.sample_points(60, self.rng, r2_range=(1.1**2, 1.65**2))
         h = 1e-7
         gx = (H(pts + [h, 0]) - H(pts - [h, 0])) / (2 * h)
         gy = (H(pts + [0, h]) - H(pts - [0, h])) / (2 * h)

@@ -1,0 +1,52 @@
+"""Letter-by-letter reference for the closed twist route.
+
+Each letter scans the whole batch: it masks the closed annulus with
+``RoundAnnulus.contains``, maps those rows to the product annulus with
+``AreaChart.to_product``, shifts s by tau*h'(t) and maps the rows whose
+shift is nonzero back with ``AreaChart.to_plane``.  The package's tracked
+word kernel must equal this fold bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from raagham.twist import area_chart
+from raagham.words import hom_apply
+
+
+def reference_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
+    chart = area_chart(annulus)
+    out = np.atleast_2d(np.asarray(pts, float)).copy()
+    mask = annulus.contains(out)
+    st = chart.to_product(out[mask])
+    ds = tau * profile.dh(st[:, 1])
+    sub = (st[:, 1] >= t_lo) & (st[:, 1] < t_hi) & (ds != 0.0)
+    st_sub = st[sub]
+    st_sub[:, 0] = (st_sub[:, 0] + ds[sub]) % (2 * math.pi)
+    out[np.flatnonzero(mask)[sub]] = chart.to_plane(st_sub)
+    return out
+
+
+def reference_fold(rep, w, pts):
+    """The image of a word, one full-batch twist per cover letter, right to left."""
+    if rep.pullback is not None:
+        w = hom_apply(rep.pullback, w)
+    pts = np.asarray(pts, float)
+    out = np.atleast_2d(pts).copy()
+    for v, e in reversed(w.letters):
+        out = reference_twist(rep.config.annuli[v], rep.profiles[v], rep.N * e, out)
+    return out[0] if pts.ndim == 1 else out
+
+
+def boundary_points(annulus, n=16):
+    """Points on the inner and outer circles of a closed annulus, and one ulp
+    of radius inside and outside each, as floats allow."""
+    ang = np.arange(n) * (2 * math.pi / n)
+    ring = np.stack([np.cos(ang), np.sin(ang)], -1)
+    radii = [
+        r1
+        for r in (annulus.r_inner, annulus.r_outer)
+        for r1 in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))
+    ]
+    return np.concatenate([np.asarray(annulus.center) + r * ring for r in radii])
