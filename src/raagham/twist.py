@@ -261,22 +261,23 @@ def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):
     """
     chart = AreaChart(annulus)
     c = np.asarray(annulus.center)
+    lo, hi = annulus.r_inner**2, annulus.r_outer**2
+
+    def rel_t_mask(pts):
+        # r^2 once: the mask is RoundAnnulus.contains (closed) on the same r^2
+        rel = np.atleast_2d(np.asarray(pts, float)) - c
+        r2 = np.einsum("ij,ij->i", rel, rel)
+        return rel, 0.5 * (r2 - chart.mid), (r2 >= lo) & (r2 <= hi)
 
     def H(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        rel = pts - c
-        t = 0.5 * (np.einsum("ij,ij->i", rel, rel) - chart.mid)
-        vals = np.zeros(len(pts))
-        mask = annulus.contains(pts)
+        rel, t, mask = rel_t_mask(pts)
+        vals = np.zeros(len(rel))
         vals[mask] = profile.h(t[mask])
         return vals
 
     def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        rel = pts - c
-        t = 0.5 * (np.einsum("ij,ij->i", rel, rel) - chart.mid)
+        rel, t, mask = rel_t_mask(pts)
         g = np.zeros_like(rel)
-        mask = annulus.contains(pts)
         g[mask] = profile.dh(t[mask])[:, None] * rel[mask]
         return g
 

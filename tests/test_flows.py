@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from raagham import flows
 from raagham.flows import (
     HamiltonianField,
     IntegrationError,
@@ -15,6 +16,8 @@ from raagham.flows import (
 )
 from raagham.graphs import SimplicialGraph
 from raagham.lift import (
+    GroupElement,
+    MobiusMap,
     assemble_Hv,
     default_study_annulus,
     enumerate_group,
@@ -32,6 +35,7 @@ from raagham.twist import (
     twist_hamiltonian,
 )
 from raagham.words import Word, commutator, empty_word, generator, normal_form, word_from_tokens
+from flow_reference import fixed_point_flow, reference_jacobian_probe
 from twist_reference import boundary_points, reference_fold, reference_twist
 
 
@@ -69,6 +73,62 @@ class TestFlowMap:
     def test_trajectory_recording(self):
         res = flow_map(rotation_field(), np.array([1.0, 0.0]), T=0.5, steps=10, record=True)
         assert res.trajectory.shape == (11, 1, 2)
+
+    def test_newton_counters_on_rotation(self):
+        # a linear field: one Newton update solves the stage up to the FD
+        # Jacobian's rounding (~1e-9 relative), so at small steps a second
+        # call confirms it, and at h = 0.05 a second update is needed
+        res = flow_map(rotation_field(), np.array([1.0, 0.0]), T=0.25, steps=1000)
+        assert (res.iterations, res.max_iterations) == (2000, 2)
+        res = flow_map(rotation_field(), np.array([1.0, 0.0]), T=0.5, steps=10)
+        assert (res.iterations, res.max_iterations) == (30, 3)
+
+    def test_zero_field_counters(self):
+        f = HamiltonianField(lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p))
+        res = flow_map(f, np.zeros((4, 2)), T=1.0, steps=5)
+        assert (res.iterations, res.max_iterations) == (5, 1)
+
+
+def nan_field(radius):
+    """Rotation inside the given radius, NaN velocity outside it."""
+
+    def gradient(p):
+        g = 2 * math.pi * p
+        g[np.hypot(p[:, 0], p[:, 1]) > radius] = np.nan
+        return g
+
+    return HamiltonianField(lambda p: np.zeros(len(p)), gradient)
+
+
+class TestNonConvergence:
+    @pytest.mark.parametrize("pts", [[[2.0, 0.0]], [[0.5, 0.0], [2.0, 0.0], [0.0, 0.3]]])
+    def test_nan_field_raises(self, pts):
+        with pytest.raises(IntegrationError, match="non-finite"):
+            flow_map(nan_field(1.0), np.array(pts), T=0.1, steps=10)
+
+    def test_nan_after_some_steps_raises(self):
+        # unit speed along +x, NaN velocity beyond x = 0.5: the flow is fine
+        # until a midpoint crosses that line, then it must raise
+        def gradient(p):
+            g = np.zeros_like(p)
+            g[:, 1] = 1.0
+            g[p[:, 0] > 0.5] = np.nan
+            return g
+
+        f = HamiltonianField(lambda p: p[:, 1], gradient)
+        z0 = np.array([[0.0, 0.0], [0.0, 1.0]])
+        res = flow_map(f, z0, T=0.4, steps=10)
+        assert np.isfinite(res.final).all() and np.abs(res.final - (z0 + [0.4, 0.0])).max() < 1e-15
+        with pytest.raises(IntegrationError, match="non-finite"):
+            flow_map(f, z0, T=1.0, steps=10)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(flows, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(IntegrationError, match="did not converge in 1 Newton"):
+            flow_map(rotation_field(), np.array([1.0, 0.0]), T=0.25, steps=10)
+        # a stage that is solved at the starting point needs no update
+        f = HamiltonianField(lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p))
+        assert flow_map(f, np.array([1.0, 0.0]), T=1.0, steps=3).iterations == 3
 
 
 class TestRepApply:
@@ -315,3 +375,100 @@ class TestPolydisk:
         v = pd.vector_field(pts)
         v1 = polydisk_extend(k_field, 2, c=1.0).vector_field(pts)
         assert np.abs(v[0, :2] - 0.5 * v1[0, :2]).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def smoothed_field():
+    """The depth-2 smoothed lift field of criterion 12 and the benchmark."""
+    els = enumerate_group(schottky_pair(0.98), 2)
+    return smooth_Hv(assemble_Hv("v", els, default_study_annulus()), 0.01)
+
+
+def slice_points():
+    """The polydisk verb's 8 slice points at its default seed 0."""
+    return default_study_annulus().sample_points(100, np.random.default_rng(0))[:8]
+
+
+def agreement_case(name, smoothed_field):
+    rng = np.random.default_rng(17)
+    if name == "rotation":
+        return rotation_field(), rng.uniform(-1, 1, (20, 2))
+    if name == "twist":
+        A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
+        H, grad = twist_hamiltonian(A, make_profile(area_chart(A).a, 0.0))
+        return HamiltonianField(H, grad), A.sample_points(20, rng)
+    if name == "lift":
+        return smoothed_field, slice_points()
+    pd = polydisk_extend(smoothed_field, 3)
+    off = np.pad(rng.uniform(-0.05, 0.05, (8, 4)), ((0, 0), (2, 0)))
+    return pd, pd.embed_slice(slice_points()) + off
+
+
+class TestNewtonAgainstFixedPoint:
+    """The Newton stage solves the same midpoint equation as fixed-point sweeps."""
+
+    # step sizes of the suite (criteria 06, 12, the rotation oracle) and of
+    # the benchmark's flows (batch 0.02, polydisk and probe 1/30)
+    @pytest.mark.parametrize(
+        "name, h",
+        [
+            ("rotation", 1e-3),
+            ("rotation", 1 / 30),
+            ("twist", 1 / 32000),
+            ("twist", 1 / 8000),
+            ("lift", 2 / 600),
+            ("lift", 0.02),
+            ("lift", 1 / 30),
+            ("polydisk", 2 / 600),
+            ("polydisk", 1 / 30),
+        ],
+    )
+    def test_agrees_with_fixed_point_loop(self, smoothed_field, name, h):
+        field, pts = agreement_case(name, smoothed_field)
+        steps = 30
+        res = flow_map(field, pts, T=steps * h, steps=steps)
+        ref = fixed_point_flow(field, pts, steps * h, steps, max_iter=500)
+        assert np.abs(res.final - ref).max() <= 1e-10
+        assert np.abs(res.final - pts).max() > 1e-3 * steps * h
+        # solved near rounding, the two agree to far below the default tol's error
+        tight = flow_map(field, pts, T=steps * h, steps=steps, tol=1e-14).final
+        ref_tight = fixed_point_flow(field, pts, steps * h, steps, tol=1e-14, max_iter=500)
+        assert np.abs(tight - ref_tight).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["lift", "polydisk"])
+    def test_batch_equals_separate_flows(self, smoothed_field, name):
+        field, pts = agreement_case(name, smoothed_field)
+        T, steps = 1.0, 30
+        batch = flow_map(field, pts, T=T, steps=steps)
+        rows = [flow_map(field, p, T=T, steps=steps) for p in pts]
+        assert np.array_equal(batch.final, np.array([r.final for r in rows]))
+        # the batch makes as many calls as its slowest row
+        assert batch.iterations >= max(r.iterations for r in rows)
+        assert batch.max_iterations == max(r.max_iterations for r in rows)
+
+
+class TestBatchedProbe:
+    def test_plane_map_equals_reference(self, p3_rep):
+        rng = np.random.default_rng(4)
+        for v in "uvw":
+            f = p3_rep.generator_map(v, p3_rep.N)
+            pts = p3_rep.config.annuli[v].sample_points(60, rng)
+            assert jacobian_probe(f, pts, 3e-6) == reference_jacobian_probe(f, pts, 3e-6)
+
+    def test_time_t_flow_equals_reference(self):
+        ring = RoundAnnulus((0.0, 0.0), 0.48, 0.60)
+        identity = GroupElement((), MobiusMap.identity())
+        assembled = assemble_Hv("v", [identity], ring)
+        field = smooth_Hv(assembled, 0.01)
+        piece = assembled.pieces[0]
+        rng = np.random.default_rng(8)
+        rr = piece.chart.r_of_t(rng.uniform(piece.b - 0.3, piece.b + 0.3, 6))
+        ang = rng.uniform(0, 2 * math.pi, 6)
+        pts = np.stack([rr * np.cos(ang), rr * np.sin(ang)], -1)
+
+        def time_t_map(p):
+            return flow_map(field, p, T=0.5, steps=15).final
+
+        stats = jacobian_probe(time_t_map, pts, step=1e-5)
+        assert stats == reference_jacobian_probe(time_t_map, pts, step=1e-5)
+        assert stats["max_deviation"] <= 1e-4

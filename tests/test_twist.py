@@ -28,6 +28,7 @@ from raagham.twist import (
     product_twist,
     twist_hamiltonian,
 )
+from twist_reference import boundary_points, reference_twist_hamiltonian
 
 TWO_PI = 2 * math.pi
 
@@ -196,6 +197,49 @@ class TestDoubleDehnTwist:
         gy = (H(pts + [0, h]) - H(pts - [0, h])) / (2 * h)
         g = grad(pts)
         assert np.abs(np.stack([gx, gy], -1) - g).max() < 1e-5 * max(1, np.abs(g).max())
+
+
+class FlatProfile:
+    """h = h' = 1 everywhere: H and grad H then expose the support mask."""
+
+    def h(self, t):
+        return np.ones_like(t)
+
+    def dh(self, t):
+        return np.ones_like(t)
+
+
+class TestTwistHamiltonianMask:
+    """The mask built from H's own r^2 is ``RoundAnnulus.contains``, bit for bit."""
+
+    ANNULI = [
+        RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3)),
+        RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3)),
+        RoundAnnulus((-1.37, 2.05), 0.31, 0.58),
+    ]
+
+    @pytest.mark.parametrize("A", ANNULI)
+    def test_mask_is_contains_on_and_off_the_circles(self, A):
+        pts = boundary_points(A)
+        inside = A.contains(pts)
+        # on and one ulp off both circles: the closed mask must take both values
+        assert inside.any() and not inside.all()
+        H, grad = twist_hamiltonian(A, FlatProfile())
+        assert np.array_equal(H(pts), inside.astype(float))
+        rel = pts - np.asarray(A.center)
+        assert np.array_equal(grad(pts), np.where(inside[:, None], rel, 0.0))
+
+    @pytest.mark.parametrize("A", ANNULI)
+    @pytest.mark.parametrize("b_frac", [0.0, 0.4])
+    def test_values_equal_contains_reference(self, A, b_frac):
+        prof = make_profile(area_chart(A).a, b_frac * area_chart(A).a)
+        rng = np.random.default_rng(3)
+        pts = np.concatenate([boundary_points(A), A.sample_points(200, rng),
+                              np.asarray(A.center) + rng.uniform(-2, 2, (50, 2))])
+        H, grad = twist_hamiltonian(A, prof)
+        H_ref, grad_ref = reference_twist_hamiltonian(A, prof)
+        assert np.array_equal(H(pts), H_ref(pts))
+        assert np.array_equal(grad(pts), grad_ref(pts))
 
 
 def check_packing_records(cfg):

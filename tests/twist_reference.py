@@ -50,3 +50,29 @@ def boundary_points(annulus, n=16):
         for r1 in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))
     ]
     return np.concatenate([np.asarray(annulus.center) + r * ring for r in radii])
+
+
+def reference_twist_hamiltonian(annulus, profile):
+    """H and grad H with the support mask taken from ``RoundAnnulus.contains``."""
+    chart = area_chart(annulus)
+    c = np.asarray(annulus.center)
+
+    def H(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        rel = pts - c
+        t = 0.5 * (np.einsum("ij,ij->i", rel, rel) - chart.mid)
+        vals = np.zeros(len(pts))
+        mask = annulus.contains(pts)
+        vals[mask] = profile.h(t[mask])
+        return vals
+
+    def grad(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        rel = pts - c
+        t = 0.5 * (np.einsum("ij,ij->i", rel, rel) - chart.mid)
+        g = np.zeros_like(rel)
+        mask = annulus.contains(pts)
+        g[mask] = profile.dh(t[mask])[:, None] * rel[mask]
+        return g
+
+    return H, grad
