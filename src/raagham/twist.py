@@ -97,13 +97,12 @@ class RoundAnnulus:
     def area(self) -> float:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
 
-    def contains(self, pts, closed=True):
+    def contains(self, pts):
+        """Membership in the closed annulus, for (..., 2) points."""
         pts = np.asarray(pts, float)
-        rel = pts - np.asarray(self.center)
-        r2 = np.einsum("...i,...i->...", rel, rel)
-        if closed:
-            return (r2 >= self.r_inner**2) & (r2 <= self.r_outer**2)
-        return (r2 > self.r_inner**2) & (r2 < self.r_outer**2)
+        dx, dy = pts[..., 0] - self.center[0], pts[..., 1] - self.center[1]
+        r2 = dx * dx + dy * dy
+        return (r2 >= self.r_inner**2) & (r2 <= self.r_outer**2)
 
     def sample_points(self, n, rng, r2_range=None):
         """n area-uniform points with r^2 in r2_range (squared radii about the
@@ -832,25 +831,16 @@ class Representation:
             last[i] = step
         out = np.array(pts, float, copy=True)
         rows_of_out = out.view(complex).ravel()  # one scalar per row: fast row scatter
-
-        def inside(j, x, y):
-            ann = charts[j].annulus
-            dx, dy = x - ann.center[0], y - ann.center[1]
-            r2 = dx * dx + dy * dy
-            return (r2 >= ann.r_inner**2) & (r2 <= ann.r_outer**2)
-
         member = np.zeros((len(charts), len(out)), bool)
-        x, y = out[:, 0].copy(), out[:, 1].copy()
         for j in np.flatnonzero(last >= 0):
-            member[j] = inside(j, x, y)
+            member[j] = charts[j].annulus.contains(out)
         for step, (i, v, e) in enumerate(steps):
             idx = np.flatnonzero(member[i])
             rows, moved = _twist_rows(charts[i], self.profiles[v], self.N * e, out.take(idx, axis=0))
             idx = idx[rows]
             rows_of_out[idx] = moved.view(complex).ravel()
-            x, y = moved[:, 0].copy(), moved[:, 1].copy()
             for j in near[i][last[near[i]] > step]:
-                member[j, idx] = inside(j, x, y)
+                member[j, idx] = charts[j].annulus.contains(moved)
         return out
 
     def generator_field(self, v):

@@ -32,40 +32,61 @@ class ResourceCapExceeded(RuntimeError):
 
 
 class Word:
-    """A signed generator sequence over a fixed Artin graph."""
+    """A signed generator sequence over a fixed Artin graph.
 
-    __slots__ = ("graph", "letters")
+    A word is stored as one tuple of letter ids: letter (v, e) has id
+    2 * graph.index(v) + (0 if e == +1 else 1), so the inverse letter is
+    id ^ 1 and shortlex order on ids is the vertex order with g_v before
+    g_v^-1.  The (vertex, exponent) pairs are validated once, where they
+    enter (this constructor); ``letters`` is the derived pair view for I/O.
+    """
+
+    __slots__ = ("graph", "_ids")
 
     def __init__(self, graph: SimplicialGraph, letters: Sequence[tuple]):
-        self.graph = graph
-        lets = tuple((v, int(e)) for v, e in letters)
-        for v, e in lets:
+        ids = []
+        for v, e in letters:
             if not graph.has_vertex(v):
                 raise ValueError(f"letter references unknown vertex {v!r}")
             if e not in (1, -1):
                 raise ValueError(f"exponent must be +1 or -1, got {e}")
-        self.letters = lets
+            ids.append(2 * graph.index(v) + (0 if e == 1 else 1))
+        self.graph = graph
+        self._ids = tuple(ids)
+
+    @classmethod
+    def _trusted(cls, graph: SimplicialGraph, ids: tuple) -> "Word":
+        """A word from letter ids this module produced itself; no validation."""
+        w = object.__new__(cls)
+        w.graph, w._ids = graph, ids
+        return w
+
+    @property
+    def letters(self) -> tuple:
+        vs = self.graph.vertices
+        return tuple((vs[i >> 1], -1 if i & 1 else 1) for i in self._ids)
 
     def __len__(self):
-        return len(self.letters)
+        return len(self._ids)
 
     def __eq__(self, other):
+        # ids agree across equal graphs: equality compares the ordered vertices
         return (
             isinstance(other, Word)
             and self.graph == other.graph
-            and self.letters == other.letters
+            and self._ids == other._ids
         )
 
     def __hash__(self):
-        return hash((self.graph, self.letters))
+        return hash((self.graph, self._ids))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.graph != other.graph:
             raise ValueError("words over different graphs")
-        return Word(self.graph, self.letters + other.letters)
+        return Word._trusted(self.graph, self._ids + other._ids)
 
     def inverse(self) -> "Word":
-        return Word(self.graph, tuple((v, -e) for v, e in reversed(self.letters)))
+        return Word._trusted(self.graph, tuple(i ^ 1 for i in reversed(self._ids)))
 
     def tokens(self) -> list:
         return [f"{v}" if e == 1 else f"{v}^-1" for v, e in self.letters]
@@ -99,47 +120,27 @@ def commutator(w1: Word, w2: Word) -> Word:
     return w1 * w2 * w1.inverse() * w2.inverse()
 
 
-# ---------------------------------------------------------------------------
-# integer encoding shared by the fast and slow routes
-#
-# letter id = 2 * vertex_index + (0 for exponent +1, 1 for -1); the inverse
-# letter is id ^ 1 and shortlex order on ids agrees with the vertex order
-# with g_v before g_v^-1.
-# ---------------------------------------------------------------------------
+# ------------------------- commutation tables -----------------------------
 
 
 @lru_cache(maxsize=256)
 def _alphabet(graph: SimplicialGraph):
-    n = len(graph.vertices)
-    neighbor_idx = []
-    for v in graph.vertices:
-        neighbor_idx.append(tuple(sorted(graph.index(u) for u in graph.neighbors(v))))
-    commute = [[False] * (2 * n) for _ in range(2 * n)]
-    for a in range(2 * n):
-        va = a // 2
-        for b in range(2 * n):
-            vb = b // 2
-            commute[a][b] = va != vb and vb not in neighbor_idx[va]
-    return tuple(neighbor_idx), tuple(tuple(row) for row in commute)
-
-
-def _encode(w: Word) -> tuple:
-    g = w.graph
-    return tuple(2 * g.index(v) + (0 if e == 1 else 1) for v, e in w.letters)
-
-
-def _decode(graph: SimplicialGraph, ids: Sequence[int]) -> Word:
-    return Word(graph, tuple((graph.vertices[i // 2], 1 if i % 2 == 0 else -1) for i in ids))
+    """Neighbour indices per vertex, and commute[a][b] for letter ids a, b."""
+    neighbor_idx = tuple(
+        tuple(sorted(graph.index(u) for u in graph.neighbors(v))) for v in graph.vertices
+    )
+    ids = range(2 * len(graph.vertices))
+    commute = tuple(
+        tuple(a >> 1 != b >> 1 and b >> 1 not in neighbor_idx[a >> 1] for b in ids) for a in ids
+    )
+    return neighbor_idx, commute
 
 
 def inversion_count(w: Word) -> int:
     """Consecutive commuting pairs that are out of order (later vertex first)."""
-    count = 0
-    g = w.graph
-    for (y, _), (x, _) in zip(w.letters, w.letters[1:]):
-        if x != y and g.index(y) > g.index(x) and not g.has_edge(x, y):
-            count += 1
-    return count
+    _, commute = _alphabet(w.graph)
+    ids = w._ids
+    return sum(1 for a, b in zip(ids, ids[1:]) if a >> 1 > b >> 1 and commute[a][b])
 
 
 # -------------------------- fast route: piling -----------------------------
@@ -148,39 +149,37 @@ def inversion_count(w: Word) -> int:
 def _pile(graph: SimplicialGraph, ids: Sequence[int]):
     """Stack letters onto per-generator piles with cancellation.
 
-    pile[v] holds, bottom to top, the letters of generator v interleaved with
-    0-markers for letters of non-commuting generators; a letter cancels
+    pile[v] holds, bottom to top, the letter ids of generator v interleaved
+    with -1 markers for letters of non-commuting generators; a letter cancels
     against the top of its own pile when nothing non-commuting intervened.
     """
     neighbor_idx, _ = _alphabet(graph)
-    n = len(graph.vertices)
-    piles = [[] for _ in range(n)]
+    piles = [[] for _ in neighbor_idx]
     for lid in ids:
-        v, sign = lid // 2, 1 - 2 * (lid % 2)
-        if piles[v] and piles[v][-1] == -sign:
+        v = lid >> 1
+        if piles[v] and piles[v][-1] == lid ^ 1:
             piles[v].pop()
             for u in neighbor_idx[v]:
                 piles[u].pop()
         else:
-            piles[v].append(sign)
+            piles[v].append(lid)
             for u in neighbor_idx[v]:
-                piles[u].append(0)
+                piles[u].append(-1)
     return piles
 
 
 def _depile(graph: SimplicialGraph, piles) -> tuple:
     """Read the shortlex-least linearization back off the piles."""
     neighbor_idx, _ = _alphabet(graph)
-    n = len(graph.vertices)
+    n = len(neighbor_idx)
     heads = [0] * n
-    total = sum(1 for p in piles for x in p if x != 0)
+    total = sum(1 for p in piles for x in p if x >= 0)
     out = []
     while len(out) < total:
         for v in range(n):
             p = piles[v]
-            if heads[v] < len(p) and p[heads[v]] != 0:
-                sign = p[heads[v]]
-                out.append(2 * v + (0 if sign == 1 else 1))
+            if heads[v] < len(p) and p[heads[v]] >= 0:
+                out.append(p[heads[v]])
                 heads[v] += 1
                 for u in neighbor_idx[v]:
                     heads[u] += 1
@@ -200,8 +199,7 @@ class NormalForm:
 
 def normal_form(w: Word) -> NormalForm:
     """Canonical representative: shortlex-least geodesic of w's element."""
-    ids = _depile(w.graph, _pile(w.graph, _encode(w)))
-    return NormalForm(word=_decode(w.graph, ids))
+    return NormalForm(word=Word._trusted(w.graph, _depile(w.graph, _pile(w.graph, w._ids))))
 
 
 def geodesic_length(w: Word) -> int:
@@ -211,7 +209,7 @@ def geodesic_length(w: Word) -> int:
 # --------------------- slow route: closure search ---------------------------
 
 
-def _shuffle_closure_ids(graph, ids, cap):
+def _shuffle_closure_ids(graph, ids):
     _, commute = _alphabet(graph)
     seen = {ids}
     stack = [ids]
@@ -222,18 +220,16 @@ def _shuffle_closure_ids(graph, ids, cap):
             if commute[a][b]:
                 nxt = cur[:i] + (b, a) + cur[i + 2 :]
                 if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceCapExceeded(f"shuffle closure exceeded {cap} words")
+                    if len(seen) >= DEFAULT_CLOSURE_CAP:
+                        raise ResourceCapExceeded(f"shuffle closure exceeded {len(seen)} words")
                     seen.add(nxt)
                     stack.append(nxt)
     return seen
 
 
-def shuffle_closure(w: Word, cap: int = DEFAULT_CLOSURE_CAP):
+def shuffle_closure(w: Word):
     """Every word reachable from w by swapping adjacent commuting letters."""
-    return {
-        _decode(w.graph, ids) for ids in _shuffle_closure_ids(w.graph, _encode(w), cap)
-    }
+    return {Word._trusted(w.graph, ids) for ids in _shuffle_closure_ids(w.graph, w._ids)}
 
 
 def _first_cancellation(ids):
@@ -243,7 +239,7 @@ def _first_cancellation(ids):
     return None
 
 
-def normal_form_closure(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> NormalForm:
+def normal_form_closure(w: Word) -> NormalForm:
     """Reference normal form by explicit closure search.
 
     Repeatedly computes the full shuffle closure, cancels the first
@@ -252,9 +248,9 @@ def normal_form_closure(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> NormalForm:
     member is the answer.  Exponential in the worst case; the piling route
     must agree with this one.
     """
-    current = _encode(w)
+    current = w._ids
     while True:
-        closure = _shuffle_closure_ids(w.graph, current, cap)
+        closure = _shuffle_closure_ids(w.graph, current)
         reduced = None
         for ids in sorted(closure):
             shorter = _first_cancellation(ids)
@@ -262,7 +258,7 @@ def normal_form_closure(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> NormalForm:
                 reduced = shorter
                 break
         if reduced is None:
-            return NormalForm(word=_decode(w.graph, min(closure)))
+            return NormalForm(word=Word._trusted(w.graph, min(closure)))
         current = reduced
 
 
@@ -274,7 +270,7 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     Explores short words first so trivial inputs resolve quickly.
     """
     _, commute = _alphabet(w.graph)
-    start = _encode(w)
+    start = w._ids
     if not start:
         return True
     seen = {start}
@@ -293,9 +289,7 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
         for nxt in nexts:
             if nxt not in seen:
                 if len(seen) >= cap:
-                    raise ResourceCapExceeded(
-                        f"word-problem search exceeded {cap} words"
-                    )
+                    raise ResourceCapExceeded(f"word-problem search exceeded {cap} words")
                 seen.add(nxt)
                 if not nxt:
                     return True
@@ -303,24 +297,20 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     return False
 
 
-def oracle_equal(w1: Word, w2: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def oracle_equal(w1: Word, w2: Word) -> bool:
     """Decide w1 = w2 in the group by closure search on w1 * w2^-1."""
     if w1.graph != w2.graph:
         raise ValueError("words over different graphs")
-    return is_trivial(w1 * w2.inverse(), cap=cap)
+    return is_trivial(w1 * w2.inverse())
 
 
-def enumerate_normal_forms(graph: SimplicialGraph, max_len: int, vertices=None):
+def enumerate_normal_forms(graph: SimplicialGraph, max_len: int):
     """All canonical normal forms of length <= max_len, in shortlex order."""
-    if vertices is None:
-        vertices = graph.vertices
-    alphabet = [(v, e) for v in vertices for e in (1, -1)]
     out = []
     for length in range(max_len + 1):
-        for lets in itertools.product(alphabet, repeat=length):
-            w = Word(graph, lets)
-            if normal_form(w).word == w:
-                out.append(w)
+        for ids in itertools.product(range(2 * len(graph.vertices)), repeat=length):
+            if _depile(graph, _pile(graph, ids)) == ids:
+                out.append(Word._trusted(graph, ids))
     return out
 
 
@@ -335,23 +325,26 @@ class Homomorphism:
     target: SimplicialGraph
     images: Mapping
 
+    def __post_init__(self):
+        # hom_apply reads image letter ids in the target's vertex order
+        if any(img.graph != self.target for img in self.images.values()):
+            raise ValueError("generator images must be words over the target graph")
+
 
 def hom_apply(h: Homomorphism, w: Word) -> Word:
     if w.graph != h.source:
         raise ValueError("word is not over the homomorphism's source graph")
-    letters = []
-    for v, e in w.letters:
-        img = h.images[v]
-        letters.extend(img.letters if e == 1 else img.inverse().letters)
-    return Word(h.target, letters)
+    # letter id -> image ids: g_v's image, then its inverse
+    table = [x._ids for v in h.source.vertices for x in (h.images[v], h.images[v].inverse())]
+    return Word._trusted(h.target, tuple(j for i in w._ids for j in table[i]))
 
 
-def check_well_defined(h: Homomorphism, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def check_well_defined(h: Homomorphism) -> bool:
     """Images of commuting generators must commute in the target."""
     verts = h.source.vertices
     for u, v in itertools.combinations(verts, 2):
         if not h.source.has_edge(u, v):
-            if not oracle_equal(h.images[u] * h.images[v], h.images[v] * h.images[u], cap=cap):
+            if not oracle_equal(h.images[u] * h.images[v], h.images[v] * h.images[u]):
                 return False
     return True
 

@@ -12,7 +12,7 @@ from raagham.flows import rep_apply
 from raagham.graphs import PlanarEmbedding, SimplicialGraph, planarity
 from raagham.lift import MobiusMap, default_study_annulus, schottky_pair, transport_chart
 from raagham.twist import RoundAnnulus, area_chart, double_dehn_twist, make_profile
-from raagham.words import Word, normal_form, normal_form_closure
+from raagham.words import Word, normal_form, normal_form_closure, word_from_tokens
 from twist_reference import reference_fold
 
 TWO_PI = 2 * math.pi
@@ -70,6 +70,31 @@ def graph_words(draw):
     g = draw(simple_graphs(5))
     letters = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
     return Word(g, draw(st.lists(letters, max_size=7)))
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words over one graph, the second often a copy of the first."""
+    w1 = draw(graph_words())
+    letters = st.tuples(st.sampled_from(w1.graph.vertices), st.sampled_from((1, -1)))
+    second = draw(st.one_of(st.just(list(w1.letters)), st.lists(letters, max_size=7)))
+    return w1, Word(w1.graph, second)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(word_pairs())
+def test_word_pair_view_round_trips(pair):
+    w1, w2 = pair
+    g = w1.graph
+    twin = SimplicialGraph(list(g.vertices), g.edges)  # an equal graph, another object
+    for w in pair:
+        assert Word(g, w.letters) == w and Word(twin, w.letters) == w
+        assert word_from_tokens(g, w.tokens()) == w
+        assert w.inverse().letters == tuple((v, -e) for v, e in reversed(w.letters))
+    assert (w1 * w2).letters == w1.letters + w2.letters
+    assert (w1 == w2) == (w1.letters == w2.letters)
+    if w1 == w2:
+        assert hash(w1) == hash(w2) == hash(Word(twin, w1.letters))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -209,6 +209,25 @@ class FlatProfile:
         return np.ones_like(t)
 
 
+@pytest.mark.parametrize("A", [
+    RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3)),
+    RoundAnnulus((-1.37, 2.05), 0.31, 0.58),
+])
+def test_contains_matches_einsum_formula(A):
+    """``contains`` equals the einsum r^2 closed-annulus mask, bit for bit."""
+    rng = np.random.default_rng(11)
+    c = np.asarray(A.center)
+    box = c + rng.uniform(-1.2 * A.r_outer, 1.2 * A.r_outer, (20_000, 2))
+    for pts in (box, boundary_points(A, n=64)):
+        rel = pts - c
+        r2 = np.einsum("...i,...i->...", rel, rel)
+        expected = (r2 >= A.r_inner**2) & (r2 <= A.r_outer**2)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(A.contains(pts), expected)
+    # a single (2,) point gets the same answer as its row
+    assert all(A.contains(p) == A.contains(p[None])[0] for p in boundary_points(A, n=4))
+
+
 class TestTwistHamiltonianMask:
     """The mask built from H's own r^2 is ``RoundAnnulus.contains``, bit for bit."""
 

@@ -12,6 +12,7 @@ from raagham.graphs import (
     path_graph,
 )
 from raagham.words import (
+    Homomorphism,
     ResourceCapExceeded,
     Word,
     check_no_cancellation,
@@ -33,6 +34,7 @@ from raagham.words import (
     shuffle_closure,
     word_from_tokens,
 )
+from test_acceptance import FOUR_VERTEX_GRAPHS
 
 FREE2 = SimplicialGraph(["u", "v"], [("u", "v")])  # edge: no commuting
 AB2 = SimplicialGraph(["u", "v"], [])  # non-edge: commuting pair
@@ -209,6 +211,47 @@ def test_enumerate_normal_forms_edge_graph():
     nontrivial = [w for w in forms if len(w)]
     # free group of rank 2: 4 one-letter words, 16 - 4 reduced two-letter words
     assert len(nontrivial) == 16
+
+
+def test_non_integral_exponents_rejected():
+    with pytest.raises(ValueError, match="exponent must be"):
+        Word(FREE2, [("u", 1.7), ("v", -1.2)])
+    with pytest.raises(ValueError, match="exponent must be"):
+        generator(FREE2, "u", 1.9)
+
+
+def test_homomorphism_images_must_be_over_target():
+    with pytest.raises(ValueError, match="target graph"):
+        Homomorphism(source=AB2, target=AB2, images={"u": generator(FREE2, "u"), "v": empty_word(AB2)})
+
+
+def letterwise_image(h, w):
+    """h(w) by substituting each letter's image pairs, the inverse reversed and negated."""
+    out = []
+    for v, e in w.letters:
+        img = h.images[v].letters
+        out.extend(img if e == 1 else [(x, -f) for x, f in reversed(img)])
+    return tuple(out)
+
+
+def test_hom_apply_matches_letterwise_reference(k5_emulator):
+    rng = np.random.default_rng(6)
+    g = SimplicialGraph(list("abc"), [("a", "b")])
+    # the K5 pullback sends each generator to the product of its 2 fiber letters
+    for h in (hom_diagonal(g), hom_retraction(g), hom_pullback(k5_emulator.projection)):
+        for length in (0, 1, 5, 40):
+            w = random_word(h.source, rng, length)
+            out = hom_apply(h, w)
+            assert out.graph == h.target
+            assert out.letters == letterwise_image(h, w)
+
+
+@pytest.mark.parametrize("edges", FOUR_VERTEX_GRAPHS.values(), ids=FOUR_VERTEX_GRAPHS)
+def test_enumerate_normal_forms_is_the_fixed_point_filter(edges):
+    g = SimplicialGraph(list("abcd"), edges)
+    alphabet = [(v, e) for v in g.vertices for e in (1, -1)]
+    every = [Word(g, lets) for L in range(4) for lets in itertools.product(alphabet, repeat=L)]
+    assert enumerate_normal_forms(g, 3) == [w for w in every if normal_form(w).word == w]
 
 
 class TestChecksSurviveOptimize:
