@@ -11,13 +11,17 @@ higher derivatives) is what the report functions measure.
 The default group is a rank-2 Schottky pair: free reduction makes the
 enumeration exact and translates of an annulus inside the fundamental
 domain are guaranteed disjoint.
+
+Group elements are SU(1,1) pairs (alpha, beta) for z -> (alpha z + beta) /
+(conj(beta) z + conj(alpha)): products, scales, image circles and charts
+stay free of cancellation at every word length.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,27 +54,29 @@ KEPLER_TOL = 1e-14
 
 
 class MobiusMap:
-    """Disk automorphism z -> e^{i theta} (z - a) / (-conj(a) z + 1)."""
+    """Disk automorphism z -> (alpha z + beta) / (conj(beta) z + conj(alpha)).
+
+    Kept as the SU(1,1) pair |alpha|^2 - |beta|^2 = 1, the top row of
+    [[alpha, beta], [conj(beta), conj(alpha)]] (Mumford, Series & Wright,
+    *Indra's Pearls*, 2002), so products keep 1 - |a|^2 = 1/|alpha|^2 of the
+    form e^{i theta} (z - a) / (1 - conj(a) z) free of cancellation at every
+    word length.  The constructor takes that form and converts once:
+    u = e^{i theta/2} / sqrt(1 - |a|^2), alpha = u, beta = -u a.
+    """
+
+    __slots__ = ("alpha", "beta")
 
     def __init__(self, theta: float, a: complex):
         if abs(a) >= 1.0:
             raise ValueError("parameter a must lie inside the unit disk")
-        self.theta = float(theta) % TWO_PI
-        self.a = complex(a)
-
-    @cached_property
-    def matrix(self):
-        e = np.exp(1j * self.theta)
-        return np.array([[e, -e * self.a], [-np.conj(self.a), 1.0]], complex)
+        u = cmath.exp(0.5j * theta) / math.sqrt(1.0 - abs(a) ** 2)
+        self.alpha, self.beta = u, -u * complex(a)
 
     @staticmethod
-    def from_matrix(m) -> "MobiusMap":
-        m = np.asarray(m, complex)
-        w0 = m[0, 1] / m[1, 1]
-        d0 = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / m[1, 1] ** 2
-        phase = d0 / abs(d0)
-        a = -np.conj(phase) * w0
-        return MobiusMap(float(np.angle(phase)), complex(a))
+    def _pair(alpha: complex, beta: complex) -> "MobiusMap":
+        m = object.__new__(MobiusMap)
+        m.alpha, m.beta = alpha, beta
+        return m
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -82,36 +88,30 @@ class MobiusMap:
 
     def __call__(self, z):
         z = np.asarray(z, complex)
-        return np.exp(1j * self.theta) * (z - self.a) / (-np.conj(self.a) * z + 1.0)
+        return (self.alpha * z + self.beta) / (self.beta.conjugate() * z + self.alpha.conjugate())
 
     def derivative(self, z):
         z = np.asarray(z, complex)
-        return (
-            np.exp(1j * self.theta)
-            * (1.0 - abs(self.a) ** 2)
-            / (-np.conj(self.a) * z + 1.0) ** 2
-        )
+        return 1.0 / (self.beta.conjugate() * z + self.alpha.conjugate()) ** 2
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap.from_matrix(self.matrix @ other.matrix)
+        a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
+        return MobiusMap._pair(a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
 
     def inverse(self) -> "MobiusMap":
-        m = self.matrix
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], complex)
-        return MobiusMap.from_matrix(inv)
+        return MobiusMap._pair(self.alpha.conjugate(), -self.beta)
 
-    def image_circle(self, center: complex, radius: float):
-        """Center and radius of the image of a circle avoiding the pole."""
-        if abs(self.a) < 1e-15:
-            return self(center), radius
-        pole = 1.0 / np.conj(self.a)
-        refl = center + radius**2 / np.conj(pole - center)
-        new_center = self(refl)
-        new_radius = abs(self(center + radius) - new_center)
-        return complex(new_center), float(new_radius)
+    def image_circle(self, c: complex, r: float):
+        """Center and radius of the image of |z - c| = r inside the disk:
+        with g = conj(beta) c + conj(alpha) and den = |g|^2 - |beta|^2 r^2,
+        ((alpha c + beta) conj(g) - alpha beta r^2) / den and r / den."""
+        g = self.beta.conjugate() * c + self.alpha.conjugate()
+        den = abs(g) ** 2 - abs(self.beta) ** 2 * r * r
+        center = (self.alpha * c + self.beta) * g.conjugate() - self.alpha * self.beta * r * r
+        return complex(center / den), float(r / den)
 
     def __repr__(self):
-        return f"MobiusMap(theta={self.theta:.6f}, a={self.a:.6f})"
+        return f"MobiusMap(alpha={self.alpha:.6f}, beta={self.beta:.6f})"
 
 
 def mobius_eval(sigma: MobiusMap, z):
@@ -148,11 +148,8 @@ def schottky_pair(s: float = 0.98):
     """
     if not (0.0 < s < 1.0):
         raise ValueError("translation parameter s must be in (0, 1)")
-    root = math.sqrt(1.0 - s * s)
-    m1 = np.array([[1.0, s], [s, 1.0]], complex) / root
-    r = np.array([[np.exp(1j * math.pi / 4), 0.0], [0.0, np.exp(-1j * math.pi / 4)]])
-    m2 = r @ m1 @ np.conj(r.T)
-    return [MobiusMap.from_matrix(m1), MobiusMap.from_matrix(m2)]
+    alpha = complex(1.0 / math.sqrt(1.0 - s * s))
+    return [MobiusMap._pair(alpha, s * alpha), MobiusMap._pair(alpha, 1j * s * alpha)]
 
 
 def schottky_interior_radius(s: float) -> float:
@@ -246,15 +243,15 @@ class TransportChart:
     pushforward of the normalized pulled-back form is exactly the normalized
     product form.
 
-    Both legs are closed form, with q = |a|^2, k = 1 - q, alpha = 1 - conj(a) c
-    and D = |alpha|^2 for sigma(w) = e^{i theta} (w - a) / (1 - conj(a) w).
-    Radial: the pulled-back mass inside |w - c| = r is the area pi R(r)^2 of
-    the image disk, R(r) = k r / (D - q r^2), so ``mass`` (lambda^2) is the
-    area between the images of the boundary circles.  Angular: on
-    |w - c| = r the density is proportional to (A - B cos psi)^-2, where
-    A = D + q r^2, B = 2 r |a| |alpha| and psi = arg(w - c) - arg(a alpha).
-    The circle Mobius map phi = psi + 2 atan2(rho sin psi, 1 - rho cos psi),
-    rho = B / (A + sqrt(A^2 - B^2)) = r |a| / |alpha|, turns it into
+    Both legs are closed form in the pair (alpha, beta) of sigma, with
+    g = conj(beta) c + conj(alpha), q = |beta|^2 and D = |g|^2.  Radial: the
+    pulled-back mass inside |w - c| = r is the area pi R(r)^2 of the image
+    disk, R(r) = r / (D - q r^2), so ``mass`` (lambda^2) is the area between
+    the images of the boundary circles.  Angular: on |w - c| = r the density
+    is proportional to (A - B cos psi)^-2, where A = D + q r^2,
+    B = 2 r |beta| |g| and psi = arg(w - c) - arg(-beta g).  The circle
+    Mobius map phi = psi + 2 atan2(rho sin psi, 1 - rho cos psi),
+    rho = B / (A + sqrt(A^2 - B^2)) = r |beta| / |g|, turns it into
     (1 + e cos phi) / 2 pi with e = B / A < 1 (the pole lies off the disk), so
     the CDF from arg(w - c) = 0 is [K(phi) - K(phi_0)] / 2 pi with Kepler's
     K(phi) = phi + e sin phi.  ``inverse`` solves Kepler's equation by Newton
@@ -269,14 +266,13 @@ class TransportChart:
         if circle_radius is None:
             circle_radius = math.sqrt(0.5 * (annulus.r_inner**2 + annulus.r_outer**2))
         self.circle_radius = float(circle_radius)
-        a = self.sigma.a
-        alpha = 1.0 - np.conj(a) * self.c
-        # the pole 1/conj(a) lies off the disk, so D > q r^2 on the annulus
-        self._q = abs(a) ** 2
-        self._k = 1.0 - self._q
-        self._D = abs(alpha) ** 2
-        self._rho_per_r = abs(a) / abs(alpha)
-        self._phase = float(np.angle(a * alpha))
+        beta = self.sigma.beta
+        g = beta.conjugate() * self.c + self.sigma.alpha.conjugate()
+        # the pole lies off the disk, so D > q r^2 on the annulus
+        self._q = abs(beta) ** 2
+        self._D = abs(g) ** 2
+        self._rho_per_r = abs(beta) / abs(g)
+        self._phase = cmath.phase(-beta * g)
         R_in, R_out = self._image_radius(np.array([annulus.r_inner, annulus.r_outer]))[0]
         self._R2_inner = R_in**2
         self.mass = float(math.pi * (R_out**2 - self._R2_inner))
@@ -288,7 +284,7 @@ class TransportChart:
         """R(r), the radius of the image of |w - c| = r, and dR/dr."""
         qr2 = self._q * r * r
         den = self._D - qr2
-        return self._k * r / den, self._k * (self._D + qr2) / den**2
+        return r / den, (self._D + qr2) / den**2
 
     def t_of_r(self, r):
         R = self._image_radius(np.asarray(r, float))[0]
@@ -301,9 +297,9 @@ class TransportChart:
     def r_of_t(self, t):
         t = np.clip(np.atleast_1d(np.asarray(t, float)), -0.5, 0.5)
         R = np.sqrt((t + 0.5) * self.mass / math.pi + self._R2_inner)
-        # q R r^2 + k r - D R = 0, positive root without cancellation
-        disc = np.sqrt(self._k**2 + 4.0 * self._q * self._D * R * R)
-        return 2.0 * self._D * R / (self._k + disc)
+        # q R r^2 + r - D R = 0, positive root without cancellation
+        disc = np.sqrt(1.0 + 4.0 * self._q * self._D * R * R)
+        return 2.0 * self._D * R / (1.0 + disc)
 
     # angular leg ------------------------------------------------------------
 
@@ -382,16 +378,8 @@ class CorrectedHamiltonian:
         self.profile = make_profile(0.5, self.b)
         self.scale = self.lambda2 / TWO_PI
         self.inv = element.map.inverse()
-        c = complex(annulus.center[0], annulus.center[1])
-        self.outer_center, self.outer_radius = element.map.image_circle(
-            c, annulus.r_outer
-        )
-        self.inner_center, self.inner_radius = element.map.image_circle(
-            c, annulus.r_inner
-        )
-        self.circle_center, self.circle_image_radius = element.map.image_circle(
-            c, self.chart.circle_radius
-        )
+        self.outer_center, self.outer_radius = element.map.image_circle(self.chart.c, annulus.r_outer)
+        self.inner_center, self.inner_radius = element.map.image_circle(self.chart.c, annulus.r_inner)
 
     @property
     def diameter(self) -> float:
@@ -406,18 +394,23 @@ class CorrectedHamiltonian:
             np.abs(z - self.inner_center) >= self.inner_radius - 1e-13
         )
 
-    def _t_of_z(self, z):
-        w = self.inv(z)
+    def _pull_back(self, z):
+        """Height t, w = sigma^{-1}(z), r = |w - c| and g = conj(beta') z +
+        conj(alpha') for sigma^{-1} = (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
+        alpha, beta = self.inv.alpha, self.inv.beta
+        g = beta.conjugate() * z + alpha.conjugate()
+        return self._height((alpha * z + beta) / g) + (g,)
+
+    def _height(self, w):
         r = np.abs(w - self.chart.c)
-        return self.chart.t_of_r(r), w, r
+        return np.clip(self.chart.t_of_r(r), -0.5, 0.5), w, r
 
     def value_complex(self, z):
         z = np.atleast_1d(np.asarray(z, complex))
         out = np.zeros(z.shape, float)
         mask = self.contains(z)
         if mask.any():
-            t, _, _ = self._t_of_z(z[mask])
-            out[mask] = self.scale * self.profile.h(np.clip(t, -0.5, 0.5))
+            out[mask] = self.scale * self.profile.h(self._pull_back(z[mask])[0])
         return out
 
     def gradient_complex(self, z):
@@ -426,18 +419,20 @@ class CorrectedHamiltonian:
         out = np.zeros(z.shape, complex)
         mask = self.contains(z)
         if mask.any():
-            zm = z[mask]
-            t, w, r = self._t_of_z(zm)
-            t = np.clip(t, -0.5, 0.5)
-            gw = (
-                self.scale
-                * self.profile.dh(t)
-                * self.chart.dt_dr(r)
-                * (w - self.chart.c)
-                / np.where(r == 0, 1.0, r)
-            )
-            out[mask] = np.conj(self.inv.derivative(zm)) * gw
+            t, w, r, g = self._pull_back(z[mask])
+            gw = self.scale * self.profile.dh(t) * self.chart.dt_dr(r) * (w - self.chart.c)
+            out[mask] = gw / (np.where(r == 0, 1.0, r) * np.conj(g * g))
         return out
+
+    def _value_near(self, w, d):
+        """H at sigma(w) + d for offsets that keep the point on the translate
+        (no support test).  With G = conj(beta) w + conj(alpha) it pulls back
+        exactly to w + d G^2 / (1 - conj(beta) G d): no rounded sigma(w) + d,
+        and no sigma^{-1} cancelling digits near the boundary."""
+        sigma = self.element.map
+        G = sigma.beta.conjugate() * w + sigma.alpha.conjugate()
+        t = self._height(w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d))[0]
+        return self.scale * self.profile.h(t)
 
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -451,10 +446,12 @@ class CorrectedHamiltonian:
     def field(self) -> HamiltonianField:
         return HamiltonianField(self.value, self.gradient, support_radius=1.0)
 
-    def tracked_circle_points(self, n=8):
+    def _tracked_preimages(self, n):
         ang = np.arange(n) * TWO_PI / n + 0.05
-        w = self.chart.c + self.chart.circle_radius * np.exp(1j * ang)
-        z = self.element.map(w)
+        return self.chart.c + self.chart.circle_radius * np.exp(1j * ang)
+
+    def tracked_circle_points(self, n=8):
+        z = self.element.map(self._tracked_preimages(n))
         return np.stack([z.real, z.imag], -1)
 
 
@@ -633,15 +630,16 @@ class EstimateReport:
     rows: list = field(default_factory=list)
 
 
-def _fd_derivatives(f, z0, orders, h):
-    """n-th central differences along x and y from one evaluation of f on
-    the stacked stencil; per order n, "dn" is the larger of the two sups."""
+def _fd_derivatives(f, base, orders, h):
+    """n-th central differences along x and y from one call f(base, offsets)
+    on the stacked stencil, offsets kept apart from the base points rather
+    than rounded into them; per order n, "dn" is the larger of the two sups."""
     if any(n not in (1, 2, 3) for n in orders):
         raise ValueError("order must be 1, 2 or 3")
     e = np.array([h, 1j * h])
     offsets = np.concatenate([[0.0], e, -e, 2 * e, -2 * e])
-    vals = f((np.asarray(z0, complex)[None, :] + offsets[:, None]).ravel())
-    f0, (fp, fm, fp2, fm2) = vals[: len(z0)], vals[len(z0) :].reshape(4, 2, -1)
+    vals = f(np.asarray(base, complex)[None, :], offsets[:, None])
+    f0, (fp, fm, fp2, fm2) = vals[0], vals[1:].reshape(4, 2, -1)
     quotients = {
         1: (fp - fm) / (2 * h),
         2: (fp - 2 * f0 + fm) / h**2,
@@ -677,12 +675,11 @@ def analytic_report(assembled: AssembledHamiltonian, orders=(1, 2, 3)) -> Estima
 
     rows = []
     for p in assembled.pieces:
-        pts = p.tracked_circle_points(SAMPLES_PER_PIECE)
-        z0 = pts[:, 0] + 1j * pts[:, 1]
-        r = float((1.0 - np.abs(z0)).min())
+        w0 = p._tracked_preimages(SAMPLES_PER_PIECE)
+        r = float((1.0 - np.abs(p.element.map(w0))).min())
         h = 1e-3 * r
         entry = {"length": p.element.length, "r": r, "lambda2": p.lambda2}
-        entry.update(_fd_derivatives(p.value_complex, z0, orders, h))
+        entry.update(_fd_derivatives(p._value_near, w0, orders, h))
         rows.append(entry)
 
     slopes, verdicts, kept = {}, {}, {}

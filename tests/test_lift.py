@@ -396,6 +396,97 @@ class TestAssembled:
             assert np.array_equal(H.gradient_complex(z), piece.gradient_complex(z))
 
 
+def _mp_pairs(words, s=0.98):
+    """60-digit SU(1,1) pairs (alpha, beta) of the Schottky words, each the
+    product of its parent word's pair with its last letter."""
+    import mpmath
+
+    alpha = 1 / mpmath.sqrt(1 - mpmath.mpf(s) ** 2)
+    # letter ids as in enumerate_group: 2k for generator k, 2k + 1 for its inverse (alpha, -beta)
+    letters = [(alpha, b * s * alpha) for b in (1, -1, 1j, -1j)]
+    pairs = {(): (mpmath.mpc(1), mpmath.mpc(0))}
+    for word in sorted(filter(None, words), key=len):
+        (a1, b1), (a2, b2) = pairs[word[:-1]], letters[word[-1]]
+        pairs[word] = (a1 * a2 + b1 * mpmath.conj(b2), a1 * b2 + b1 * mpmath.conj(a2))
+    return pairs
+
+
+def _mp_image_radius(pair, c, r):
+    """r / (|g|^2 - |beta|^2 r^2), g = conj(beta) c + conj(alpha)."""
+    import mpmath
+
+    alpha, beta = pair
+    g = mpmath.conj(beta) * c + mpmath.conj(alpha)
+    return r / (abs(g) ** 2 - abs(beta) ** 2 * r**2)
+
+
+class TestSU11Precision:
+    """The double SU(1,1) route against the same products in mpmath."""
+
+    def test_scales_and_radii_match_60_digit_products(self, assembled_depth6):
+        import mpmath
+
+        with mpmath.workdps(60):
+            pairs = _mp_pairs([p.element.word for p in assembled_depth6.pieces])
+            worst = 0.0
+            for p in assembled_depth6.pieces:
+                pair = pairs[p.element.word]
+                R_in, R_out = (
+                    _mp_image_radius(pair, p.chart.c, r) for r in (p.annulus.r_inner, p.annulus.r_outer)
+                )
+                for got, want in [
+                    (1 / abs(p.element.map.alpha) ** 2, 1 / abs(pair[0]) ** 2),
+                    (p.lambda2, mpmath.pi * (R_out**2 - R_in**2)),  # the chart's mass
+                    (p.inner_radius, R_in),
+                    (p.outer_radius, R_out),
+                ]:
+                    worst = max(worst, float(abs(got - want) / want))
+        assert {p.element.length for p in assembled_depth6.pieces} == set(range(7))
+        assert worst <= 1e-12
+
+    def test_stencil_rows_match_50_digit_stencil(self, assembled_depth6):
+        """Rows d1-d3 of the first 3 pieces of every length against the same
+        stencil (base points sigma(w0) of the tracked preimages w0, step h)
+        through the 50-digit products."""
+        import mpmath
+
+        rep = analytic_report(assembled_depth6)
+        picked = {}
+        for i, p in enumerate(assembled_depth6.pieces):
+            picked.setdefault(p.element.length, []).append(i)
+        picked = [i for L in sorted(picked) for i in picked[L][:3]]
+        assert len(picked) == 1 + 3 * 6
+        with mpmath.workdps(50):
+            pairs = _mp_pairs([p.element.word for p in assembled_depth6.pieces])
+            for i in picked:
+                p, row = assembled_depth6.pieces[i], rep.rows[i]
+                alpha, beta = pairs[p.element.word]
+                c, prof = mpmath.mpc(p.chart.c), p.profile
+                R2_in, R2_out = (
+                    _mp_image_radius((alpha, beta), c, r) ** 2 for r in (p.annulus.r_inner, p.annulus.r_outer)
+                )
+                mass = mpmath.pi * (R2_out - R2_in)
+
+                def H(z):
+                    w = (mpmath.conj(alpha) * z - beta) / (alpha - mpmath.conj(beta) * z)
+                    R2 = _mp_image_radius((alpha, beta), c, abs(w - c)) ** 2
+                    u = (mpmath.pi * (R2 - R2_in) / mass - 0.5 - prof.b) / prof.width
+                    assert abs(u) < 1
+                    return mass * mpmath.e * prof.width * u * mpmath.exp(-1 / (1 - u * u))
+
+                h = mpmath.mpf(1e-3 * row["r"])
+                want = {1: 0, 2: 0, 3: 0}
+                for w0 in map(mpmath.mpc, p._tracked_preimages(lift.SAMPLES_PER_PIECE)):
+                    z = (alpha * w0 + beta) / (mpmath.conj(beta) * w0 + mpmath.conj(alpha))
+                    for e in (h, 1j * h):
+                        fp, fm, fp2, fm2, f0 = (H(z + k * e) for k in (1, -1, 2, -2, 0))
+                        want[1] = max(want[1], abs(fp - fm) / (2 * h))
+                        want[2] = max(want[2], abs(fp - 2 * f0 + fm) / h**2)
+                        want[3] = max(want[3], abs(fp2 - 2 * fp + 2 * fm - fm2) / (2 * h**3))
+                for n in (1, 2, 3):
+                    assert abs(row[f"d{n}"] - want[n]) <= 1e-7 * want[n], (i, n)
+
+
 class TestMollifier:
     def test_peak_and_outside(self):
         for eps in (0.1, 1.0):
@@ -472,16 +563,19 @@ class TestReport:
         rep = analytic_report(H)
         assert len(rep.rows) == len(H.pieces)
         for p, row in zip(H.pieces, rep.rows):
-            pts = p.tracked_circle_points(8)
-            z0 = pts[:, 0] + 1j * pts[:, 1]
-            h = 1e-3 * float((1.0 - np.abs(z0)).min())
-            f = p.value_complex
+            w0 = p._tracked_preimages(8)
+            h = 1e-3 * float((1.0 - np.abs(p.element.map(w0))).min())
+
+            # one call per offset, each taken exactly through sigma^-1
+            def f(d):
+                return p._value_near(w0, d)
+
             want = {1: 0.0, 2: 0.0, 3: 0.0}
             for e in (h, 1j * h):
                 quotients = {
-                    1: (f(z0 + e) - f(z0 - e)) / (2 * h),
-                    2: (f(z0 + e) - 2 * f(z0) + f(z0 - e)) / h**2,
-                    3: (f(z0 + 2 * e) - 2 * f(z0 + e) + 2 * f(z0 - e) - f(z0 - 2 * e)) / (2 * h**3),
+                    1: (f(e) - f(-e)) / (2 * h),
+                    2: (f(e) - 2 * f(0.0) + f(-e)) / h**2,
+                    3: (f(2 * e) - 2 * f(e) + 2 * f(-e) - f(-2 * e)) / (2 * h**3),
                 }
                 for n, q in quotients.items():
                     want[n] = max(want[n], float(np.abs(q).max()))
@@ -492,8 +586,7 @@ class TestReport:
         rep = analytic_report(assembled_depth6)
         for n in (1, 2, 3):
             kept = sum(row[f"d{n}"] > 0 for row in rep.rows)
-            assert rep.slope_rows[n] == kept
-            assert 4 <= kept <= len(rep.rows) == len(assembled_depth6.pieces)
+            assert rep.slope_rows[n] == kept == len(rep.rows) == len(assembled_depth6.pieces)
 
     def test_rejects_unknown_order(self, assembled_depth6):
         with pytest.raises(ValueError, match="order"):

@@ -40,6 +40,18 @@ def test_mobius_compose_and_inverse_round_trip(f, g, zs):
     assert np.abs(f.compose(f.inverse())(z) - z).max() <= 1e-12
 
 
+@FEW
+@given(angles, disk_points(), st.lists(disk_points(), min_size=1, max_size=8))
+def test_mobius_pair_is_the_theta_a_map(theta, a, zs):
+    """The (alpha, beta) pair built from (theta, a) is the map
+    e^{i theta} (z - a) / (1 - conj(a) z), with its derivative."""
+    f, z = MobiusMap(theta, a), np.array(zs)
+    rot, den = complex(math.cos(theta), math.sin(theta)), 1.0 - np.conj(a) * z
+    assert abs(abs(f.alpha) ** 2 - abs(f.beta) ** 2 - 1.0) <= 1e-12 * abs(f.alpha) ** 2
+    assert np.abs(f(z) - rot * (z - a) / den).max() <= 1e-12
+    assert np.abs(f.derivative(z) - rot * (1.0 - abs(a) ** 2) / den**2).max() <= 1e-11
+
+
 TWIST_ANNULUS = RoundAnnulus((0.3, -0.2), 1.0, math.sqrt(3))
 TWIST_PROFILE = make_profile(area_chart(TWIST_ANNULUS).a, 0.1)
 TWIST_POINTS = TWIST_ANNULUS.sample_points(64, np.random.default_rng(3))

@@ -88,6 +88,38 @@ def test_piling_agrees_with_closure_reference():
             assert normal_form(w).word == normal_form_closure(w).word
 
 
+def _depile_scan(graph, piles):
+    """Reference depiling: rescan the vertices from index 0 for every output
+    letter and emit the first whose pile head is a letter (O(L n))."""
+    neighbor_idx, _ = words._alphabet(graph)
+    heads = [0] * len(neighbor_idx)
+    total = sum(1 for p in piles for x in p if x >= 0)
+    out = []
+    while len(out) < total:
+        for v in range(len(neighbor_idx)):
+            p = piles[v]
+            if heads[v] < len(p) and p[heads[v]] >= 0:
+                out.append(p[heads[v]])
+                heads[v] += 1
+                for u in neighbor_idx[v]:
+                    heads[u] += 1
+                break
+        else:
+            raise AssertionError("inconsistent piling")
+    return tuple(out)
+
+
+def test_heap_depiling_matches_scan_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(2500):
+        n = int(rng.integers(1, 9))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = SimplicialGraph(list(range(n)), edges)
+        ids = tuple(int(i) for i in rng.integers(0, 2 * n, int(rng.integers(0, 41))))
+        piles = words._pile(g, ids)
+        assert words._depile(g, piles) == _depile_scan(g, piles)
+
+
 def test_oracle_relator_examples():
     assert oracle_equal(commutator(generator(AB2, "u"), generator(AB2, "v")), empty_word(AB2))
     assert not oracle_equal(commutator(generator(FREE2, "u"), generator(FREE2, "v")), empty_word(FREE2))
