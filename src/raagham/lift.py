@@ -675,8 +675,11 @@ def analytic_report(assembled: AssembledHamiltonian, orders=(1, 2, 3)) -> Estima
 
     rows = []
     for p in assembled.pieces:
-        w0 = p._tracked_preimages(SAMPLES_PER_PIECE)
-        r = float((1.0 - np.abs(p.element.map(w0))).min())
+        w0, sigma = p._tracked_preimages(SAMPLES_PER_PIECE), p.element.map
+        # r = min 1 - |sigma(w0)| without cancellation near the circle:
+        # 1 - |z|^2 = (1 - |w0|^2) / |G|^2, G = conj(beta) w0 + conj(alpha)
+        G = sigma.beta.conjugate() * w0 + sigma.alpha.conjugate()
+        r = float(((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min())
         h = 1e-3 * r
         entry = {"length": p.element.length, "r": r, "lambda2": p.lambda2}
         entry.update(_fd_derivatives(p._value_near, w0, orders, h))

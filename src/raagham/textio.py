@@ -210,7 +210,6 @@ def config_to_json(cfg) -> dict:
         "nerve": [[vertex_name(u), vertex_name(v)] for u, v in g.sorted_edges()],
         "provenance": {
             "delta": float(cfg.provenance["delta"]),
-            "gap_frac": float(cfg.provenance["gap_frac"]),
             "grid": int(cfg.provenance["grid"]),
             "widths": {k: float(w) for k, w in cfg.provenance["widths"].items()},
         },

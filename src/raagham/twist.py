@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import ndimage
 
 from .graphs import NonplanarWitness, PlanarEmbedding, SimplicialGraph, incidence_nerve, planarity
 from .words import Homomorphism, hom_pullback
@@ -290,120 +290,118 @@ class PackingError(RuntimeError):
     pass
 
 
-# preferred clearance of non-adjacent circles, as a fraction of their radius
-# sum, and the tangency residual a packing must reach
-GAP_FRAC = 0.35
+# packing: angle-sum error to stop at, sweeps before giving up, and the
+# tangency residual the laid-out circles must reach
+ANGLE_TOL = 1e-13
+MAX_SWEEPS = 100_000
 PACKING_TOL = 1e-10
 
 
-def _pack_component(graph: SimplicialGraph, comp, pos0):
-    """Tangency packing by iterative relaxation.
-
-    Radii live on a log scale so they stay positive; adjacent circles are
-    driven to exact tangency (polished by Gauss-Newton to 1e-13), all other
-    pairs are pushed apart softly and verified strictly disjoint.  Returns
-    the circles and one record per least-squares attempt: its ``nfev``, its
-    ``status`` and the worst tangency residual after the polish.
+def _disk_triangulation(graph: SimplicialGraph, comp, pos):
+    """Counterclockwise triangles, boundary and vertex count of a disk
+    triangulation around the drawing of a connected component of >= 3
+    vertices (vertex i < len(comp) is comp[i]).  Faces are walked with the
+    face on the left.  A face whose walk is not a triangle gets a ring of
+    auxiliary vertices, one per side and adjacent to both its ends, around
+    an auxiliary centre, so walks that repeat vertices stay simplicial and
+    no two original vertices are joined.  The outer (clockwise) walk gets
+    the ring but no centre; that ring, or the outer triangle, is the boundary.
     """
-    comp = list(comp)
-    n = len(comp)
-    if n == 1:
-        return {comp[0]: (np.zeros(2), 1.0)}, []
     index = {v: i for i, v in enumerate(comp)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.sorted_edges()
-        if u in index and v in index
-    ]
-    edge_set = {tuple(sorted(e)) for e in edges}
-    non_edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(n), 2)
-        if (i, j) not in edge_set
-    ]
-    p0 = np.array([pos0[v] for v in comp], float)
-    scale = max(p0.max(0) - p0.min(0)) if n > 1 else 1.0
-    p0 = p0 / max(scale, 1e-9) * n
-    # seed radii from the drawn edge lengths around each vertex
-    y0 = np.zeros(n)
-    for i in range(n):
-        lens = [np.hypot(*(p0[i] - p0[j])) for a, b in edges for j in (a, b) if i in (a, b) and j != i]
-        if lens:
-            y0[i] = math.log(max(0.5 * min(lens), 1e-3))
-    x0 = np.concatenate([p0.ravel(), y0])
-
-    def unpack(x):
-        return x[: 2 * n].reshape(n, 2), np.exp(x[2 * n :])
-
-    e_i = np.array([e[0] for e in edges], int)
-    e_j = np.array([e[1] for e in edges], int)
-    ne_i = np.array([e[0] for e in non_edges], int)
-    ne_j = np.array([e[1] for e in non_edges], int)
-
-    def solve(start, gap):
-        def residuals(x):
-            pts, rad = unpack(x)
-            d_e = np.hypot(*(pts[e_i] - pts[e_j]).T)
-            r_tan = d_e / (rad[e_i] + rad[e_j]) - 1.0
-            if len(ne_i):
-                d_n = np.hypot(*(pts[ne_i] - pts[ne_j]).T)
-                need = (1.0 + gap) * (rad[ne_i] + rad[ne_j])
-                r_sep = np.minimum(0.0, d_n / need - 1.0) * 3.0
-            else:
-                r_sep = np.zeros(0)
-            return np.concatenate([r_tan, r_sep, 0.01 * x[2 * n :], pts[0]])
-
-        sol = optimize.least_squares(
-            residuals, start, xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=6000
-        )
-        x = sol.x
-        # Gauss-Newton polish on the tangency equalities alone; the manifold
-        # of exact packings is a few steps from the least-squares point.
-        for _ in range(100):
-            pts, rad = unpack(x)
-            r = np.array(
-                [np.hypot(*(pts[i] - pts[j])) - rad[i] - rad[j] for i, j in edges]
-            )
-            if not len(r) or np.abs(r).max() < 1e-13:
-                break
-            J = np.zeros((len(edges), 3 * n))
-            for row, (i, j) in enumerate(edges):
-                diff = pts[i] - pts[j]
-                d = np.hypot(*diff)
-                u = diff / d
-                J[row, 2 * i : 2 * i + 2] = u
-                J[row, 2 * j : 2 * j + 2] = -u
-                J[row, 2 * n + i] = -rad[i]
-                J[row, 2 * n + j] = -rad[j]
-            step, *_ = np.linalg.lstsq(J, r, rcond=None)
-            x = x - step
-        return x, sol
-
-    last_error = None
-    attempts = []
-    x = x0
-    for attempt_gap in (GAP_FRAC, 2.0 * GAP_FRAC, 4.0 * GAP_FRAC):
-        x, sol = solve(x, attempt_gap)
-        pts, rad = unpack(x)
-        worst = 0.0
-        for i, j in edges:
-            worst = max(worst, abs(np.hypot(*(pts[i] - pts[j])) - rad[i] - rad[j]))
-        attempts.append(
-            {"nfev": int(sol.nfev), "status": int(sol.status), "tangency_residual": float(worst)}
-        )
-        if worst > PACKING_TOL:
-            last_error = f"tangency residual {worst:.2e} above {PACKING_TOL:.0e}"
+    q = np.array([complex(*pos[v]) for v in comp])
+    rot = [sorted((index[u] for u in graph.neighbors(v)), key=lambda j, c=c: np.angle(q[j] - c))
+           for v, c in zip(comp, q)]
+    faces, seen = [], set()
+    for i in range(len(comp)):
+        for j in rot[i]:
+            walk, a, b = [], i, j
+            while (a, b) not in seen:  # a -> b turns at b to the next edge clockwise
+                seen.add((a, b))
+                walk.append(a)
+                a, b = b, rot[b][rot[b].index(a) - 1]
+            if walk:
+                faces.append(walk)
+    # by twice the signed area: negative for the outer walk only, 0 for a tree's one walk
+    outer = int(np.argmin([(q[f].conj() * q[np.roll(f, -1)]).imag.sum() for f in faces]))
+    tris, m, boundary = [], len(comp), faces[outer]
+    for f, walk in enumerate(faces):
+        k = len(walk)
+        if k == 3:
+            if f != outer:
+                tris.append(walk)
             continue
-        # GAP_FRAC is only a preference; strict disjointness is what must hold
-        separated = all(
-            np.hypot(*(pts[i] - pts[j])) > (rad[i] + rad[j]) * (1.0 + 1e-6)
-            for i, j in non_edges
-        )
-        if not separated:
-            last_error = "non-adjacent circles not separated"
-            continue
-        return {v: (pts[index[v]], float(rad[index[v]])) for v in comp}, attempts
-    raise PackingError(last_error)
+        ring, m = list(range(m, m + k)), m + k
+        for s, t in zip(range(k), range(1 - k, 1)):  # side s runs from walk[s] to walk[t]
+            tris += [(walk[s], walk[t], ring[s]), (walk[t], ring[t], ring[s])]
+        if f == outer:
+            boundary = ring
+        else:
+            tris += [(m, ring[s - 1], ring[s]) for s in range(k)]
+            m += 1
+    return np.array(tris), boundary, m
+
+
+def _corner_angles(r, v, u, w):
+    """Angle at v between the centres of mutually tangent circles v, u, w, by
+    tan(angle/2)^2 = r_u r_w / (r_v (r_v + r_u + r_w)) (no cancellation)."""
+    return 2.0 * np.arctan(np.sqrt(r[u] * r[w] / (r[v] * (r[v] + r[u] + r[w]))))
+
+
+def _pack_component(graph: SimplicialGraph, comp, pos0):
+    """Tangency packing of one component by Collins-Stephenson angle sums
+    (Collins & Stephenson, "A circle packing algorithm", Comput. Geom. 25, 2003).
+
+    In ``_disk_triangulation`` of the drawing the boundary radii are 1 and
+    all others are iterated together to angle sum 2*pi by the uniform-
+    neighbour update until the worst angle error is below ANGLE_TOL.  The
+    circles are laid out by tangency, the auxiliary ones dropped and the
+    rest scaled to geometric-mean radius 1; adjacent ones must be tangent to
+    PACKING_TOL and all others strictly apart.  At most 2 vertices are
+    closed forms.  Returns the circles and {"size", "sweeps", "angle_error"}.
+    """
+    comp, n = list(comp), len(comp)
+    if n <= 2:
+        circles = {v: (np.array([2.0 * i - (n - 1), 0.0]), 1.0) for i, v in enumerate(comp)}
+        return circles, {"size": n, "sweeps": 0, "angle_error": 0.0}
+    tris, boundary, m = _disk_triangulation(graph, comp, pos0)
+    v, u, w = (np.roll(tris, -s, axis=1).ravel() for s in range(3))
+    inner = np.isin(np.arange(m), boundary, invert=True)
+    k = np.bincount(v, minlength=m)[inner]
+    delta = np.sin(math.pi / k)
+    r = np.ones(m)
+    for sweeps in range(MAX_SWEEPS):
+        theta = np.bincount(v, _corner_angles(r, v, u, w), minlength=m)[inner]
+        error = float(np.abs(theta - TWO_PI).max(initial=0.0))
+        if error < ANGLE_TOL:
+            break
+        # k equal neighbours that reproduce theta, then the radius they close up at 2*pi
+        beta = np.sin(theta / (2 * k))
+        r[inner] *= beta / (1.0 - beta) * (1.0 - delta) / delta
+    else:
+        raise PackingError(f"angle sums off by {error:.2e} after {MAX_SWEEPS} sweeps")
+
+    # lay out by tangency: each corner's w lies counterclockwise of v -> u
+    z = np.full(m, np.nan, complex)
+    z[v[0]], z[u[0]] = 0.0, r[v[0]] + r[u[0]]
+    turns = np.exp(1j * _corner_angles(r, v, u, w))
+    corners = list(zip(v.tolist(), u.tolist(), w.tolist(), turns))
+    while np.isnan(z).any():
+        for a, b, c, turn in corners:
+            if np.isnan(z[c]) and not np.isnan(z[a] + z[b]):
+                z[c] = z[a] + (r[a] + r[c]) * turn * (z[b] - z[a]) / abs(z[b] - z[a])
+    scale = math.exp(np.log(r[:n]).mean())
+    z, r = z[:n] / scale, r[:n] / scale
+    d = np.abs(z[:, None] - z[None, :])
+    rsum = r[:, None] + r[None, :]
+    adjacent = np.array([[graph.has_edge(x, y) for y in comp] for x in comp])
+    worst = float(np.abs(d - rsum)[adjacent].max())
+    if worst > PACKING_TOL:
+        raise PackingError(f"tangency residual {worst:.2e} above {PACKING_TOL:.0e}")
+    apart = ~adjacent & ~np.eye(n, dtype=bool)
+    if not (d[apart] > rsum[apart] * (1.0 + 1e-6)).all():
+        raise PackingError("non-adjacent circles not separated")
+    circles = {x: (np.array([z[i].real, z[i].imag]), float(r[i])) for i, x in enumerate(comp)}
+    return circles, {"size": n, "sweeps": sweeps, "angle_error": error}
 
 
 def _disk_triple_intersects(circles, i, j, k, margin=0.0):
@@ -601,15 +599,15 @@ def _free_arc(forbidden, pad=0.02):
 def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configuration:
     """Realize the graph as the nerve of round annuli in the plane.
 
-    Pipeline: tangency circle packing of each component (least-squares
-    relaxation to tolerance 1e-10), inflation by the largest 1+delta,
+    Pipeline: tangency circle packing of each component (Collins-Stephenson
+    angle sums, tangent to 1e-10), inflation by the largest 1+delta,
     delta <= 0.2, keeping adjacent circles crossing in exactly two points and
     everything else separated with no triple disk intersections, then
     thickening each circle to an annulus of width a quarter of the local
     clearance.  Punctures: two per circle in an arc free of other annuli,
     two per complementary component located by grid flood fill, and one far
-    point q outside every disk.  ``provenance["packing"]`` holds one record
-    per component: its size and the ``_pack_component`` attempt records.
+    point q outside every disk.  ``provenance["packing"]`` holds the
+    ``_pack_component`` record of each component: size, sweeps, angle error.
     """
     graph = embedding.graph
     if not graph.vertices:
@@ -618,14 +616,16 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
     packing = []
     offset = 0.0
     for comp in graph.components():
-        sub, attempts = _pack_component(graph, comp, embedding.positions)
-        packing.append({"size": len(comp), "attempts": attempts})
-        xs = [c[0] - r for c, r in sub.values()] + [c[0] + r for c, r in sub.values()]
-        lo, hi = min(xs), max(xs)
-        shift = offset - lo
-        for v, (c, r) in sub.items():
-            packed[v] = (c + np.array([shift, 0.0]), r)
+        sub, record = _pack_component(graph, comp, embedding.positions)
+        packing.append(record)
+        lo = min(c[0] - r for c, r in sub.values())
+        hi = max(c[0] + r for c, r in sub.values())
+        packed.update({v: (c + [offset - lo, 0.0], r) for v, (c, r) in sub.items()})
         offset += (hi - lo) + 2.0 * max(r for _, r in sub.values())
+    # centred on the origin: the twists round off in proportion to |coordinates|
+    ends = np.array([(c - r, c + r) for c, r in packed.values()])
+    mid = 0.5 * (ends[:, 0].min(0) + ends[:, 1].max(0))
+    packed = {v: (c - mid, r) for v, (c, r) in packed.items()}
 
     order = list(graph.vertices)
     min_rad = min(packed[v][1] for v in order)
@@ -634,9 +634,7 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
         if not graph.has_edge(u, v):
             (cu, ru), (cv, rv) = packed[u], packed[v]
             min_gap = min(min_gap, np.hypot(*(cu - cv)) - ru - rv)
-    gap_floor = 0.05 * min_rad if min_gap is math.inf else min(
-        0.05 * min_rad, 0.3 * min_gap
-    )
+    gap_floor = min(0.05 * min_rad, 0.3 * min_gap)
 
     if len(order) == 1:
         delta = 0.2
@@ -716,7 +714,6 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
         basepoint=base,
         provenance={
             "delta": delta,
-            "gap_frac": GAP_FRAC,
             "grid": grid,
             "widths": {str(v): widths[v] for v in order},
             "components": grid_info,
@@ -747,6 +744,9 @@ def _complementary_points(annuli, order, grid):
         d2 = (X - a.center[0]) ** 2 + (Y - a.center[1]) ** 2
         blocked |= (d2 >= (a.r_inner - pad) ** 2) & (d2 <= (a.r_outer + pad) ** 2)
     labels, ncomp = ndimage.label(~blocked)
+    # one transform serves every component: labels are 4-connected, so the
+    # nearest cell outside a component is a blocked one
+    edt_all = ndimage.distance_transform_edt(~blocked)
     region_points = []
     dropped = 0
     for comp_id in range(1, ncomp + 1):
@@ -754,7 +754,7 @@ def _complementary_points(annuli, order, grid):
         if mask.sum() < 4:
             dropped += 1
             continue
-        edt = ndimage.distance_transform_edt(mask)
+        edt = np.where(mask, edt_all, 0.0)
         i1 = np.unravel_index(np.argmax(edt), edt.shape)
         p1 = np.array([X[i1], Y[i1]])
         far_mask = mask & (

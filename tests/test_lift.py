@@ -444,6 +444,25 @@ class TestSU11Precision:
         assert {p.element.length for p in assembled_depth6.pieces} == set(range(7))
         assert worst <= 1e-12
 
+    def test_boundary_distance_matches_40_digit_products(self, assembled_depth6):
+        """Each row's r = min 1 - |sigma(w0)| over the tracked preimages."""
+        import mpmath
+
+        rep = analytic_report(assembled_depth6)
+        worst = {}
+        with mpmath.workdps(40):
+            pairs = _mp_pairs([p.element.word for p in assembled_depth6.pieces])
+            for p, row in zip(assembled_depth6.pieces, rep.rows):
+                alpha, beta = pairs[p.element.word]
+                want = min(
+                    1 - abs((alpha * w + beta) / (mpmath.conj(beta) * w + mpmath.conj(alpha)))
+                    for w in map(mpmath.mpc, p._tracked_preimages(lift.SAMPLES_PER_PIECE))
+                )
+                L = p.element.length
+                worst[L] = max(worst.get(L, 0.0), float(abs(row["r"] - want) / want))
+        assert sorted(worst) == list(range(7))
+        assert max(worst.values()) <= 1e-12, worst
+
     def test_stencil_rows_match_50_digit_stencil(self, assembled_depth6):
         """Rows d1-d3 of the first 3 pieces of every length against the same
         stencil (base points sigma(w0) of the tracked preimages w0, step h)
@@ -564,7 +583,7 @@ class TestReport:
         assert len(rep.rows) == len(H.pieces)
         for p, row in zip(H.pieces, rep.rows):
             w0 = p._tracked_preimages(8)
-            h = 1e-3 * float((1.0 - np.abs(p.element.map(w0))).min())
+            h = 1e-3 * row["r"]
 
             # one call per offset, each taken exactly through sigma^-1
             def f(d):

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from raagham.flows import rep_apply
 from raagham.graphs import PlanarEmbedding, SimplicialGraph, planarity
 from raagham.lift import MobiusMap, default_study_annulus, schottky_pair, transport_chart
-from raagham.twist import RoundAnnulus, area_chart, double_dehn_twist, make_profile
+from raagham.twist import (
+    MAX_SWEEPS,
+    PACKING_TOL,
+    RoundAnnulus,
+    _pack_component,
+    area_chart,
+    double_dehn_twist,
+    make_profile,
+)
 from raagham.words import Word, normal_form, normal_form_closure, word_from_tokens
 from twist_reference import reference_fold
 
@@ -157,6 +165,27 @@ def test_one_certificate_layout_matches_per_component_retest(g):
     emb = planarity(g)
     if isinstance(emb, PlanarEmbedding):
         assert emb.positions == retest_layout(g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(simple_graphs(9))
+def test_packing_is_tangent_and_separated(g):
+    """Every component of a planar graph packs: adjacent circles tangent to
+    PACKING_TOL, all other pairs strictly apart, in fewer than MAX_SWEEPS."""
+    emb = planarity(g)
+    if not isinstance(emb, PlanarEmbedding):
+        return
+    for comp in g.components():
+        circles, record = _pack_component(g, comp, emb.positions)
+        assert record["size"] == len(comp) == len(circles)
+        assert type(record["sweeps"]) is int and record["sweeps"] < MAX_SWEEPS
+        for u, v in itertools.combinations(comp, 2):
+            (cu, ru), (cv, rv) = circles[u], circles[v]
+            d = float(np.hypot(*(cu - cv)))
+            if g.has_edge(u, v):
+                assert abs(d - ru - rv) <= PACKING_TOL
+            else:
+                assert d > ru + rv
 
 
 SCHOTTKY_LETTERS = [m for g in schottky_pair(0.98) for m in (g, g.inverse())]

@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import raagham
@@ -21,3 +23,10 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_import_leaves_scipy_optimize_out():
+    """The package needs no optimizer: importing it loads no scipy.optimize."""
+    code = "import sys, raagham, raagham.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -13,8 +13,11 @@ from raagham.graphs import (
     path_graph,
     planarity,
 )
+from raagham import twist
 from raagham.twist import (
-    PACKING_TOL,
+    ANGLE_TOL,
+    MAX_SWEEPS,
+    PackingError,
     AreaChart,
     RoundAnnulus,
     _complementary_points,
@@ -28,7 +31,7 @@ from raagham.twist import (
     product_twist,
     twist_hamiltonian,
 )
-from twist_reference import boundary_points, reference_twist_hamiltonian
+from twist_reference import boundary_points, reference_region_points, reference_twist_hamiltonian
 
 TWO_PI = 2 * math.pi
 
@@ -262,18 +265,16 @@ class TestTwistHamiltonianMask:
 
 
 def check_packing_records(cfg):
-    """One record per component; one int nfev/status pair per solver attempt."""
+    """One {size, sweeps, angle_error} record per component; each packing
+    stopped on ANGLE_TOL, not on the sweep cap."""
     records = cfg.provenance["packing"]
     assert [r["size"] for r in records] == [len(c) for c in cfg.graph.components()]
     for r in records:
-        assert (r["size"] == 1) == (not r["attempts"])
-        for a in r["attempts"]:
-            assert type(a["nfev"]) is int and type(a["status"]) is int
-            assert 0 < a["nfev"] <= 6000
-            assert type(a["tangency_residual"]) is float
-        if r["attempts"]:
-            # the last attempt is the accepted packing
-            assert r["attempts"][-1]["tangency_residual"] <= PACKING_TOL
+        assert set(r) == {"size", "sweeps", "angle_error"}
+        assert type(r["sweeps"]) is int and 0 <= r["sweeps"] < MAX_SWEEPS
+        assert type(r["angle_error"]) is float and 0.0 <= r["angle_error"] < ANGLE_TOL
+        if r["size"] <= 2:  # closed forms
+            assert r["sweeps"] == 0 and r["angle_error"] == 0.0
 
 
 class TestConfiguration:
@@ -282,6 +283,36 @@ class TestConfiguration:
         cfg = build_configuration(planarity(g), grid=512)
         assert [r["size"] for r in cfg.provenance["packing"]] == [3, 2, 1]
         check_packing_records(cfg)
+
+    @pytest.mark.parametrize("edges", [
+        "v0v5 v0v6 v1v4 v1v5 v2v5 v2v6 v3v4 v3v5 v4v5 v4v6 v5v6",
+        "v0v1 v0v2 v0v3 v0v5 v1v2 v1v3 v1v4 v1v5 v1v6 v2v6 v4v5 v4v6 v5v6",
+    ])
+    def test_builds_where_relaxation_left_circles_overlapping(self, edges):
+        # the least-squares packing this replaced raised "non-adjacent
+        # circles not separated" on both graphs
+        g = SimplicialGraph([f"v{i}" for i in range(7)], [(e[:2], e[2:]) for e in edges.split()])
+        cfg = build_configuration(planarity(g), grid=128)
+        check_packing_records(cfg)
+        assert cfg.graph == g
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(twist, "MAX_SWEEPS", 1)
+        with pytest.raises(PackingError, match="after 1 sweeps"):
+            build_configuration(planarity(cycle_graph(list("wxyz"))), grid=128)
+
+    def test_symmetric_outer_face(self):
+        """The boundary ring treats the outer face symmetrically: P3's end
+        circles are equal, C4's four circles are equal and form a square."""
+        p3 = build_configuration(planarity(path_graph(list("uvw"))), grid=128)
+        assert abs(p3.radii["u"] - p3.radii["w"]) <= 1e-12 * p3.radii["u"]
+        assert p3.radii["v"] > 3 * p3.radii["u"]
+        c4 = build_configuration(planarity(cycle_graph(list("wxyz"))), grid=128)
+        r = np.array([c4.radii[v] for v in "wxyz"])
+        assert np.abs(r - r[0]).max() <= 1e-12 * r[0]
+        c = np.array([c4.centers[v] for v in "wxyz"])
+        diagonals = [np.hypot(*(c[0] - c[2])), np.hypot(*(c[1] - c[3]))]
+        assert abs(diagonals[0] - diagonals[1]) <= 1e-10
 
     def test_single_vertex_puncture_count(self):
         cfg = build_configuration(planarity(SimplicialGraph(["v"], [])), grid=512)
@@ -325,6 +356,25 @@ class TestConfiguration:
             points, _, _, info = _complementary_points(annuli, ["v"], 33)
             assert info["n_dropped"] == dropped
             assert info["n_components"] == len(points) == 2 - dropped
+
+    @pytest.mark.parametrize("graph", [
+        path_graph(list("uvw")),
+        cycle_graph(list("wxyz")),
+        complete_graph(list("abcd")),
+        SimplicialGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "f")]),
+    ], ids=["P3", "C4", "K4", "three-components"])
+    def test_region_points_match_per_component_transforms(self, graph):
+        cfg = build_configuration(planarity(graph), grid=256)
+        points, *_ = _complementary_points(cfg.annuli, list(graph.vertices), 256)
+        want = reference_region_points(cfg.annuli, list(graph.vertices), 256)
+        assert len(points) == len(want) and all(map(np.array_equal, points, want))
+
+    def test_region_points_match_per_component_transforms_k6(self, k6_rep):
+        cfg = k6_rep.config
+        order = list(cfg.graph.vertices)
+        want = reference_region_points(cfg.annuli, order, 256)
+        assert len(cfg.region_points) == len(want)
+        assert all(map(np.array_equal, cfg.region_points, want))
 
     def test_disk_intersections_match_edges(self):
         g = complete_graph(list("abc"))

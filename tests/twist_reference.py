@@ -10,6 +10,7 @@ word kernel must equal this fold bit for bit.
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from raagham.twist import area_chart
 from raagham.words import hom_apply
@@ -76,3 +77,39 @@ def reference_twist_hamiltonian(annulus, profile):
         return g
 
     return H, grad
+
+
+def reference_region_points(annuli, order, grid):
+    """The region points of ``_complementary_points`` with one distance
+    transform per component mask, where the package shares one transform
+    of all free cells among the components."""
+    outs = np.array([annuli[v].r_outer for v in order])
+    cs = np.array([annuli[v].center for v in order])
+    margin = 0.6 * outs.max()
+    lo = (cs - outs[:, None]).min(0) - margin
+    hi = (cs + outs[:, None]).max(0) + margin
+    xs, ys = np.linspace(lo[0], hi[0], grid), np.linspace(lo[1], hi[1], grid)
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    blocked = np.zeros(X.shape, bool)
+    pad = 0.75 * cell
+    for v in order:
+        a = annuli[v]
+        d2 = (X - a.center[0]) ** 2 + (Y - a.center[1]) ** 2
+        blocked |= (d2 >= (a.r_inner - pad) ** 2) & (d2 <= (a.r_outer + pad) ** 2)
+    labels, ncomp = ndimage.label(~blocked)
+    points = []
+    for comp_id in range(1, ncomp + 1):
+        mask = labels == comp_id
+        if mask.sum() < 4:
+            continue
+        edt = ndimage.distance_transform_edt(mask)
+        i1 = np.unravel_index(np.argmax(edt), edt.shape)
+        far_mask = mask & ((X - X[i1]) ** 2 + (Y - Y[i1]) ** 2 > (3 * cell) ** 2)
+        if far_mask.any():
+            i2 = np.unravel_index(np.argmax(np.where(far_mask, edt, -1.0)), edt.shape)
+        else:
+            edt[i1] = -1.0
+            i2 = np.unravel_index(np.argmax(edt), edt.shape)
+        points.append(np.array([[X[i1], Y[i1]], [X[i2], Y[i2]]]))
+    return points
