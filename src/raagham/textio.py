@@ -211,7 +211,6 @@ def config_to_json(cfg) -> dict:
         "provenance": {
             "delta": float(cfg.provenance["delta"]),
             "grid": int(cfg.provenance["grid"]),
-            "widths": {k: float(w) for k, w in cfg.provenance["widths"].items()},
         },
     }
 

@@ -9,7 +9,6 @@ the ODE integrator in ``flows`` is only ever a cross-check here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -404,60 +403,71 @@ def _pack_component(graph: SimplicialGraph, comp, pos0):
     return circles, {"size": n, "sweeps": sweeps, "angle_error": error}
 
 
-def _disk_triple_intersects(circles, i, j, k, margin=0.0):
-    """Do three closed disks share a point?  Exact up to the margin."""
-
-    def inside(p, idx):
-        c, r = circles[idx]
-        return np.hypot(*(p - c)) <= r + margin
-
-    def crossings(ia, ib):
-        (c1, r1), (c2, r2) = circles[ia], circles[ib]
-        d = np.hypot(*(c2 - c1))
-        if d > r1 + r2 or d < abs(r1 - r2) or d == 0:
-            return []
-        x = (d * d + r1 * r1 - r2 * r2) / (2 * d)
-        h2 = r1 * r1 - x * x
-        if h2 < 0:
-            return []
-        h = math.sqrt(max(h2, 0.0))
-        u = (c2 - c1) / d
-        n = np.array([-u[1], u[0]])
-        base = c1 + x * u
-        return [base + h * n, base - h * n]
-
-    for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-        for p in crossings(a, b):
-            if inside(p, c):
-                return True
-    for a, b, c in ((i, j, k), (j, i, k), (k, i, j)):
-        if inside(circles[a][0], b) and inside(circles[a][0], c):
-            return True
-    return False
+def _plane_packing(graph: SimplicialGraph, positions):
+    """The packings of the components side by side, centred on the origin
+    (the twists round off in proportion to |coordinates|).  Returns the
+    centres (n, 2) and radii (n,) in vertex order and the packing records."""
+    packed = {}
+    packing = []
+    offset = 0.0
+    for comp in graph.components():
+        sub, record = _pack_component(graph, comp, positions)
+        packing.append(record)
+        lo = min(c[0] - r for c, r in sub.values())
+        hi = max(c[0] + r for c, r in sub.values())
+        packed.update({v: (c + [offset - lo, 0.0], r) for v, (c, r) in sub.items()})
+        offset += (hi - lo) + 2.0 * max(r for _, r in sub.values())
+    c = np.array([packed[v][0] for v in graph.vertices])
+    r = np.array([packed[v][1] for v in graph.vertices])
+    mid = 0.5 * ((c - r[:, None]).min(0) + (c + r[:, None]).max(0))
+    return c - mid, r, packing
 
 
-def _inflation_valid(graph, packed, order, delta, gap_floor):
-    circles = {v: (packed[v][0], packed[v][1] * (1.0 + delta)) for v in order}
-    for u, v in itertools.combinations(order, 2):
-        (cu, ru), (cv, rv) = circles[u], circles[v]
-        d = np.hypot(*(cu - cv))
-        if graph.has_edge(u, v):
-            if not (abs(ru - rv) + 1e-12 < d < ru + rv - 1e-12):
-                return False
-        else:
-            if d - ru - rv < gap_floor:
-                return False
-    idx = list(order)
-    carr = [circles[v] for v in idx]
-    for i, j, k in itertools.combinations(range(len(idx)), 3):
-        pairs = [(i, j), (i, k), (j, k)]
-        if all(
-            np.hypot(*(carr[a][0] - carr[b][0])) < carr[a][1] + carr[b][1]
-            for a, b in pairs
-        ):
-            if _disk_triple_intersects(carr, i, j, k, margin=1e-9):
-                return False
-    return True
+def _inflate(graph: SimplicialGraph, c, r):
+    """Inflate a tangency packing (centres c, radii r in vertex order) by the
+    largest 1 + delta <= 1.2 under which adjacent circles cross twice,
+    non-adjacent ones stay gap_floor apart and no three disks share a point.
+    Returns delta, the inflated radii and the annulus half-widths (a quarter
+    of each circle's clearance, at most half its radius).
+
+    Each condition has an exact threshold s of 1 + delta, read from one table
+    of centre distances d: d / |r_u - r_v| for an adjacent pair (none if the
+    radii are equal), (d - gap_floor) / (r_u + r_v) for a non-adjacent pair,
+    and for a triangle of the graph the s at which its circles pass through
+    one point p.  With t = s^2, q = p - c_0 = q0 + t q1 solves
+    2 q.(c_m - c_0) = |c_m - c_0|^2 - t (r_m^2 - r_0^2), m = 1, 2, and t is
+    the least positive root of |q|^2 = t r_0^2.  Other triples have a
+    non-adjacent pair.  delta stays a relative 1e-9 below the least threshold.
+    """
+    adjacent = np.array([[graph.has_edge(u, v) for v in graph.vertices] for u in graph.vertices])
+    d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
+    ri, rj = r[:, None], r[None, :]
+    min_gap = (d - ri - rj)[np.triu(~adjacent, 1)].min(initial=np.inf)
+    gap_floor = min(0.05 * r.min(), 0.3 * min_gap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(adjacent, d / np.abs(ri - rj), (d - gap_floor) / (ri + rj))
+    np.fill_diagonal(s, np.inf)
+    upper = np.triu(adjacent)
+    i, j, k = np.nonzero(upper[:, :, None] & upper[:, None, :] & upper[None, :, :])
+    e = np.stack([c[j] - c[i], c[k] - c[i]], 1)
+    rhs = np.stack([(e * e).sum(-1), r[i, None] ** 2 - r[np.stack([j, k], 1)] ** 2], -1)
+    q0, q1 = np.moveaxis(np.linalg.solve(2.0 * e, rhs), -1, 0)
+    a, b, c0 = (q1 * q1).sum(-1), 2.0 * (q0 * q1).sum(-1) - r[i] ** 2, (q0 * q0).sum(-1)
+    disc = b * b - 4.0 * a * c0
+    meet = (b < 0.0) & (disc >= 0.0)  # else both roots are negative or complex
+    t = 2.0 * c0[meet] / (np.sqrt(disc[meet]) - b[meet])  # the smaller root, also at a = 0
+    s_min = min(s.min(), math.sqrt(t.min(initial=np.inf)))
+    delta = min(0.2, (1.0 - 1e-9) * s_min - 1.0)
+    if delta <= 1e-6:
+        raise PackingError("no inflation factor satisfies the crossing constraints")
+
+    R = r * (1.0 + delta)
+    Ri, Rj = R[:, None], R[None, :]
+    clearance = np.where(adjacent, np.minimum(Ri + Rj - d, d - np.abs(Ri - Rj)), d - Ri - Rj)
+    np.fill_diagonal(clearance, np.inf)
+    clearance = clearance.min(1)
+    widths = np.minimum(0.25 * np.where(np.isinf(clearance), R, clearance), 0.5 * R)
+    return float(delta), R, widths
 
 
 @dataclass
@@ -602,76 +612,26 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
     Pipeline: tangency circle packing of each component (Collins-Stephenson
     angle sums, tangent to 1e-10), inflation by the largest 1+delta,
     delta <= 0.2, keeping adjacent circles crossing in exactly two points and
-    everything else separated with no triple disk intersections, then
-    thickening each circle to an annulus of width a quarter of the local
-    clearance.  Punctures: two per circle in an arc free of other annuli,
-    two per complementary component located by grid flood fill, and one far
-    point q outside every disk.  ``provenance["packing"]`` holds the
-    ``_pack_component`` record of each component: size, sweeps, angle error.
+    everything else separated with no triple disk intersections (closed
+    form, ``_inflate``), then thickening each circle to an annulus of width
+    a quarter of the local clearance.  Punctures: two per circle in an arc
+    free of other annuli, two per complementary component located by grid
+    flood fill, and one far point q outside every disk.
+    ``provenance["packing"]`` holds the ``_pack_component`` record of each
+    component: size, sweeps, angle error.  ``provenance["components"]``
+    holds the flood-fill counts and ``n_faces`` = 2|E| + 1 + #components,
+    the faces of the circle arrangement by Euler's formula (2|E| crossings,
+    4|E| arcs); an annulus can cover a thin face, so it is an upper bound.
     """
     graph = embedding.graph
     if not graph.vertices:
         raise ValueError("empty graph has no configuration")
-    packed = {}
-    packing = []
-    offset = 0.0
-    for comp in graph.components():
-        sub, record = _pack_component(graph, comp, embedding.positions)
-        packing.append(record)
-        lo = min(c[0] - r for c, r in sub.values())
-        hi = max(c[0] + r for c, r in sub.values())
-        packed.update({v: (c + [offset - lo, 0.0], r) for v, (c, r) in sub.items()})
-        offset += (hi - lo) + 2.0 * max(r for _, r in sub.values())
-    # centred on the origin: the twists round off in proportion to |coordinates|
-    ends = np.array([(c - r, c + r) for c, r in packed.values()])
-    mid = 0.5 * (ends[:, 0].min(0) + ends[:, 1].max(0))
-    packed = {v: (c - mid, r) for v, (c, r) in packed.items()}
-
     order = list(graph.vertices)
-    min_rad = min(packed[v][1] for v in order)
-    min_gap = math.inf
-    for u, v in itertools.combinations(order, 2):
-        if not graph.has_edge(u, v):
-            (cu, ru), (cv, rv) = packed[u], packed[v]
-            min_gap = min(min_gap, np.hypot(*(cu - cv)) - ru - rv)
-    gap_floor = min(0.05 * min_rad, 0.3 * min_gap)
-
-    if len(order) == 1:
-        delta = 0.2
-    else:
-        if not _inflation_valid(graph, packed, order, 1e-6, gap_floor):
-            raise PackingError("no inflation factor satisfies the crossing constraints")
-        lo_d, hi_d = 1e-6, 0.2
-        if _inflation_valid(graph, packed, order, hi_d, gap_floor):
-            delta = hi_d
-        else:
-            for _ in range(60):
-                mid = 0.5 * (lo_d + hi_d)
-                if _inflation_valid(graph, packed, order, mid, gap_floor):
-                    lo_d = mid
-                else:
-                    hi_d = mid
-            delta = lo_d
-
-    centers = {v: packed[v][0] for v in order}
-    radii = {v: packed[v][1] * (1.0 + delta) for v in order}
-
-    widths = {}
-    for v in order:
-        clearance = math.inf
-        for u in order:
-            if u == v:
-                continue
-            d = np.hypot(*(centers[v] - centers[u]))
-            if graph.has_edge(u, v):
-                clearance = min(
-                    clearance, radii[v] + radii[u] - d, d - abs(radii[v] - radii[u])
-                )
-            else:
-                clearance = min(clearance, d - radii[v] - radii[u])
-        if clearance is math.inf:
-            clearance = radii[v]
-        widths[v] = min(0.25 * clearance, 0.5 * radii[v])
+    c, r, packing = _plane_packing(graph, embedding.positions)
+    delta, R, w = _inflate(graph, c, r)
+    centers = dict(zip(order, c))
+    radii = dict(zip(order, R.tolist()))
+    widths = dict(zip(order, w.tolist()))
 
     annuli = {
         v: RoundAnnulus(tuple(centers[v]), radii[v] - widths[v], radii[v] + widths[v])
@@ -701,6 +661,7 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
         punctures[v] = centers[v] + radii[v] * np.stack([np.cos(ang), np.sin(ang)], -1)
 
     region_points, far, base, grid_info = _complementary_points(annuli, order, grid)
+    grid_info["n_faces"] = 2 * len(graph.edges) + 1 + len(packing)
 
     return Configuration(
         graph=graph,
@@ -715,7 +676,6 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
         provenance={
             "delta": delta,
             "grid": grid,
-            "widths": {str(v): widths[v] for v in order},
             "components": grid_info,
             "packing": packing,
         },

@@ -24,10 +24,14 @@ def c4_rep():
 
 
 @pytest.fixture(scope="session")
-def k6_rep():
+def k6_emulator():
+    return find_planar_emulator(complete_graph(list("abcdef")), 2)
+
+
+@pytest.fixture(scope="session")
+def k6_rep(k6_emulator):
     """K6 through its 2-sheet planar emulator; the benchmark builds the same rep at grid 512."""
-    k6 = complete_graph(list("abcdef"))
-    return build_representation(k6, 2, emulator=find_planar_emulator(k6, 2), grid=256)
+    return build_representation(complete_graph(list("abcdef")), 2, emulator=k6_emulator, grid=256)
 
 
 @pytest.fixture(scope="session")

@@ -120,7 +120,7 @@ class TestCommands:
         assert code == EXIT_OK
         data = json.loads((workdir / "cfg" / "config.json").read_text())
         assert set(data["circles"]) == {"u", "v", "w"}
-        assert set(data["provenance"]) == {"delta", "grid", "widths"}
+        assert set(data["provenance"]) == {"delta", "grid"}
         assert (workdir / "cfg" / "config.svg").read_text().startswith("<svg")
 
     def test_verify_exit_zero(self, workdir):

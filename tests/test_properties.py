@@ -15,13 +15,15 @@ from raagham.twist import (
     MAX_SWEEPS,
     PACKING_TOL,
     RoundAnnulus,
+    _inflate,
     _pack_component,
+    _plane_packing,
     area_chart,
     double_dehn_twist,
     make_profile,
 )
 from raagham.words import Word, normal_form, normal_form_closure, word_from_tokens
-from twist_reference import reference_fold
+from twist_reference import bisect_delta, gap_floor, inflation_valid, reference_fold
 
 TWO_PI = 2 * math.pi
 # derandomized so that every run draws the same examples
@@ -186,6 +188,21 @@ def test_packing_is_tangent_and_separated(g):
                 assert abs(d - ru - rv) <= PACKING_TOL
             else:
                 assert d > ru + rv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(simple_graphs(9))
+def test_inflation_matches_bisection(g):
+    """The closed-form delta is within 5e-9 of the 60-step bisection, whose
+    pairwise and triple-disk test accepts it."""
+    emb = planarity(g)
+    if not isinstance(emb, PlanarEmbedding):
+        return
+    c, r, _ = _plane_packing(g, emb.positions)
+    packed = {v: (c[i], float(r[i])) for i, v in enumerate(g.vertices)}
+    delta = _inflate(g, c, r)[0]
+    assert abs(delta - bisect_delta(g, packed)) <= 5e-9
+    assert inflation_valid(g, packed, delta, gap_floor(g, packed))
 
 
 SCHOTTKY_LETTERS = [m for g in schottky_pair(0.98) for m in (g, g.inverse())]

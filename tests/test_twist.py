@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,15 @@ from raagham.twist import (
     product_twist,
     twist_hamiltonian,
 )
-from twist_reference import boundary_points, reference_region_points, reference_twist_hamiltonian
+from twist_reference import (
+    bisect_delta,
+    boundary_points,
+    gap_floor,
+    inflation_valid,
+    reference_region_points,
+    reference_twist_hamiltonian,
+    reference_widths,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -379,8 +388,6 @@ class TestConfiguration:
     def test_disk_intersections_match_edges(self):
         g = complete_graph(list("abc"))
         cfg = build_configuration(planarity(g), grid=512)
-        import itertools
-
         for u, v in itertools.combinations(g.vertices, 2):
             d = np.hypot(*(cfg.centers[u] - cfg.centers[v]))
             if g.has_edge(u, v):
@@ -388,6 +395,133 @@ class TestConfiguration:
                 assert d > abs(cfg.radii[u] - cfg.radii[v])
             else:
                 assert d > cfg.radii[u] + cfg.radii[v]
+
+
+def star_graph(k):
+    return SimplicialGraph(["h"] + [f"l{i}" for i in range(k)], [("h", f"l{i}") for i in range(k)])
+
+
+TWO_COMPONENTS = SimplicialGraph(list("abcd"), [("a", "b"), ("c", "d")])
+THREE_COMPONENTS = SimplicialGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "f")])
+# a 4-cycle with three pendant circles on one of its vertices
+C4_PENDANTS = SimplicialGraph(
+    [f"v{i}" for i in range(7)],
+    [("v0", "v4"), ("v0", "v6"), ("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v1", "v5"), ("v1", "v6")],
+)
+INFLATION_GRAPHS = {
+    "vertex": SimplicialGraph(["v"], []),
+    "K2": path_graph(["u", "v"]),
+    "P3": path_graph(list("uvw")),
+    "K3": complete_graph(list("abc")),
+    "C4": cycle_graph(list("wxyz")),
+    "K4": complete_graph(list("abcd")),
+    "2K2": TWO_COMPONENTS,
+    "three-components": THREE_COMPONENTS,
+    "star5": star_graph(5),
+    "C4-pendants": C4_PENDANTS,
+}
+
+
+def packing_of(embedding):
+    c, r, _ = twist._plane_packing(embedding.graph, embedding.positions)
+    return c, r, {v: (c[i], float(r[i])) for i, v in enumerate(embedding.graph.vertices)}
+
+
+def check_inflation(embedding):
+    """The closed-form delta is within 5e-9 of the bisection and the
+    bisection's own test accepts it; returns it."""
+    g = embedding.graph
+    c, r, packed = packing_of(embedding)
+    delta = twist._inflate(g, c, r)[0]
+    assert abs(delta - bisect_delta(g, packed)) <= 5e-9
+    assert inflation_valid(g, packed, delta, gap_floor(g, packed))
+    return delta
+
+
+def pair_limits(graph, packed):
+    """The least adjacent-pair and non-adjacent-pair thresholds of 1 + delta, by loops."""
+    floor = gap_floor(graph, packed)
+    adjacent = apart = math.inf
+    for u, v in itertools.combinations(graph.vertices, 2):
+        (cu, ru), (cv, rv) = packed[u], packed[v]
+        d = np.hypot(*(cu - cv))
+        if not graph.has_edge(u, v):
+            apart = min(apart, (d - floor) / (ru + rv))
+        elif ru != rv:
+            adjacent = min(adjacent, d / abs(ru - rv))
+    return adjacent, apart
+
+
+def check_against_loops(cfg, embedding):
+    """delta as in ``check_inflation``; with it fixed, the centres, radii and
+    widths of the configuration equal the loop references bit for bit."""
+    delta = cfg.provenance["delta"]
+    assert delta == check_inflation(embedding)
+    _, _, packed = packing_of(embedding)
+    for v, (c, r) in packed.items():
+        assert np.array_equal(cfg.centers[v], c)
+        assert cfg.radii[v] == r * (1.0 + delta)
+    assert cfg.widths == reference_widths(cfg.graph, cfg.centers, cfg.radii)
+
+
+class TestInflation:
+    @pytest.mark.parametrize("graph", INFLATION_GRAPHS.values(), ids=INFLATION_GRAPHS.keys())
+    def test_against_loop_references(self, graph):
+        emb = planarity(graph)
+        check_against_loops(build_configuration(emb, grid=64), emb)
+
+    def test_fixtures_against_loop_references(self, p3_rep, c4_rep, k6_rep, k6_emulator, k5_emulator):
+        for rep in (p3_rep, c4_rep):
+            check_against_loops(rep.config, planarity(rep.config.graph))
+        check_against_loops(k6_rep.config, k6_emulator.embedding)
+        check_inflation(k5_emulator.embedding)
+
+    @pytest.mark.parametrize("graph, limit", [
+        (star_graph(5), "adjacent"),
+        (C4_PENDANTS, "gap"),
+        (SimplicialGraph(list("abcd"), [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]), "triangle"),
+        (path_graph(list("uvw")), "cap"),
+    ], ids=["adjacent", "gap", "triangle", "cap"])
+    def test_each_limit_decides(self, graph, limit):
+        emb = planarity(graph)
+        _, _, packed = packing_of(emb)
+        delta = check_inflation(emb)
+        adjacent, apart = pair_limits(graph, packed)
+        pairs = {"adjacent": adjacent, "gap": apart}
+        if limit in pairs:
+            assert delta == pytest.approx((1.0 - 1e-9) * pairs[limit] - 1.0, rel=0, abs=1e-15)
+            assert delta < 0.2 and all(s > pairs[limit] for k, s in pairs.items() if k != limit)
+        elif limit == "triangle":  # below both pair limits and the cap
+            assert delta < (1.0 - 1e-9) * min(adjacent, apart) - 1.0 - 1e-3
+            assert delta < 0.2 - 1e-3
+        else:
+            assert delta == 0.2
+
+    def test_k3_closed_form(self):
+        delta = check_inflation(planarity(complete_graph(list("abc"))))
+        assert abs(delta - ((1.0 - 1e-9) * 2.0 / math.sqrt(3.0) - 1.0)) <= 1e-15
+
+    def test_single_vertex_takes_the_cap(self):
+        g = SimplicialGraph(["v"], [])
+        assert twist._inflate(g, np.zeros((1, 2)), np.ones(1))[0] == 0.2
+
+    def test_nearly_touching_circles_raise(self):
+        g = SimplicialGraph(["u", "v"], [])
+        c, r = np.array([[-1.0, 0.0], [1.0 + 1e-7, 0.0]]), np.ones(2)
+        with pytest.raises(PackingError, match="no inflation factor"):
+            twist._inflate(g, c, r)
+
+    @pytest.mark.parametrize("graph", [path_graph(list("uvw")), cycle_graph(list("wxyz")), TWO_COMPONENTS],
+                             ids=["P3", "C4", "2K2"])
+    @pytest.mark.parametrize("grid", [128, 256, 512])
+    def test_flood_fill_finds_every_face(self, graph, grid):
+        info = build_configuration(planarity(graph), grid=grid).provenance["components"]
+        assert info["n_faces"] == info["n_components"] == 2 * len(graph.edges) + 1 + len(graph.components())
+        assert info["n_dropped"] == 0
+
+    def test_k6_face_count(self, k6_rep):
+        # 30 edges of the 2-sheet cover, one component
+        assert k6_rep.config.provenance["components"]["n_faces"] == 62
 
 
 class TestRepresentation:

@@ -1,12 +1,17 @@
-"""Letter-by-letter reference for the closed twist route.
+"""Loop references for the closed routes of ``raagham.twist``.
 
-Each letter scans the whole batch: it masks the closed annulus with
-``RoundAnnulus.contains``, maps those rows to the product annulus with
-``AreaChart.to_product``, shifts s by tau*h'(t) and maps the rows whose
-shift is nonzero back with ``AreaChart.to_plane``.  The package's tracked
-word kernel must equal this fold bit for bit.
+Letter by letter: each letter scans the whole batch, masks the closed
+annulus with ``RoundAnnulus.contains``, maps those rows to the product
+annulus with ``AreaChart.to_product``, shifts s by tau*h'(t) and maps the
+rows whose shift is nonzero back with ``AreaChart.to_plane``.  The
+package's tracked word kernel must equal this fold bit for bit.
+
+Inflation: ``bisect_delta`` bisects delta with the pairwise and triple-disk
+test ``inflation_valid``, which the closed-form ``_inflate`` replaced, and
+``reference_widths`` is the pair loop its width table must equal.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -113,3 +118,114 @@ def reference_region_points(annuli, order, grid):
             i2 = np.unravel_index(np.argmax(edt), edt.shape)
         points.append(np.array([[X[i1], Y[i1]], [X[i2], Y[i2]]]))
     return points
+
+
+def disk_triple_intersects(circles, i, j, k, margin=0.0):
+    """Do three closed disks share a point?  Exact up to the margin."""
+
+    def inside(p, idx):
+        c, r = circles[idx]
+        return np.hypot(*(p - c)) <= r + margin
+
+    def crossings(ia, ib):
+        (c1, r1), (c2, r2) = circles[ia], circles[ib]
+        d = np.hypot(*(c2 - c1))
+        if d > r1 + r2 or d < abs(r1 - r2) or d == 0:
+            return []
+        x = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+        h2 = r1 * r1 - x * x
+        if h2 < 0:
+            return []
+        h = math.sqrt(max(h2, 0.0))
+        u = (c2 - c1) / d
+        n = np.array([-u[1], u[0]])
+        base = c1 + x * u
+        return [base + h * n, base - h * n]
+
+    for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+        for p in crossings(a, b):
+            if inside(p, c):
+                return True
+    for a, b, c in ((i, j, k), (j, i, k), (k, i, j)):
+        if inside(circles[a][0], b) and inside(circles[a][0], c):
+            return True
+    return False
+
+
+def gap_floor(graph, packed):
+    """The clearance non-adjacent circles keep: 5 % of the least radius, or
+    30 % of the least gap between non-adjacent tangency circles if smaller."""
+    order = list(graph.vertices)
+    min_rad = min(packed[v][1] for v in order)
+    min_gap = math.inf
+    for u, v in itertools.combinations(order, 2):
+        if not graph.has_edge(u, v):
+            (cu, ru), (cv, rv) = packed[u], packed[v]
+            min_gap = min(min_gap, np.hypot(*(cu - cv)) - ru - rv)
+    return min(0.05 * min_rad, 0.3 * min_gap)
+
+
+def inflation_valid(graph, packed, delta, floor):
+    """Adjacent circles cross in two points, non-adjacent ones are floor
+    apart and no three disks share a point after inflation."""
+    order = list(graph.vertices)
+    circles = {v: (packed[v][0], packed[v][1] * (1.0 + delta)) for v in order}
+    for u, v in itertools.combinations(order, 2):
+        (cu, ru), (cv, rv) = circles[u], circles[v]
+        d = np.hypot(*(cu - cv))
+        if graph.has_edge(u, v):
+            if not (abs(ru - rv) + 1e-12 < d < ru + rv - 1e-12):
+                return False
+        else:
+            if d - ru - rv < floor:
+                return False
+    carr = [circles[v] for v in order]
+    for i, j, k in itertools.combinations(range(len(order)), 3):
+        pairs = [(i, j), (i, k), (j, k)]
+        if all(
+            np.hypot(*(carr[a][0] - carr[b][0])) < carr[a][1] + carr[b][1]
+            for a, b in pairs
+        ):
+            if disk_triple_intersects(carr, i, j, k, margin=1e-9):
+                return False
+    return True
+
+
+def bisect_delta(graph, packed):
+    """The largest valid delta in [1e-6, 0.2] by 60 bisection steps, or
+    None when 1e-6 is already invalid."""
+    floor = gap_floor(graph, packed)
+    if not inflation_valid(graph, packed, 1e-6, floor):
+        return None
+    lo, hi = 1e-6, 0.2
+    if inflation_valid(graph, packed, hi, floor):
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inflation_valid(graph, packed, mid, floor):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_widths(graph, centers, radii):
+    """Annulus half-widths by the pair loop: a quarter of each circle's
+    clearance, at most half its radius."""
+    widths = {}
+    for v in graph.vertices:
+        clearance = math.inf
+        for u in graph.vertices:
+            if u == v:
+                continue
+            d = np.hypot(*(centers[v] - centers[u]))
+            if graph.has_edge(u, v):
+                clearance = min(
+                    clearance, radii[v] + radii[u] - d, d - abs(radii[v] - radii[u])
+                )
+            else:
+                clearance = min(clearance, d - radii[v] - radii[u])
+        if clearance is math.inf:
+            clearance = radii[v]
+        widths[v] = min(0.25 * clearance, 0.5 * radii[v])
+    return widths
