@@ -9,6 +9,8 @@ then revalidates everything.  At the other extreme, valence >= 6 everywhere
 rules planar emulators out entirely by an Euler count.
 """
 
+import sys
+
 from raagham import (
     certificate_no_emulator,
     check_orbicover,
@@ -20,7 +22,8 @@ from raagham.graphs import EmulatorResult, NoEmulatorCertificate, validate_embed
 for n in (5, 6):
     g = complete_graph([chr(ord("a") + i) for i in range(n)])
     res = find_planar_emulator(g, max_sheets=2, allow_trivial=False)
-    assert isinstance(res, EmulatorResult)
+    if not isinstance(res, EmulatorResult):
+        sys.exit(f"K{n}: expected a planar 2-fold cover, got {type(res).__name__}")
     cover = res.cover
     print(f"K{n}: planar 2-fold cover with {len(cover.vertices)} vertices "
           f"and {len(cover.edges)} edges")
@@ -34,7 +37,8 @@ for n in (5, 6):
 # K7 is 6-regular: any drawing of anything covering it would violate Euler
 k7 = complete_graph(list("abcdefg"))
 cert = certificate_no_emulator(k7)
-assert isinstance(cert, NoEmulatorCertificate)
+if not isinstance(cert, NoEmulatorCertificate):
+    sys.exit(f"K7: expected a no-emulator certificate, got {type(cert).__name__}")
 print(f"\nK7: minimum valence {cert.min_valence} >= 6, so "
       f"v - e/3 = {cert.euler_gap():.2f} <= 0 < 2 = chi(S^2): "
       "no planar emulator can exist")

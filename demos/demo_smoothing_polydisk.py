@@ -13,19 +13,18 @@ as before.
 import numpy as np
 
 from raagham import (
+    Mollifier,
     assemble_Hv,
     enumerate_group,
     flow_map,
-    mollifier_eval,
     polydisk_extend,
     schottky_pair,
     smooth_Hv,
 )
 from raagham.lift import default_study_annulus
 
-print("mollifier values: eta(0) =", mollifier_eval(0.1, 0.0),
-      " eta(1/2) =", round(mollifier_eval(0.1, 0.5), 6),
-      " eta(1) =", mollifier_eval(0.1, 1.0))
+eta0, eta_half, eta1 = Mollifier(0.1).value_radial([0.0, 0.5, 1.0])
+print("mollifier values: eta(0) =", eta0, " eta(1/2) =", round(eta_half, 6), " eta(1) =", eta1)
 
 gens = schottky_pair(0.98)
 annulus = default_study_annulus()

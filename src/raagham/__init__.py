@@ -71,11 +71,9 @@ from .lift import (
     TransportChart,
     analytic_report,
     assemble_Hv,
-    corrected_hamiltonian,
     enumerate_group,
     lambda_scale,
     mobius_eval,
-    mollifier_eval,
     schottky_pair,
     smooth_Hv,
     transport_chart,

@@ -42,12 +42,16 @@ class HamiltonianField:
 
     With the area form dx^dy the sign convention is
     X_H = (dH/dy, -dH/dx), so H = pi*(x^2+y^2) rotates clockwise at angular
-    speed 2*pi.
+    speed 2*pi.  The derivative comes either as ``gradient`` or as a fused
+    ``jet`` returning (value, gradient) from one pass; each gives the other.
     """
 
-    def __init__(self, value, gradient, support_radius=None, label=""):
+    def __init__(self, value, gradient=None, support_radius=None, label="", jet=None):
+        if (gradient is None) == (jet is None):
+            raise ValueError("give exactly one of gradient and jet")
         self._value = value
-        self._gradient = gradient
+        self._gradient = gradient if jet is None else (lambda pts: jet(pts)[1])
+        self._jet = jet if gradient is None else (lambda pts: (value(pts), gradient(pts)))
         self.support_radius = support_radius
         self.label = label
 
@@ -56,6 +60,9 @@ class HamiltonianField:
 
     def gradient(self, pts):
         return self._gradient(np.atleast_2d(np.asarray(pts, float)))
+
+    def jet(self, pts):
+        return self._jet(np.atleast_2d(np.asarray(pts, float)))
 
     def vector_field(self, pts):
         g = self.gradient(pts)
@@ -432,39 +439,38 @@ class PolydiskField:
         self.c = float(c)
         self.eta = Mollifier(eps)
 
-    def _factors(self, pts):
+    def _blocks(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
         if pts.shape[1] != 2 * self.n:
             raise ValueError(f"points must have {2 * self.n} coordinates")
-        blocks = [pts[:, 2 * i : 2 * i + 2] for i in range(self.n)]
-        kvals = self.k.value(blocks[0])
-        evals = [self.eta.value(b) for b in blocks[1:]]
-        return blocks, kvals, evals
+        return [pts[:, 2 * i : 2 * i + 2] for i in range(self.n)]
+
+    @staticmethod
+    def _product(first, factors):
+        for e in factors:
+            first = first * e
+        return first
 
     def value(self, pts):
-        _, kvals, evals = self._factors(pts)
-        out = kvals.copy()
-        for e in evals:
-            out = out * e
-        return out
+        blocks = self._blocks(pts)
+        return self._product(self.k.value(blocks[0]), [self.eta.value(b) for b in blocks[1:]])
+
+    def jet(self, pts):
+        """(h, grad h) by the product rule over the factors, from one jet of k
+        and one mollifier jet per off-slice block."""
+        blocks = self._blocks(pts)
+        kvals, gk = self.k.jet(blocks[0])
+        evals, egrads = zip(*(self.eta.jet(b) for b in blocks[1:]))
+        m = len(kvals)
+        grads = np.zeros((m, 2 * self.n))
+        grads[:, 0:2] = gk * self._product(np.ones(m), evals)[:, None]
+        for i in range(1, self.n):
+            others = self._product(kvals, evals[: i - 1] + evals[i:])
+            grads[:, 2 * i : 2 * i + 2] = egrads[i - 1] * others[:, None]
+        return self._product(kvals, evals), grads
 
     def gradient(self, pts):
-        blocks, kvals, evals = self._factors(pts)
-        m = len(blocks[0])
-        grads = np.zeros((m, 2 * self.n))
-        prod_eta = np.ones(m)
-        for e in evals:
-            prod_eta *= e
-        gk = self.k.gradient(blocks[0])
-        grads[:, 0:2] = gk * prod_eta[:, None]
-        for i in range(1, self.n):
-            others = kvals.copy()
-            for j, e in enumerate(evals, start=1):
-                if j != i:
-                    others = others * e
-            ge = self.eta.gradient(blocks[i])
-            grads[:, 2 * i : 2 * i + 2] = ge * others[:, None]
-        return grads
+        return self.jet(pts)[1]
 
     def vector_field(self, pts):
         g = self.gradient(pts)

@@ -286,13 +286,16 @@ class TransportChart:
         den = self._D - qr2
         return r / den, (self._D + qr2) / den**2
 
-    def t_of_r(self, r):
-        R = self._image_radius(np.asarray(r, float))[0]
+    def _t_of_R(self, R):
         return math.pi * (R * R - self._R2_inner) / self.mass - 0.5
 
-    def dt_dr(self, r):
+    def t_of_r(self, r):
+        return self._t_of_R(self._image_radius(np.asarray(r, float))[0])
+
+    def t_jet(self, r):
+        """(t(r), dt/dr) from one image radius."""
         R, dR = self._image_radius(np.asarray(r, float))
-        return TWO_PI * R * dR / self.mass
+        return self._t_of_R(R), TWO_PI * R * dR / self.mass
 
     def r_of_t(self, t):
         t = np.clip(np.atleast_1d(np.asarray(t, float)), -0.5, 0.5)
@@ -358,6 +361,15 @@ def transport_chart(
 # --------------------------- corrected Hamiltonians --------------------------
 
 
+def _complex_points(pts):
+    pts = np.atleast_2d(np.asarray(pts, float))
+    return pts[:, 0] + 1j * pts[:, 1]
+
+
+def _plane_vectors(g):
+    return np.stack([g.real, g.imag], -1)
+
+
 class CorrectedHamiltonian:
     """Twist Hamiltonian on one translate of the annulus.
 
@@ -395,34 +407,48 @@ class CorrectedHamiltonian:
         )
 
     def _pull_back(self, z):
-        """Height t, w = sigma^{-1}(z), r = |w - c| and g = conj(beta') z +
+        """rel = w - c for w = sigma^{-1}(z), r = |rel| and g = conj(beta') z +
         conj(alpha') for sigma^{-1} = (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
         alpha, beta = self.inv.alpha, self.inv.beta
         g = beta.conjugate() * z + alpha.conjugate()
-        return self._height((alpha * z + beta) / g) + (g,)
+        rel = (alpha * z + beta) / g - self.chart.c
+        return rel, np.abs(rel), g
 
-    def _height(self, w):
-        r = np.abs(w - self.chart.c)
-        return np.clip(self.chart.t_of_r(r), -0.5, 0.5), w, r
+    def _height(self, r):
+        return np.clip(self.chart.t_of_r(r), -0.5, 0.5)
+
+    def _value_on(self, z):
+        """H at points of the translate (no support test)."""
+        return self.scale * self.profile.h(self._height(self._pull_back(z)[1]))
+
+    def _jet_on(self, z):
+        """(H, complex gradient H_x + i H_y) at points of the translate, from
+        one pull-back; the gradient is the chain rule through sigma^{-1}."""
+        rel, r, g = self._pull_back(z)
+        t, dt_dr = self.chart.t_jet(r)
+        h, dh = self.profile.jet(np.clip(t, -0.5, 0.5))
+        gw = self.scale * dh * dt_dr * rel
+        return self.scale * h, gw / (np.where(r == 0, 1.0, r) * np.conj(g * g))
 
     def value_complex(self, z):
         z = np.atleast_1d(np.asarray(z, complex))
         out = np.zeros(z.shape, float)
         mask = self.contains(z)
         if mask.any():
-            out[mask] = self.scale * self.profile.h(self._pull_back(z[mask])[0])
+            out[mask] = self._value_on(z[mask])
         return out
 
-    def gradient_complex(self, z):
-        """Complex gradient H_x + i H_y (chain rule through the inverse map)."""
+    def jet_complex(self, z):
+        """(H, H_x + i H_y) from one support test and one pull-back."""
         z = np.atleast_1d(np.asarray(z, complex))
-        out = np.zeros(z.shape, complex)
+        val, grad = np.zeros(z.shape, float), np.zeros(z.shape, complex)
         mask = self.contains(z)
         if mask.any():
-            t, w, r, g = self._pull_back(z[mask])
-            gw = self.scale * self.profile.dh(t) * self.chart.dt_dr(r) * (w - self.chart.c)
-            out[mask] = gw / (np.where(r == 0, 1.0, r) * np.conj(g * g))
-        return out
+            val[mask], grad[mask] = self._jet_on(z[mask])
+        return val, grad
+
+    def gradient_complex(self, z):
+        return self.jet_complex(z)[1]
 
     def _value_near(self, w, d):
         """H at sigma(w) + d for offsets that keep the point on the translate
@@ -431,20 +457,21 @@ class CorrectedHamiltonian:
         and no sigma^{-1} cancelling digits near the boundary."""
         sigma = self.element.map
         G = sigma.beta.conjugate() * w + sigma.alpha.conjugate()
-        t = self._height(w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d))[0]
-        return self.scale * self.profile.h(t)
+        pre = w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d)
+        return self.scale * self.profile.h(self._height(np.abs(pre - self.chart.c)))
 
     def value(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return self.value_complex(pts[:, 0] + 1j * pts[:, 1])
+        return self.value_complex(_complex_points(pts))
 
     def gradient(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        g = self.gradient_complex(pts[:, 0] + 1j * pts[:, 1])
-        return np.stack([g.real, g.imag], -1)
+        return _plane_vectors(self.gradient_complex(_complex_points(pts)))
+
+    def jet(self, pts):
+        val, grad = self.jet_complex(_complex_points(pts))
+        return val, _plane_vectors(grad)
 
     def field(self) -> HamiltonianField:
-        return HamiltonianField(self.value, self.gradient, support_radius=1.0)
+        return HamiltonianField(self.value, jet=self.jet, support_radius=1.0)
 
     def _tracked_preimages(self, n):
         ang = np.arange(n) * TWO_PI / n + 0.05
@@ -453,12 +480,6 @@ class CorrectedHamiltonian:
     def tracked_circle_points(self, n=8):
         z = self.element.map(self._tracked_preimages(n))
         return np.stack([z.real, z.imag], -1)
-
-
-def corrected_hamiltonian(
-    sigma: GroupElement, annulus: RoundAnnulus, circle_radius=None
-) -> CorrectedHamiltonian:
-    return CorrectedHamiltonian(sigma, annulus, circle_radius=circle_radius)
 
 
 class AssembledHamiltonian:
@@ -487,38 +508,45 @@ class AssembledHamiltonian:
                     f"translate regions {i} and {i + 1 + bad[0]} overlap"
                 )
 
-    def _by_piece(self, z, method: str, dtype):
-        """piece.<method> at each point of the open disk, from the first piece
-        containing it; zero elsewhere."""
+    def _by_piece(self, z, kernel, dtypes):
+        """kernel(piece, points on it) at each point of the open disk, from the
+        first piece containing it; zero elsewhere.  The kernel returns one
+        array per dtype."""
         z = np.atleast_1d(np.asarray(z, complex))
-        out = np.zeros(z.shape, dtype)
+        outs = tuple(np.zeros(z.shape, dt) for dt in dtypes)
         todo = np.abs(z) < 1.0
         for piece in self.pieces:
             if not todo.any():
                 break
             mask = todo & piece.contains(z)
             if mask.any():
-                out[mask] = getattr(piece, method)(z[mask])
+                for out, vals in zip(outs, kernel(piece, z[mask])):
+                    out[mask] = vals
                 todo &= ~mask
-        return out
+        return outs
 
     def value_complex(self, z):
-        return self._by_piece(z, "value_complex", float)
+        return self._by_piece(z, lambda p, zm: (p._value_on(zm),), (float,))[0]
+
+    def jet_complex(self, z):
+        """(H, H_x + i H_y) from one piece loop."""
+        return self._by_piece(z, CorrectedHamiltonian._jet_on, (float, complex))
 
     def gradient_complex(self, z):
-        return self._by_piece(z, "gradient_complex", complex)
+        return self.jet_complex(z)[1]
 
     def value(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return self.value_complex(pts[:, 0] + 1j * pts[:, 1])
+        return self.value_complex(_complex_points(pts))
 
     def gradient(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        g = self.gradient_complex(pts[:, 0] + 1j * pts[:, 1])
-        return np.stack([g.real, g.imag], -1)
+        return _plane_vectors(self.gradient_complex(_complex_points(pts)))
+
+    def jet(self, pts):
+        val, grad = self.jet_complex(_complex_points(pts))
+        return val, _plane_vectors(grad)
 
     def field(self) -> HamiltonianField:
-        return HamiltonianField(self.value, self.gradient, support_radius=1.0)
+        return HamiltonianField(self.value, jet=self.jet, support_radius=1.0)
 
     def boundary_ring_sup(self, inner=0.999, n=4096) -> float:
         ang = np.arange(n) * TWO_PI / n
@@ -566,52 +594,55 @@ class Mollifier:
             raise ValueError("mollifier parameter eps must be positive")
         self.eps = float(eps)
 
+    def _radial(self, rho):
+        """The mask rho < 1, y = tan(pi rho / 2) and eta on it."""
+        inside = rho < 1.0
+        y = np.tan(0.5 * math.pi * rho[inside])
+        return inside, y, np.exp(-self.eps * y * y)
+
     def value_radial(self, rho):
         rho = np.asarray(rho, float)
         out = np.zeros(rho.shape)
-        inside = rho < 1.0
-        y = np.tan(0.5 * math.pi * rho[inside])
-        out[inside] = np.exp(-self.eps * y * y)
+        inside, _, eta = self._radial(rho)
+        out[inside] = eta
         return out
 
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
         return self.value_radial(np.hypot(pts[:, 0], pts[:, 1]))
 
-    def gradient(self, pts):
+    def jet(self, pts):
+        """(eta, grad eta) from one tan; the gradient is zero at the origin."""
         pts = np.atleast_2d(np.asarray(pts, float))
         rho = np.hypot(pts[:, 0], pts[:, 1])
-        out = np.zeros_like(pts)
-        inside = (rho < 1.0) & (rho > 0.0)
-        y = np.tan(0.5 * math.pi * rho[inside])
-        eta = np.exp(-self.eps * y * y)
+        val, grad = np.zeros(rho.shape), np.zeros_like(pts)
+        inside, y, eta = self._radial(rho)
+        val[inside] = eta
+        off = rho[inside] > 0.0
+        rows = np.flatnonzero(inside)[off]
+        y, eta = y[off], eta[off]
         drad = eta * (-self.eps) * 2.0 * y * (1.0 + y * y) * (0.5 * math.pi)
-        unit = pts[inside] / rho[inside][:, None]
-        out[inside] = drad[:, None] * unit
-        return out
+        grad[rows] = drad[:, None] * (pts[rows] / rho[rows][:, None])
+        return val, grad
 
-
-def mollifier_eval(eps: float, z) -> float:
-    """eta_eps at a complex point (or array); 1 at 0, 0 off the disk."""
-    m = Mollifier(eps)
-    z = np.asarray(z, complex)
-    vals = m.value_radial(np.abs(np.atleast_1d(z)))
-    return float(vals[0]) if z.ndim == 0 else vals
+    def gradient(self, pts):
+        return self.jet(pts)[1]
 
 
 def smooth_Hv(assembled: AssembledHamiltonian, eps: float) -> HamiltonianField:
-    """Pointwise product with the mollifier, gradient by the product rule."""
+    """Pointwise product with the mollifier; its jet applies the product rule
+    to the jets of both factors."""
     eta = Mollifier(eps)
 
     def value(pts):
         return eta.value(pts) * assembled.value(pts)
 
-    def gradient(pts):
-        ev = eta.value(pts)[:, None]
-        hv = assembled.value(pts)[:, None]
-        return ev * assembled.gradient(pts) + hv * eta.gradient(pts)
+    def jet(pts):
+        ev, eg = eta.jet(pts)
+        hv, hg = assembled.jet(pts)
+        return ev * hv, ev[:, None] * hg + hv[:, None] * eg
 
-    return HamiltonianField(value, gradient, support_radius=1.0, label=f"smoothed(eps={eps})")
+    return HamiltonianField(value, jet=jet, support_radius=1.0, label=f"smoothed(eps={eps})")
 
 
 # ----------------------------- boundary estimates ----------------------------

@@ -39,24 +39,39 @@ class TwistProfile:
     b: float
     width: float
 
-    def h(self, t):
+    def _bump(self, t):
+        """u = (t - b)/w, the mask |u| < 1, u on it and exp(-1/(1 - u^2)) there."""
         t = np.asarray(t, float)
         u = (t - self.b) / self.width
-        out = np.zeros_like(u)
         inside = np.abs(u) < 1.0
         ui = u[inside]
-        out[inside] = TWO_PI * math.e * self.width * ui * np.exp(-1.0 / (1.0 - ui * ui))
+        return u, inside, ui, np.exp(-1.0 / (1.0 - ui * ui))
+
+    def _h(self, ui, phi):
+        return TWO_PI * math.e * self.width * ui * phi
+
+    @staticmethod
+    def _dh(ui, phi):
+        return TWO_PI * math.e * phi * (1.0 - 2.0 * ui * ui / (1.0 - ui * ui) ** 2)
+
+    @staticmethod
+    def _masked(u, inside, vals):
+        out = np.zeros_like(u)
+        out[inside] = vals
         return out if out.ndim else float(out)
 
+    def h(self, t):
+        u, inside, ui, phi = self._bump(t)
+        return self._masked(u, inside, self._h(ui, phi))
+
     def dh(self, t):
-        t = np.asarray(t, float)
-        u = (t - self.b) / self.width
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        phi = np.exp(-1.0 / (1.0 - ui * ui))
-        out[inside] = TWO_PI * math.e * phi * (1.0 - 2.0 * ui * ui / (1.0 - ui * ui) ** 2)
-        return out if out.ndim else float(out)
+        u, inside, ui, phi = self._bump(t)
+        return self._masked(u, inside, self._dh(ui, phi))
+
+    def jet(self, t):
+        """(h(t), h'(t)) from one exp."""
+        u, inside, ui, phi = self._bump(t)
+        return self._masked(u, inside, self._h(ui, phi)), self._masked(u, inside, self._dh(ui, phi))
 
     def sup_abs(self) -> float:
         """max |h|, at |u| = (sqrt 6 - sqrt 2)/2 where dh vanishes: (1 - u^2)^2 = 2 u^2."""

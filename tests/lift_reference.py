@@ -1,0 +1,52 @@
+"""Reference compositions for the one-pass jets of the lift and flows layers.
+
+Before the jets, the smoothed field's gradient was the product rule over
+separate value and gradient passes of the mollifier and the assembled
+Hamiltonian, and the polydisk gradient called k.value, k.gradient and the
+mollifier's value and gradient block by block.  Both compositions are kept
+here as oracles: the fused evaluations must match them bit for bit.
+"""
+
+import numpy as np
+
+from raagham.flows import HamiltonianField
+from raagham.lift import Mollifier
+
+
+def smoothed_gradient(assembled, eta, pts):
+    """eta.value * grad H + H * grad eta, each factor evaluated on its own."""
+    ev = eta.value(pts)[:, None]
+    hv = assembled.value(pts)[:, None]
+    return ev * assembled.gradient(pts) + hv * eta.gradient(pts)
+
+
+def smoothed_field(assembled, eps):
+    """The smoothed Hamiltonian with the oracle gradient."""
+    eta = Mollifier(eps)
+    return HamiltonianField(
+        lambda pts: eta.value(pts) * assembled.value(pts),
+        lambda pts: smoothed_gradient(assembled, eta, pts),
+        support_radius=1.0,
+    )
+
+
+def polydisk_gradient(pd, pts):
+    """Gradient of k(z_1) * eta(z_2) * ... * eta(z_n) with every factor's
+    value and gradient from separate calls."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    blocks = [pts[:, 2 * i : 2 * i + 2] for i in range(pd.n)]
+    kvals = pd.k.value(blocks[0])
+    evals = [pd.eta.value(b) for b in blocks[1:]]
+    m = len(blocks[0])
+    grads = np.zeros((m, 2 * pd.n))
+    prod_eta = np.ones(m)
+    for e in evals:
+        prod_eta *= e
+    grads[:, 0:2] = pd.k.gradient(blocks[0]) * prod_eta[:, None]
+    for i in range(1, pd.n):
+        others = kvals.copy()
+        for j, e in enumerate(evals, start=1):
+            if j != i:
+                others = others * e
+        grads[:, 2 * i : 2 * i + 2] = pd.eta.gradient(blocks[i]) * others[:, None]
+    return grads

@@ -40,12 +40,11 @@ from raagham.graphs import (
     validate_embedding,
 )
 from raagham.lift import (
+    Mollifier,
     analytic_report,
     assemble_Hv,
-    corrected_hamiltonian,
     enumerate_group,
     lambda_scale,
-    mollifier_eval,
     schottky_pair,
     smooth_Hv,
 )
@@ -410,9 +409,9 @@ def test_criterion_10_derivative_growth_slopes(assembled_depth6):
 
 
 def test_criterion_11_mollifier_study(assembled_depth6):
-    assert mollifier_eval(0.05, 0.0) == 1.0
+    assert Mollifier(0.05).value_radial(0.0) == 1.0
     for z in (1.0, 1.2, 2.0 + 1.0j, -1.0001):
-        assert mollifier_eval(0.05, z) == 0.0
+        assert Mollifier(0.05).value_radial(abs(z)) == 0.0
     grid = np.linspace(-0.9, 0.9, 241)
     X, Y = np.meshgrid(grid, grid)
     mask = X**2 + Y**2 <= 0.81

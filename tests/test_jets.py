@@ -1,0 +1,179 @@
+"""One-pass jets: every fused (value, gradient) equals its separate
+projections bit for bit, on drawn points and on the edge cases (off the
+disk, the origin, the boundary circles of the translates, empty arrays)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raagham.flows import flow_map, polydisk_extend
+from raagham.lift import (
+    Mollifier,
+    assemble_Hv,
+    default_study_annulus,
+    enumerate_group,
+    schottky_pair,
+    smooth_Hv,
+)
+from raagham.twist import make_profile
+from lift_reference import polydisk_gradient, smoothed_field, smoothed_gradient
+
+TWO_PI = 2 * math.pi
+FEW = settings(max_examples=40, deadline=None, derandomize=True)
+
+ANNULUS = default_study_annulus()
+ELEMENTS = enumerate_group(schottky_pair(0.98), 3)
+ASSEMBLED = {L: assemble_Hv("v", [e for e in ELEMENTS if e.length <= L], ANNULUS) for L in range(4)}
+PIECES = ASSEMBLED[3].pieces
+
+
+def same(a, b):
+    """Bit-for-bit equality: dtype, shape and every byte (NaN, signed zero)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def boundary_points(piece, n=6):
+    """Images of points on both boundary circles of the piece's annulus."""
+    w = np.exp(1j * np.arange(n) * TWO_PI / n)
+    z = np.concatenate(
+        [piece.element.map(piece.chart.c + r * w) for r in (ANNULUS.r_inner, ANNULUS.r_outer)]
+    )
+    return np.stack([z.real, z.imag], -1)
+
+
+EDGES = np.concatenate(
+    [
+        [[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [1.5, -2.0], [-1e-300, 0.0]],
+        *(boundary_points(p) for p in PIECES[:5]),
+    ]
+)
+
+plane_points = st.lists(
+    st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)), min_size=1, max_size=12
+)
+
+
+@st.composite
+def translate_points(draw):
+    """Points on (and just around) one translate of depth <= 3."""
+    piece = PIECES[draw(st.integers(0, len(PIECES) - 1))]
+    r = draw(st.lists(st.floats(0.3, 0.6), min_size=1, max_size=8))
+    ang = draw(st.lists(st.floats(0.0, TWO_PI), min_size=len(r), max_size=len(r)))
+    z = piece.element.map(piece.chart.c + np.array(r) * np.exp(1j * np.array(ang)))
+    return np.stack([z.real, z.imag], -1)
+
+
+def with_edges(pts):
+    return np.concatenate([np.asarray(pts, float).reshape(-1, 2), EDGES])
+
+
+@FEW
+@given(st.floats(-0.45, 0.45), st.lists(st.floats(-1.0, 1.0), max_size=12))
+def test_profile_jet_is_h_and_dh(b, ts):
+    p = make_profile(0.5, b)
+    t = np.array(ts + [b, b - p.width, b + p.width, -0.5, 0.5])
+    h, dh = p.jet(t)
+    assert same(h, p.h(t)) and same(dh, p.dh(t))
+    for s in (b, b + p.width, 2.0):
+        assert p.jet(s) == (p.h(s), p.dh(s))
+
+
+@FEW
+@given(st.integers(0, len(PIECES) - 1), st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_chart_height_jet_is_t_of_r(index, rs):
+    chart = PIECES[index].chart
+    r = np.array(rs + [ANNULUS.r_inner, ANNULUS.r_outer, chart.circle_radius])
+    assert same(chart.t_jet(r)[0], chart.t_of_r(r))
+
+
+@FEW
+@given(translate_points(), plane_points)
+def test_corrected_jet_is_value_and_gradient(on, free):
+    pts = with_edges(np.concatenate([on, free]))
+    z = pts[:, 0] + 1j * pts[:, 1]
+    for piece in PIECES[:5] + PIECES[-3:]:
+        val, grad = piece.jet(pts)
+        assert same(val, piece.value(pts)) and same(grad, piece.gradient(pts))
+        val, grad = piece.jet_complex(z)
+        assert same(val, piece.value_complex(z)) and same(grad, piece.gradient_complex(z))
+
+
+@FEW
+@given(st.integers(0, 3), translate_points(), plane_points)
+def test_assembled_jet_is_value_and_gradient(depth, on, free):
+    asm, pts = ASSEMBLED[depth], with_edges(np.concatenate([on, free]))
+    val, grad = asm.jet(pts)
+    assert same(val, asm.value(pts)) and same(grad, asm.gradient(pts))
+
+
+@FEW
+@given(st.floats(1e-3, 10.0), plane_points)
+def test_mollifier_jet_is_value_and_gradient(eps, free):
+    eta, pts = Mollifier(eps), with_edges(free)
+    val, grad = eta.jet(pts)
+    assert same(val, eta.value(pts)) and same(grad, eta.gradient(pts))
+    origin = len(free)  # the first edge point
+    assert val[origin] == 1.0 and not grad[origin].any()
+
+
+@FEW
+@given(st.integers(0, 3), st.floats(1e-3, 1.0), translate_points(), plane_points)
+def test_smoothed_jet_matches_the_product_rule_oracle(depth, eps, on, free):
+    asm, pts = ASSEMBLED[depth], with_edges(np.concatenate([on, free]))
+    f = smooth_Hv(asm, eps)
+    val, grad = f.jet(pts)
+    assert same(val, f.value(pts)) and same(grad, f.gradient(pts))
+    assert same(grad, smoothed_gradient(asm, Mollifier(eps), pts))
+
+
+@FEW
+@given(st.integers(2, 4), translate_points(), plane_points, plane_points)
+def test_polydisk_jet_matches_the_factorwise_oracle(n, on, free, off):
+    pd = polydisk_extend(smooth_Hv(ASSEMBLED[2], 0.01), n)
+    first = with_edges(np.concatenate([on, free]))
+    rest = np.resize(with_edges(off), (len(first), 2 * (n - 1)))
+    pts = np.concatenate([first, rest], 1)
+    pts[:3, 2:] = 0.0  # slice points
+    val, grad = pd.jet(pts)
+    assert same(val, pd.value(pts)) and same(grad, pd.gradient(pts))
+    assert same(grad, polydisk_gradient(pd, pts))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: PIECES[7].jet(np.zeros((0, 2))),
+        lambda: ASSEMBLED[3].jet(np.zeros((0, 2))),
+        lambda: Mollifier(0.1).jet(np.zeros((0, 2))),
+        lambda: smooth_Hv(ASSEMBLED[1], 0.1).jet(np.zeros((0, 2))),
+        lambda: polydisk_extend(smooth_Hv(ASSEMBLED[1], 0.1), 3).jet(np.zeros((0, 6))),
+    ],
+    ids=["corrected", "assembled", "mollifier", "smoothed", "polydisk"],
+)
+def test_jets_of_empty_arrays(evaluate):
+    val, grad = evaluate()
+    assert val.shape == (0,) and grad.shape[0] == 0 and grad.ndim == 2
+
+
+def test_profile_jet_of_empty_array():
+    h, dh = make_profile(0.5, 0.1).jet(np.zeros(0))
+    assert h.shape == dh.shape == (0,)
+
+
+def test_fused_ring_flow_matches_oracle_flow():
+    """The benchmark's 50-point ring batch flows to the same bits, with the
+    same Newton iteration counts, under the fused and the oracle field."""
+    asm = ASSEMBLED[2]
+    n = 50
+    r2 = ANNULUS.r_inner**2 + (ANNULUS.r_outer**2 - ANNULUS.r_inner**2) * (np.arange(n) + 0.5) / n
+    ang = np.random.default_rng(11).uniform(0.0, TWO_PI, n)
+    pts = np.sqrt(r2)[:, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    fused = flow_map(smooth_Hv(asm, 0.01), pts, T=1.0, steps=50)
+    oracle = flow_map(smoothed_field(asm, 0.01), pts, T=1.0, steps=50)
+    assert same(fused.final, oracle.final)
+    assert (fused.iterations, fused.max_iterations) == (oracle.iterations, oracle.max_iterations)
+    assert fused.energy_drift == oracle.energy_drift

@@ -8,17 +8,20 @@ from pathlib import Path
 import raagham
 
 SOURCES = sorted(Path(raagham.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "lift.py", "words.py"}
+    assert {p.name for p in DEMOS} >= {"demo_planar_covers.py"}
 
 
 def test_no_assert_statements():
-    """Validation must raise: python -O strips assert statements."""
+    """Validation must raise: python -O strips assert statements.  The demos
+    check their results too, so they are held to the same rule."""
     found = [
         f"{path.name}:{node.lineno}"
-        for path in SOURCES
+        for path in SOURCES + DEMOS
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
