@@ -26,7 +26,7 @@ from raagham.textio import svg_configuration, svg_orbits
 here = os.path.dirname(os.path.abspath(__file__))
 
 g = cycle_graph(["w", "x", "y", "z"])
-rep = build_representation(g, N=2, grid=512)
+rep = build_representation(g, N=2)
 cfg = rep.config
 print("configuration for the 4-cycle:")
 print("  inflation delta:", round(cfg.provenance["delta"], 5))

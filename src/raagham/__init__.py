@@ -53,7 +53,6 @@ from .twist import (
     Representation,
     RoundAnnulus,
     TwistProfile,
-    area_chart,
     build_configuration,
     build_representation,
     double_dehn_twist,
@@ -73,10 +72,8 @@ from .lift import (
     assemble_Hv,
     enumerate_group,
     lambda_scale,
-    mobius_eval,
     schottky_pair,
     smooth_Hv,
-    transport_chart,
 )
 from .flows import (
     FlowResult,

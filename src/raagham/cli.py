@@ -29,7 +29,6 @@ class RunConfig:
     N: int = 2
     depth: int = 6
     eps: tuple = (1e-1, 1e-2, 1e-3)
-    grid: int = 512
     tol: float = 1e-9
     out: str = "."
     max_sheets: int = 2
@@ -186,7 +185,7 @@ def _build_rep(cfg, g):
                 f"within {cfg.max_sheets} sheets"
             )
         emulator = res
-    return twist.build_representation(g, cfg.N, emulator=emulator, grid=cfg.grid)
+    return twist.build_representation(g, cfg.N, emulator=emulator)
 
 
 def cmd_build_config(args):
@@ -196,7 +195,7 @@ def cmd_build_config(args):
     if isinstance(emb, graphs.NonplanarWitness):
         print(f"graph not planar: {emb.detail}")
         return EXIT_INVALID
-    config = twist.build_configuration(emb, grid=cfg.grid)
+    config = twist.build_configuration(emb)
     _emit(cfg, "config.json", textio.dump_json(textio.config_to_json(config)))
     _emit(cfg, "config.svg", textio.svg_configuration(config))
     print(f"configuration built: delta={config.provenance['delta']:.6f}, "
@@ -390,7 +389,6 @@ def make_parser():
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out", default=".")
         sp.add_argument("--tol", type=float)
-        sp.add_argument("--grid", type=int)
         if needs.get("graph"):
             sp.add_argument("--graph", required=True)
         if needs.get("word"):

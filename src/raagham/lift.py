@@ -114,11 +114,6 @@ class MobiusMap:
         return f"MobiusMap(alpha={self.alpha:.6f}, beta={self.beta:.6f})"
 
 
-def mobius_eval(sigma: MobiusMap, z):
-    """Image and derivative at z, both by closed form."""
-    return sigma(z), sigma.derivative(z)
-
-
 # --------------------------- group enumeration ------------------------------
 
 
@@ -130,13 +125,6 @@ class GroupElement:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def word_str(self, names="abcdefgh") -> str:
-        if not self.word:
-            return "1"
-        return ".".join(
-            names[l // 2] + ("" if l % 2 == 0 else "'") for l in self.word
-        )
 
 
 def schottky_pair(s: float = 0.98):
@@ -350,12 +338,6 @@ def _solve_kepler(M, e):
         f"Kepler's equation unsolved after {KEPLER_MAX_ITER} Newton steps "
         f"(last step {np.abs(step).max():.2e})"
     )
-
-
-def transport_chart(
-    annulus: RoundAnnulus, sigma, circle_radius: Optional[float] = None
-) -> TransportChart:
-    return TransportChart(annulus, sigma, circle_radius=circle_radius)
 
 
 # --------------------------- corrected Hamiltonians --------------------------

@@ -208,10 +208,7 @@ def config_to_json(cfg) -> dict:
             "basepoint": cfg.basepoint.tolist(),
         },
         "nerve": [[vertex_name(u), vertex_name(v)] for u, v in g.sorted_edges()],
-        "provenance": {
-            "delta": float(cfg.provenance["delta"]),
-            "grid": int(cfg.provenance["grid"]),
-        },
+        "provenance": {"delta": float(cfg.provenance["delta"])},
     }
 
 

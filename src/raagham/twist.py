@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .graphs import NonplanarWitness, PlanarEmbedding, SimplicialGraph, incidence_nerve, planarity
 from .words import Homomorphism, hom_pullback
@@ -168,10 +167,6 @@ class AreaChart:
 
     def t_of_radius(self, r):
         return 0.5 * (np.asarray(r, float) ** 2 - self.mid)
-
-
-def area_chart(annulus: RoundAnnulus) -> AreaChart:
-    return AreaChart(annulus)
 
 
 # ------------------------------ plane maps ---------------------------------
@@ -487,15 +482,21 @@ def _inflate(graph: SimplicialGraph, c, r):
 
 @dataclass
 class Configuration:
-    """Circles, disks, annuli and punctures realizing an Artin graph."""
+    """Circles, disks, annuli and punctures realizing an Artin graph.
+
+    The punctures are exact (``build_configuration``): P_v on C_v outside
+    every other annulus, two points in every component of the complement
+    of the annuli, and the far point q; ``provenance["components"]`` counts
+    the components and records the least clearance of a puncture.
+    """
 
     graph: SimplicialGraph
     centers: Mapping  # v -> np.array(2)
     radii: Mapping  # v -> inflated circle radius (the circle C_v)
     widths: Mapping  # v -> annulus half-width in radius
     annuli: Mapping  # v -> RoundAnnulus
-    punctures_on_circles: Mapping  # v -> (2, 2) array, the two points of P_v
-    region_points: list  # one (2, 2) array per complementary component
+    punctures_on_circles: Mapping  # v -> (2, 2) array, the two points of P_v on C_v
+    region_points: list  # one (2, 2) array per component of the annulus complement
     far_point: np.ndarray  # q: avoids every annulus and every disk
     basepoint: np.ndarray
     provenance: dict
@@ -588,40 +589,103 @@ def _circle_in_annulus_intervals(center, radius, ann: RoundAnnulus):
     return out
 
 
-def _free_arc(forbidden, pad=0.02):
-    """Largest arc of the circle avoiding all forbidden intervals."""
-    if not forbidden:
-        return (0.0, TWO_PI)
-    marks = []
-    for lo, hi in forbidden:
-        lo, hi = lo % TWO_PI, hi % TWO_PI
-        if hi < lo:
-            marks.append((lo, TWO_PI))
-            marks.append((0.0, hi))
-        else:
-            marks.append((lo, hi))
-    marks.sort()
-    merged = []
-    for lo, hi in marks:
-        if merged and lo <= merged[-1][1] + 1e-12:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    gaps = []
-    for (l1, h1), (l2, h2) in zip(merged, merged[1:]):
-        gaps.append((h1, l2))
-    wrap = (merged[-1][1], merged[0][0] + TWO_PI)
-    if wrap[1] - wrap[0] > 1e-12:
-        gaps.append(wrap)
-    if not gaps:
-        return None
-    lo, hi = max(gaps, key=lambda g: g[1] - g[0])
-    if hi - lo <= 2 * pad:
-        return None
-    return (lo + pad, hi - pad)
+def _clearances(pts, c, r_in, r_out):
+    """Distance from each of m points to each of n closed annuli, (m, n),
+    negative inside an annulus."""
+    d = np.hypot(pts[:, None, 0] - c[None, :, 0], pts[:, None, 1] - c[None, :, 1])
+    return np.maximum(r_in - d, d - r_out)
 
 
-def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configuration:
+def _arrangement_punctures(c, R, w):
+    """Punctures from the arrangement of the inner, central and outer circle
+    of each annulus (centres c, central radii R, half-widths w in vertex order).
+
+    Each circle is cut into arcs where it crosses a boundary circle of
+    another annulus (closed form).  An arc is free when its 1/3 and 2/3
+    points lie outside every other annulus.  P_v is those two points of the
+    longest free arc of C_v, or None if C_v has none.  Free boundary arcs
+    that meet at a crossing bound the same complementary component (there
+    are two at a crossing no third annulus covers), so a union-find of them
+    gives the boundary cycles.  With the component on the left a cycle's
+    signed area is negative only for an outer boundary, and all of those
+    bound the one unbounded component.  A component's two points are those
+    of its longest free arc, pushed off it to the free side by half their
+    clearance, at most half the radius.  Returns P, one (2, 2) array or None
+    per vertex, and the region points, one (2, 2) array per component,
+    ordered by first arc.
+    """
+    n = len(R)
+    cc, owner = np.repeat(c, 3, axis=0), np.repeat(np.arange(n), 3)
+    rr = (R[:, None] + w[:, None] * [-1.0, 0.0, 1.0]).ravel()
+    side = np.tile([-1.0, 0.0, 1.0], n)  # the free side of a boundary circle, 0 on C_v
+    rel = cc[None, :] - cc[:, None]
+    d = np.hypot(rel[..., 0], rel[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_a = (d * d + rr[:, None] ** 2 - rr[None, :] ** 2) / (2.0 * d * rr[:, None])
+    meets = (owner[:, None] != owner) & (side != 0.0) & (np.abs(cos_a) < 1.0)
+    phi, alpha = np.arctan2(rel[..., 1], rel[..., 0]), np.arccos(np.clip(cos_a, -1.0, 1.0))
+    circ, lo, hi, ends = [], [], [], []
+    for k in range(3 * n):
+        ls = np.flatnonzero(meets[k])
+        # the crossing at phi + s*alpha on k lies at phi' - s*alpha' on l
+        keys = [(k, l, s) if k < l else (l, k, -s) for s in (1, -1) for l in ls.tolist()]
+        ang = np.concatenate([phi[k, ls] + alpha[k, ls], phi[k, ls] - alpha[k, ls]]) % TWO_PI
+        srt = np.argsort(ang, kind="stable")
+        a = ang[srt].tolist() or [0.0]
+        keys = [keys[i] for i in srt] or [None]
+        circ += [k] * len(a)
+        lo += a
+        hi += a[1:] + [a[0] + TWO_PI]
+        ends += list(zip(keys, keys[1:] + keys[:1]))
+    circ, lo, hi = np.array(circ), np.array(lo), np.array(hi)
+    t = lo[:, None] + (hi - lo)[:, None] * [1.0 / 3.0, 2.0 / 3.0]
+    pts = cc[circ, None] + rr[circ, None, None] * np.stack([np.cos(t), np.sin(t)], -1)
+    clear = _clearances(pts.reshape(-1, 2), c, R - w, R + w).reshape(len(circ), 2, n)
+    clear[np.arange(len(circ)), :, owner[circ]] = np.inf
+    clear = clear.min(-1)
+    free = clear.min(-1) > 0.0
+    length = rr[circ] * (hi - lo)
+
+    P = []
+    for v in range(n):
+        arcs = np.flatnonzero(free & (circ == 3 * v + 1))
+        P.append(pts[arcs[np.argmax(length[arcs])]] if len(arcs) else None)
+
+    parent = {a: a for a in np.flatnonzero(free & (side[circ] != 0.0)).tolist()}
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    at = {}
+    for a in parent:
+        for key in ends[a]:
+            if key is not None:
+                at.setdefault(key, []).append(a)
+    for arcs in at.values():
+        for b in arcs[1:]:
+            parent[root(b)] = root(arcs[0])
+    cycles = {}
+    for a in parent:
+        cycles.setdefault(root(a), []).append(a)
+    # twice the signed area swept by each arc, traversed with the free side on its left
+    x, y = cc[circ].T
+    swept = -side[circ] * rr[circ] * (
+        rr[circ] * (hi - lo) + x * (np.sin(hi) - np.sin(lo)) - y * (np.cos(hi) - np.cos(lo))
+    )
+    outer = [a for arcs in cycles.values() if swept[arcs].sum() < 0.0 for a in arcs]
+    faces = [arcs for arcs in cycles.values() if swept[arcs].sum() >= 0.0] + [outer]
+    regions = []
+    for arcs in sorted(faces, key=min):
+        a = max(arcs, key=lambda b: length[b])
+        unit = (pts[a] - cc[circ[a]]) / rr[circ[a]]
+        push = np.minimum(0.5 * clear[a], 0.5 * rr[circ[a]])
+        regions.append(pts[a] + (side[circ[a]] * push)[:, None] * unit)
+    return P, regions
+
+
+def build_configuration(embedding: PlanarEmbedding) -> Configuration:
     """Realize the graph as the nerve of round annuli in the plane.
 
     Pipeline: tangency circle packing of each component (Collins-Stephenson
@@ -629,14 +693,19 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
     delta <= 0.2, keeping adjacent circles crossing in exactly two points and
     everything else separated with no triple disk intersections (closed
     form, ``_inflate``), then thickening each circle to an annulus of width
-    a quarter of the local clearance.  Punctures: two per circle in an arc
-    free of other annuli, two per complementary component located by grid
-    flood fill, and one far point q outside every disk.
-    ``provenance["packing"]`` holds the ``_pack_component`` record of each
-    component: size, sweeps, angle error.  ``provenance["components"]``
-    holds the flood-fill counts and ``n_faces`` = 2|E| + 1 + #components,
-    the faces of the circle arrangement by Euler's formula (2|E| crossings,
-    4|E| arcs); an annulus can cover a thin face, so it is an upper bound.
+    a quarter of the local clearance.  Punctures come from the exact circle
+    arrangement (``_arrangement_punctures``): two per circle in an arc free
+    of other annuli, two per complementary component, and one far point q
+    outside every disk.  ``provenance["packing"]`` holds the
+    ``_pack_component`` record of each component: size, sweeps, angle error.
+    ``provenance["components"]`` holds ``n_faces`` = 2|E| + 1 + #components,
+    the faces of the arrangement of the circles C_v by Euler's formula (2|E|
+    crossings, 4|E| arcs), which bounds the components of the annulus
+    complement since an annulus can cover a thin face; ``n_free``, the
+    components found; and ``least_clearance``, the least distance of a
+    puncture from the annuli it must avoid.  A circle without a free arc,
+    more components than faces or a puncture without clearance raise
+    PackingError.
     """
     graph = embedding.graph
     if not graph.vertices:
@@ -662,21 +731,22 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
     if nerve.edges != graph.edges:
         raise PackingError("annulus nerve does not match the graph")
 
-    punctures = {}
-    for v in order:
-        forbidden = []
-        for u in order:
-            if u != v:
-                forbidden += _circle_in_annulus_intervals(centers[v], radii[v], annuli[u])
-        arc = _free_arc(forbidden)
-        if arc is None:
+    P, region_points = _arrangement_punctures(c, R, w)
+    for v, p in zip(order, P):
+        if p is None:
             raise PackingError(f"no free arc on the circle of {v!r}")
-        lo, hi = arc
-        ang = np.array([lo + (hi - lo) / 3.0, lo + 2.0 * (hi - lo) / 3.0])
-        punctures[v] = centers[v] + radii[v] * np.stack([np.cos(ang), np.sin(ang)], -1)
-
-    region_points, far, base, grid_info = _complementary_points(annuli, order, grid)
-    grid_info["n_faces"] = 2 * len(graph.edges) + 1 + len(packing)
+    n_faces = 2 * len(graph.edges) + 1 + len(packing)
+    if len(region_points) > n_faces:
+        raise PackingError(f"{len(region_points)} complementary components, Euler allows {n_faces}")
+    r_out = R + w
+    margin = 0.6 * r_out.max()
+    far = (c + r_out[:, None]).max(0) + 2.0 * margin
+    base = np.array([far[0], (c[:, 1] - r_out).min() - 2.0 * margin])
+    clear = _clearances(np.concatenate(P + region_points + [far[None]]), c, R - w, r_out)
+    clear[np.arange(2 * len(order)), np.arange(2 * len(order)) // 2] = np.inf  # P_v lies in A(v)
+    least = float(clear.min())
+    if not least > 0.0:
+        raise PackingError(f"a puncture lies {least:.2e} inside an annulus it must avoid")
 
     return Configuration(
         graph=graph,
@@ -684,69 +754,16 @@ def build_configuration(embedding: PlanarEmbedding, grid: int = 1024) -> Configu
         radii=radii,
         widths=widths,
         annuli=annuli,
-        punctures_on_circles=punctures,
+        punctures_on_circles=dict(zip(order, P)),
         region_points=region_points,
         far_point=far,
         basepoint=base,
         provenance={
             "delta": delta,
-            "grid": grid,
-            "components": grid_info,
+            "components": {"n_faces": n_faces, "n_free": len(region_points), "least_clearance": least},
             "packing": packing,
         },
     )
-
-
-def _complementary_points(annuli, order, grid):
-    """Two interior points per component of the annulus complement.
-
-    Components of fewer than 4 grid cells get no points; their number is
-    reported as "n_dropped" next to "n_components".
-    """
-    outs = np.array([annuli[v].r_outer for v in order])
-    cs = np.array([annuli[v].center for v in order])
-    margin = 0.6 * outs.max()
-    lo = (cs - outs[:, None]).min(0) - margin
-    hi = (cs + outs[:, None]).max(0) + margin
-    xs = np.linspace(lo[0], hi[0], grid)
-    ys = np.linspace(lo[1], hi[1], grid)
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    blocked = np.zeros(X.shape, bool)
-    pad = 0.75 * cell
-    for v in order:
-        a = annuli[v]
-        d2 = (X - a.center[0]) ** 2 + (Y - a.center[1]) ** 2
-        blocked |= (d2 >= (a.r_inner - pad) ** 2) & (d2 <= (a.r_outer + pad) ** 2)
-    labels, ncomp = ndimage.label(~blocked)
-    # one transform serves every component: labels are 4-connected, so the
-    # nearest cell outside a component is a blocked one
-    edt_all = ndimage.distance_transform_edt(~blocked)
-    region_points = []
-    dropped = 0
-    for comp_id in range(1, ncomp + 1):
-        mask = labels == comp_id
-        if mask.sum() < 4:
-            dropped += 1
-            continue
-        edt = np.where(mask, edt_all, 0.0)
-        i1 = np.unravel_index(np.argmax(edt), edt.shape)
-        p1 = np.array([X[i1], Y[i1]])
-        far_mask = mask & (
-            (X - p1[0]) ** 2 + (Y - p1[1]) ** 2 > (3 * cell) ** 2
-        )
-        if far_mask.any():
-            edt2 = np.where(far_mask, edt, -1.0)
-            i2 = np.unravel_index(np.argmax(edt2), edt2.shape)
-        else:  # tiny region: second-best point suffices
-            edt[i1] = -1.0
-            i2 = np.unravel_index(np.argmax(edt), edt.shape)
-        p2 = np.array([X[i2], Y[i2]])
-        region_points.append(np.stack([p1, p2]))
-    far = hi + np.array([margin, margin])
-    base = np.array([hi[0] + margin, lo[1] - margin])
-    info = {"n_components": len(region_points), "n_dropped": dropped, "cell": cell}
-    return region_points, far, base, info
 
 
 # ----------------------------- representation ------------------------------
@@ -838,7 +855,8 @@ def build_representation(
     graph: SimplicialGraph,
     N: int,
     emulator=None,
-    grid: int = 1024,
+    *,
+    grid=None,
 ) -> Representation:
     """Send each generator to the N-th power of its double Dehn twist.
 
@@ -846,6 +864,8 @@ def build_representation(
     guaranteed from the second iterate on.  Nonplanar graphs must supply a
     planar emulator (see find_planar_emulator); the representation is then
     the cover representation precomposed with the fiber-product pullback.
+    ``grid`` is ignored: the punctures no longer come from a grid, and the
+    keyword stays only because the benchmark workloads still pass it.
     """
     if N < 2:
         raise ValueError("iteration count N must be at least 2")
@@ -856,7 +876,7 @@ def build_representation(
                 "graph is nonplanar and no emulator was supplied; "
                 "find a planar emulator or use the universal-cover route"
             )
-        config = build_configuration(emb, grid=grid)
+        config = build_configuration(emb)
         profiles = {
             v: _profile_for_circle(config.annuli[v], config.radii[v])
             for v in graph.vertices
@@ -865,7 +885,7 @@ def build_representation(
             word_graph=graph, config=config, N=N, profiles=profiles, pullback=None
         )
 
-    config = build_configuration(emulator.embedding, grid=grid)
+    config = build_configuration(emulator.embedding)
     profiles = {
         v: _profile_for_circle(config.annuli[v], config.radii[v])
         for v in emulator.cover.vertices

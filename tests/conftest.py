@@ -15,12 +15,12 @@ def k5_emulator():
 
 @pytest.fixture(scope="session")
 def p3_rep():
-    return build_representation(path_graph(["u", "v", "w"]), N=2, grid=512)
+    return build_representation(path_graph(["u", "v", "w"]), N=2)
 
 
 @pytest.fixture(scope="session")
 def c4_rep():
-    return build_representation(cycle_graph(list("wxyz")), N=2, grid=256)
+    return build_representation(cycle_graph(list("wxyz")), N=2)
 
 
 @pytest.fixture(scope="session")
@@ -30,8 +30,8 @@ def k6_emulator():
 
 @pytest.fixture(scope="session")
 def k6_rep(k6_emulator):
-    """K6 through its 2-sheet planar emulator; the benchmark builds the same rep at grid 512."""
-    return build_representation(complete_graph(list("abcdef")), 2, emulator=k6_emulator, grid=256)
+    """K6 through its 2-sheet planar emulator; the benchmark builds the same rep."""
+    return build_representation(complete_graph(list("abcdef")), 2, emulator=k6_emulator)
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,7 @@ from raagham.lift import (
 )
 from raagham.twist import (
     RoundAnnulus,
-    area_chart,
+    AreaChart,
     build_configuration,
     build_representation,
     double_dehn_twist,
@@ -214,7 +214,7 @@ def test_criterion_05_planar_covers_of_k5_k6(k5_emulator):
 
 def test_criterion_06_twist_exactness():
     A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
-    prof = make_profile(area_chart(A).a, 0.0)
+    prof = make_profile(AreaChart(A).a, 0.0)
     f1 = double_dehn_twist(A, prof, 1.0)
     ang = np.linspace(0, 2 * math.pi, 40, endpoint=False)
     boundary = np.concatenate([
@@ -248,8 +248,8 @@ def test_criterion_07_representation_relations(p3_rep, k5_emulator):
     with pytest.raises(ValueError):
         build_representation(path_graph(["u", "v", "w"]), N=1)
     reps = {"P3": p3_rep}
-    reps["C4"] = build_representation(cycle_graph(list("wxyz")), N=2, grid=512)
-    reps["K5-cover"] = build_representation(k5_emulator.cover, N=2, grid=512)
+    reps["C4"] = build_representation(cycle_graph(list("wxyz")), N=2)
+    reps["K5-cover"] = build_representation(k5_emulator.cover, N=2)
     floors = {}
     for name, rep in reps.items():
         report = verify_relations(rep, samples=1000, seed=11)
@@ -261,7 +261,7 @@ def test_criterion_07_representation_relations(p3_rep, k5_emulator):
         assert report.puncture_residual <= 1e-9
         floors[name] = min(twisting)
     emu_rep = build_representation(
-        complete_graph(list("abcde")), N=2, emulator=k5_emulator, grid=512
+        complete_graph(list("abcde")), N=2, emulator=k5_emulator
     )
     emu_report = verify_relations(emu_rep, samples=400, seed=11)
     assert emu_report.all_passed()
@@ -279,7 +279,7 @@ def _band_sample(config, v, n, rng, frac=0.75):
     resolve; those points get the high-precision check instead.
     """
     ann = config.annuli[v]
-    chart = area_chart(ann)
+    chart = AreaChart(ann)
     prof_b = float(chart.t_of_radius(config.radii[v]))
     width = min(chart.a - prof_b, chart.a + prof_b)
     t_lo = prof_b - frac * width
@@ -347,8 +347,8 @@ def test_criterion_08_area_preservation(p3_rep):
     for v in "uvw":
         ann = p3_rep.config.annuli[v]
         mid = 0.5 * (ann.r_inner**2 + ann.r_outer**2)
-        chart_b = float(area_chart(ann).t_of_radius(p3_rep.config.radii[v]))
-        width = min(area_chart(ann).a - chart_b, area_chart(ann).a + chart_b)
+        chart_b = float(AreaChart(ann).t_of_radius(p3_rep.config.radii[v]))
+        width = min(AreaChart(ann).a - chart_b, AreaChart(ann).a + chart_b)
         tail = ann.sample_points(
             8, rng, r2_range=(mid + 2 * (chart_b + 0.8 * width), mid + 2 * (chart_b + 0.99 * width))
         )
@@ -461,7 +461,7 @@ def test_criterion_13_artifact_determinism(tmp_path):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         for cmd in (
             ["verify", "--graph", str(g), "--N", "2", "--seed", "7",
-             "--grid", "256", "--samples", "60", "--out", str(out_v)],
+             "--samples", "60", "--out", str(out_v)],
             ["smooth-study", "--depth", "2", "--eps", "0.1", "0.01",
              "--out", str(out_s)],
         ):

@@ -116,17 +116,24 @@ class TestCommands:
         assert main(["normal-form", "--graph", "junk.txt", "--word", "w.txt"]) == EXIT_INVALID
 
     def test_build_config_artifacts(self, workdir):
-        code = main(["build-config", "--graph", "p3.txt", "--grid", "256", "--out", "cfg"])
+        code = main(["build-config", "--graph", "p3.txt", "--out", "cfg"])
         assert code == EXIT_OK
         data = json.loads((workdir / "cfg" / "config.json").read_text())
         assert set(data["circles"]) == {"u", "v", "w"}
-        assert set(data["provenance"]) == {"delta", "grid"}
+        assert set(data["provenance"]) == {"delta"}
+        assert len(data["punctures"]["regions"]) == 6
         assert (workdir / "cfg" / "config.svg").read_text().startswith("<svg")
+
+    def test_config_naming_grid_rejected(self, workdir, capsys):
+        (workdir / "grid.json").write_text('{"grid": 512}')
+        code = main(["build-config", "--graph", "p3.txt", "--config", "grid.json", "--out", "cfg"])
+        assert code == EXIT_INVALID
+        assert "unknown config key 'grid'" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, workdir):
         code = main([
             "verify", "--graph", "p3.txt", "--N", "2", "--seed", "7",
-            "--grid", "256", "--samples", "60", "--out", "vrf",
+            "--samples", "60", "--out", "vrf",
         ])
         assert code == EXIT_OK
         payload = json.loads((workdir / "vrf" / "verification.json").read_text())
@@ -135,7 +142,7 @@ class TestCommands:
     def test_simulate(self, workdir):
         code = main([
             "simulate", "--graph", "p3.txt", "--word", "w.txt", "--N", "2",
-            "--grid", "256", "--out", "sim",
+            "--out", "sim",
         ])
         assert code == EXIT_OK
         assert (workdir / "sim" / "orbits.csv").exists()

@@ -27,7 +27,7 @@ from raagham.lift import (
 from raagham.twist import (
     Representation,
     RoundAnnulus,
-    area_chart,
+    AreaChart,
     build_representation,
     double_dehn_twist,
     half_twists,
@@ -62,7 +62,7 @@ class TestFlowMap:
 
     def test_matches_closed_form_twist(self):
         A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
-        prof = make_profile(area_chart(A).a, 0.0)
+        prof = make_profile(AreaChart(A).a, 0.0)
         H, grad = twist_hamiltonian(A, prof)
         rng = np.random.default_rng(5)
         pts = A.sample_points(25, rng)
@@ -296,14 +296,14 @@ class TestVerification:
 
     def test_edgeless_graph_all_commute(self):
         g = SimplicialGraph(["a", "b"], [])
-        rep = build_representation(g, N=2, grid=256)
+        rep = build_representation(g, N=2)
         report = verify_relations(rep, samples=60, seed=1)
         assert report.all_passed()
         assert all(c.kind == "commuting" for c in report.relation_checks)
 
     def test_single_edge_noncommuting_detected(self):
         g = SimplicialGraph(["a", "b"], [("a", "b")])
-        rep = build_representation(g, N=2, grid=256)
+        rep = build_representation(g, N=2)
         report = verify_relations(rep, samples=60, seed=2)
         assert report.all_passed()
         twist_checks = [c for c in report.relation_checks if c.kind == "twisting"]
@@ -317,7 +317,7 @@ class TestJacobianProbe:
 
     def test_closed_twist(self):
         A = RoundAnnulus((0.0, 0.0), 1.0, 2.0)
-        prof = make_profile(area_chart(A).a, 0.0)
+        prof = make_profile(AreaChart(A).a, 0.0)
         f = double_dehn_twist(A, prof, 2.0)
         pts = A.sample_points(100, np.random.default_rng(1))
         stats = jacobian_probe(f, pts, 1e-5)
@@ -327,7 +327,7 @@ class TestJacobianProbe:
 class TestFaithfulnessProbe:
     def test_single_edge_short_words_all_move(self):
         g = SimplicialGraph(["a", "b"], [("a", "b")])
-        rep = build_representation(g, N=2, grid=256)
+        rep = build_representation(g, N=2)
         table = faithfulness_probe(rep, max_len=2, seed=0, extra_random=5)
         short = [row for row in table if row["length"] <= 2]
         assert len(short) == 16
@@ -395,7 +395,7 @@ def agreement_case(name, smoothed_field):
         return rotation_field(), rng.uniform(-1, 1, (20, 2))
     if name == "twist":
         A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
-        H, grad = twist_hamiltonian(A, make_profile(area_chart(A).a, 0.0))
+        H, grad = twist_hamiltonian(A, make_profile(AreaChart(A).a, 0.0))
         return HamiltonianField(H, grad), A.sample_points(20, rng)
     if name == "lift":
         return smoothed_field, slice_points()

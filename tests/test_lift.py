@@ -22,11 +22,9 @@ from raagham.lift import (
     enumerate_group,
     free_group_count,
     lambda_scale,
-    mobius_eval,
     schottky_interior_radius,
     schottky_pair,
     smooth_Hv,
-    transport_chart,
     _deriv_sq_polar,
 )
 from raagham.twist import RoundAnnulus
@@ -36,16 +34,17 @@ IDENT = GroupElement((), MobiusMap.identity())
 
 class TestMobius:
     def test_rotation(self):
-        img, der = mobius_eval(MobiusMap(math.pi / 2, 0.0), 0.5)
+        sigma = MobiusMap(math.pi / 2, 0.0)
+        img, der = sigma(0.5), sigma.derivative(0.5)
         assert abs(img - 0.5j) < 1e-14
         assert abs(abs(der) - 1.0) < 1e-14
 
     def test_zero_of_map(self):
-        img, _ = mobius_eval(MobiusMap(0.0, 0.5), 0.5)
+        img = MobiusMap(0.0, 0.5)(0.5)
         assert abs(img) < 1e-14
 
     def test_derivative_at_origin(self):
-        _, der = mobius_eval(MobiusMap(0.0, 0.5), 0.0)
+        der = MobiusMap(0.0, 0.5).derivative(0.0)
         assert abs(der - 0.75) < 1e-14
 
     def test_unit_circle_preserved(self):
@@ -124,7 +123,7 @@ class TestLambda:
 class TestTransport:
     def test_identity_reduces_to_area_chart(self):
         A = default_study_annulus()
-        ch = transport_chart(A, IDENT)
+        ch = TransportChart(A, IDENT)
         assert abs(ch.mass - A.area) < 1e-10
         assert abs(ch.b) < 1e-12
         rr = np.linspace(A.r_inner, A.r_outer, 9)
@@ -134,7 +133,7 @@ class TestTransport:
     def test_total_mass_and_b_location(self):
         A = default_study_annulus()
         el = enumerate_group(schottky_pair(0.98), 2)[7]
-        ch = transport_chart(A, el)
+        ch = TransportChart(A, el)
         lam = lambda_scale(el, A)
         assert abs(ch.mass - lam) < 1e-7 * lam
         assert -0.5 < ch.b < 0.5
@@ -151,7 +150,7 @@ class TestTransport:
     def test_forward_inverse_roundtrip(self):
         A = default_study_annulus()
         el = enumerate_group(schottky_pair(0.98), 1)[1]
-        ch = transport_chart(A, el)
+        ch = TransportChart(A, el)
         rng = np.random.default_rng(0)
         ang = rng.uniform(0, 2 * math.pi, 50)
         rad = np.sqrt(rng.uniform(A.r_inner**2, A.r_outer**2, 50))
@@ -165,7 +164,7 @@ class TestTransport:
     def test_pushforward_is_product_measure(self):
         A = default_study_annulus()
         el = enumerate_group(schottky_pair(0.98), 1)[3]
-        ch = transport_chart(A, el)
+        ch = TransportChart(A, el)
         # t-sub-bands carry their product mass: P(t <= t0) == t0 + 1/2
         for t0 in (-0.3, 0.0, 0.2):
             r0 = float(ch.r_of_t(np.array([t0]))[0])
@@ -198,7 +197,7 @@ def _quadrature_radial_leg(sigma, annulus, radii, nr=64, nt=512):
 class TestClosedFormRadialLeg:
     def test_t_of_r_matches_quadrature(self):
         for annulus, el in _radial_cases():
-            ch = transport_chart(annulus, el)
+            ch = TransportChart(annulus, el)
             rr = np.linspace(annulus.r_inner, annulus.r_outer, 11)
             cum, marg = _quadrature_radial_leg(el.map, annulus, rr)
             mass = cum[-1]
@@ -209,7 +208,7 @@ class TestClosedFormRadialLeg:
     def test_dt_dr_matches_central_difference(self):
         h = 1e-5
         for annulus, el in _radial_cases():
-            ch = transport_chart(annulus, el)
+            ch = TransportChart(annulus, el)
             rr = np.linspace(annulus.r_inner + h, annulus.r_outer - h, 9)
             fd = (ch.t_of_r(rr + h) - ch.t_of_r(rr - h)) / (2 * h)
             assert np.abs(fd - ch.t_jet(rr)[1]).max() <= 1e-8 * np.abs(ch.t_jet(rr)[1]).max()
@@ -217,7 +216,7 @@ class TestClosedFormRadialLeg:
     def test_r_of_t_inverts_t_of_r(self):
         ts = np.linspace(-0.5, 0.5, 41)
         for annulus, el in _radial_cases():
-            ch = transport_chart(annulus, el)
+            ch = TransportChart(annulus, el)
             rr = ch.r_of_t(ts)
             assert np.abs(ch.t_of_r(rr) - ts).max() <= 1e-13
             assert abs(rr[0] - annulus.r_inner) <= 1e-14
@@ -239,7 +238,7 @@ class TestClosedFormAngularLeg:
     def test_cdf_matches_quadrature(self):
         thetas = np.linspace(0.1, 2 * math.pi - 0.1, 7)
         for annulus, el in _radial_cases():
-            ch = transport_chart(annulus, el)
+            ch = TransportChart(annulus, el)
             for r in np.linspace(annulus.r_inner, annulus.r_outer, 4):
                 st = ch.forward(ch.c + r * np.exp(1j * thetas))
                 F = (-st[:, 0] / (2 * math.pi)) % 1.0
@@ -255,14 +254,14 @@ class TestClosedFormAngularLeg:
             assert np.abs(piece.chart.inverse(piece.chart.forward(w)) - w).max() <= 1e-12
 
     def test_newton_cap_raises(self, monkeypatch):
-        ch = transport_chart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
+        ch = TransportChart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
         st = np.array([[1.0, 0.2], [4.0, -0.3]])
         monkeypatch.setattr(lift, "KEPLER_MAX_ITER", 1)
         with pytest.raises(KeplerError, match="1 Newton steps"):
             ch.inverse(st)
 
     def test_unsolvable_height_raises(self):
-        ch = transport_chart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
+        ch = TransportChart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
         with pytest.raises(KeplerError):
             ch.inverse(np.array([[1.0, np.nan]]))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from raagham.flows import rep_apply
 from raagham.graphs import PlanarEmbedding, SimplicialGraph, planarity
-from raagham.lift import MobiusMap, default_study_annulus, schottky_pair, transport_chart
+from raagham.lift import MobiusMap, TransportChart, default_study_annulus, schottky_pair
 from raagham.twist import (
     MAX_SWEEPS,
     PACKING_TOL,
@@ -18,7 +18,8 @@ from raagham.twist import (
     _inflate,
     _pack_component,
     _plane_packing,
-    area_chart,
+    AreaChart,
+    build_configuration,
     double_dehn_twist,
     make_profile,
 )
@@ -63,7 +64,7 @@ def test_mobius_pair_is_the_theta_a_map(theta, a, zs):
 
 
 TWIST_ANNULUS = RoundAnnulus((0.3, -0.2), 1.0, math.sqrt(3))
-TWIST_PROFILE = make_profile(area_chart(TWIST_ANNULUS).a, 0.1)
+TWIST_PROFILE = make_profile(AreaChart(TWIST_ANNULUS).a, 0.1)
 TWIST_POINTS = TWIST_ANNULUS.sample_points(64, np.random.default_rng(3))
 taus = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -224,10 +225,31 @@ def test_chart_inverse_undoes_forward(word, polar):
     for lid in word:
         sigma = sigma.compose(SCHOTTKY_LETTERS[lid])
     A = default_study_annulus()
-    ch = transport_chart(A, sigma)
+    ch = TransportChart(A, sigma)
     w = np.array([math.sqrt(A.r_inner**2 + u * (A.r_outer**2 - A.r_inner**2)) * complex(
         math.cos(th), math.sin(th)) for u, th in polar])
     assert np.abs(ch.inverse(ch.forward(w)) - w).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(simple_graphs(9))
+def test_punctures_avoid_the_annuli(g):
+    """Region points lie in no annulus, with the recorded positive
+    clearance, no more components than the Euler count of faces, and each
+    P_v lies on C_v outside every other annulus."""
+    emb = planarity(g)
+    if not isinstance(emb, PlanarEmbedding):
+        return
+    cfg = build_configuration(emb)
+    info = cfg.provenance["components"]
+    assert info["least_clearance"] > 0.0
+    assert info["n_free"] == len(cfg.region_points) <= info["n_faces"]
+    regions = np.concatenate(cfg.region_points + [cfg.far_point[None]])
+    for v, P in cfg.punctures_on_circles.items():
+        assert not cfg.annuli[v].contains(regions).any()
+        c, r = cfg.centers[v], cfg.radii[v]
+        assert np.abs(np.hypot(*(P - c).T) - r).max() <= 1e-12 * r
+        assert not any(cfg.annuli[u].contains(P).any() for u in g.vertices if u != v)
 
 
 C4_VERTICES = list("wxyz")

@@ -21,9 +21,7 @@ from raagham.twist import (
     PackingError,
     AreaChart,
     RoundAnnulus,
-    _complementary_points,
     annuli_intersect,
-    area_chart,
     build_configuration,
     build_representation,
     double_dehn_twist,
@@ -37,6 +35,7 @@ from twist_reference import (
     boundary_points,
     gap_floor,
     inflation_valid,
+    flood_fill_labels,
     reference_region_points,
     reference_twist_hamiltonian,
     reference_widths,
@@ -109,14 +108,14 @@ class TestProductTwist:
 class TestAreaChart:
     def test_half_width_and_midline(self):
         A = RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3))
-        ch = area_chart(A)
+        ch = AreaChart(A)
         assert abs(ch.a - 0.5) < 1e-12
         st = ch.to_product([[math.sqrt(2), 0.0]])
         assert abs(st[0, 1]) < 1e-12
 
     def test_boundaries_to_band_edges(self):
         A = RoundAnnulus((0.3, -0.2), 0.7, 1.1)
-        ch = area_chart(A)
+        ch = AreaChart(A)
         inner = ch.to_product([[0.3 + 0.7, -0.2]])
         outer = ch.to_product([[0.3, -0.2 + 1.1]])
         assert abs(inner[0, 1] + ch.a) < 1e-12
@@ -124,7 +123,7 @@ class TestAreaChart:
 
     def test_sub_annulus_area_matches_product_measure(self):
         A = RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3))
-        ch = area_chart(A)
+        ch = AreaChart(A)
         for r in (1.1, 1.3, 1.6):
             area = math.pi * (r * r - 1.0)
             product = TWO_PI * (ch.t_of_radius(r) + ch.a)
@@ -132,7 +131,7 @@ class TestAreaChart:
 
     def test_roundtrip_and_orientation(self):
         A = RoundAnnulus((0.1, 0.2), 0.8, 1.4)
-        ch = area_chart(A)
+        ch = AreaChart(A)
         rng = np.random.default_rng(0)
         pts = A.sample_points(100, rng)
         back = ch.to_plane(ch.to_product(pts))
@@ -150,7 +149,7 @@ class TestDoubleDehnTwist:
     A = RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3))
 
     def setup_method(self, _):
-        self.prof = make_profile(area_chart(self.A).a, 0.0)
+        self.prof = make_profile(AreaChart(self.A).a, 0.0)
         self.rng = np.random.default_rng(1)
         self.pts = self.A.sample_points(150, self.rng)
 
@@ -263,7 +262,7 @@ class TestTwistHamiltonianMask:
     @pytest.mark.parametrize("A", ANNULI)
     @pytest.mark.parametrize("b_frac", [0.0, 0.4])
     def test_values_equal_contains_reference(self, A, b_frac):
-        prof = make_profile(area_chart(A).a, b_frac * area_chart(A).a)
+        prof = make_profile(AreaChart(A).a, b_frac * AreaChart(A).a)
         rng = np.random.default_rng(3)
         pts = np.concatenate([boundary_points(A), A.sample_points(200, rng),
                               np.asarray(A.center) + rng.uniform(-2, 2, (50, 2))])
@@ -289,7 +288,7 @@ def check_packing_records(cfg):
 class TestConfiguration:
     def test_packing_records_per_component(self):
         g = SimplicialGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "f")])
-        cfg = build_configuration(planarity(g), grid=512)
+        cfg = build_configuration(planarity(g))
         assert [r["size"] for r in cfg.provenance["packing"]] == [3, 2, 1]
         check_packing_records(cfg)
 
@@ -301,22 +300,22 @@ class TestConfiguration:
         # the least-squares packing this replaced raised "non-adjacent
         # circles not separated" on both graphs
         g = SimplicialGraph([f"v{i}" for i in range(7)], [(e[:2], e[2:]) for e in edges.split()])
-        cfg = build_configuration(planarity(g), grid=128)
+        cfg = build_configuration(planarity(g))
         check_packing_records(cfg)
         assert cfg.graph == g
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(twist, "MAX_SWEEPS", 1)
         with pytest.raises(PackingError, match="after 1 sweeps"):
-            build_configuration(planarity(cycle_graph(list("wxyz"))), grid=128)
+            build_configuration(planarity(cycle_graph(list("wxyz"))))
 
     def test_symmetric_outer_face(self):
         """The boundary ring treats the outer face symmetrically: P3's end
         circles are equal, C4's four circles are equal and form a square."""
-        p3 = build_configuration(planarity(path_graph(list("uvw"))), grid=128)
+        p3 = build_configuration(planarity(path_graph(list("uvw"))))
         assert abs(p3.radii["u"] - p3.radii["w"]) <= 1e-12 * p3.radii["u"]
         assert p3.radii["v"] > 3 * p3.radii["u"]
-        c4 = build_configuration(planarity(cycle_graph(list("wxyz"))), grid=128)
+        c4 = build_configuration(planarity(cycle_graph(list("wxyz"))))
         r = np.array([c4.radii[v] for v in "wxyz"])
         assert np.abs(r - r[0]).max() <= 1e-12 * r[0]
         c = np.array([c4.centers[v] for v in "wxyz"])
@@ -324,26 +323,26 @@ class TestConfiguration:
         assert abs(diagonals[0] - diagonals[1]) <= 1e-10
 
     def test_single_vertex_puncture_count(self):
-        cfg = build_configuration(planarity(SimplicialGraph(["v"], [])), grid=512)
+        cfg = build_configuration(planarity(SimplicialGraph(["v"], [])))
         assert len(cfg.region_points) == 2
         assert len(cfg.all_punctures()) == 7
 
     def test_edge_two_crossing_annuli(self):
         g = SimplicialGraph(["u", "v"], [("u", "v")])
-        cfg = build_configuration(planarity(g), grid=512)
+        cfg = build_configuration(planarity(g))
         assert annuli_intersect(cfg.annuli["u"], cfg.annuli["v"])
         flags = np.array([[False, True], [True, False]])
         assert graphs_isomorphic(incidence_nerve(["u", "v"], flags), g)
 
     def test_path_outer_annuli_disjoint(self):
         g = path_graph(["u", "v", "w"])
-        cfg = build_configuration(planarity(g), grid=512)
+        cfg = build_configuration(planarity(g))
         assert not annuli_intersect(cfg.annuli["u"], cfg.annuli["w"])
         assert annuli_intersect(cfg.annuli["u"], cfg.annuli["v"])
 
     def test_punctures_avoid_other_annuli(self):
         g = cycle_graph(list("wxyz"))
-        cfg = build_configuration(planarity(g), grid=512)
+        cfg = build_configuration(planarity(g))
         for v in g.vertices:
             P = cfg.punctures_on_circles[v]
             assert cfg.annuli[v].contains(P).all()
@@ -357,37 +356,31 @@ class TestConfiguration:
             c, r = cfg.centers[v], cfg.radii[v]
             assert np.hypot(*(cfg.far_point - c)) > r
 
-    def test_dropped_components_counted(self):
-        # grid 33 gives cells of 0.1 over [-1.6, 1.6]; a hole of radius 0.15
-        # minus the 0.75-cell pad keeps only the centre cell, which is dropped
-        for r_inner, dropped in ((0.15, 1), (0.5, 0)):
-            annuli = {"v": RoundAnnulus((0.0, 0.0), r_inner, 1.0)}
-            points, _, _, info = _complementary_points(annuli, ["v"], 33)
-            assert info["n_dropped"] == dropped
-            assert info["n_components"] == len(points) == 2 - dropped
-
-    @pytest.mark.parametrize("graph", [
-        path_graph(list("uvw")),
-        cycle_graph(list("wxyz")),
-        complete_graph(list("abcd")),
-        SimplicialGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "f")]),
-    ], ids=["P3", "C4", "K4", "three-components"])
-    def test_region_points_match_per_component_transforms(self, graph):
-        cfg = build_configuration(planarity(graph), grid=256)
-        points, *_ = _complementary_points(cfg.annuli, list(graph.vertices), 256)
-        want = reference_region_points(cfg.annuli, list(graph.vertices), 256)
-        assert len(points) == len(want) and all(map(np.array_equal, points, want))
+    @pytest.mark.parametrize("name", ["P3", "C4", "K4", "three-components", "2K2"])
+    def test_region_points_match_per_component_transforms(self, name):
+        """On graphs a fine grid resolves, each exact pair lies in one
+        flood-fill component, distinct components hold distinct pairs, and
+        they are the components the per-component transforms give points."""
+        cfg = build_configuration(planarity(FACE_GRAPHS[name]))
+        order = list(cfg.graph.vertices)
+        labels = flood_fill_labels(cfg.annuli, order, 1024, np.concatenate(cfg.region_points)).reshape(-1, 2)
+        assert (labels > 0).all() and (labels[:, 0] == labels[:, 1]).all()
+        assert len(set(labels[:, 0].tolist())) == len(labels)
+        ref = np.concatenate(reference_region_points(cfg.annuli, order, 1024))
+        assert set(flood_fill_labels(cfg.annuli, order, 1024, ref).tolist()) == set(labels[:, 0].tolist())
 
     def test_region_points_match_per_component_transforms_k6(self, k6_rep):
+        """Grid 512 keeps 25 of the 53 components; each holds an exact pair."""
         cfg = k6_rep.config
         order = list(cfg.graph.vertices)
-        want = reference_region_points(cfg.annuli, order, 256)
-        assert len(cfg.region_points) == len(want)
-        assert all(map(np.array_equal, cfg.region_points, want))
+        ref = np.concatenate(reference_region_points(cfg.annuli, order, 512))
+        want = set(flood_fill_labels(cfg.annuli, order, 512, ref).tolist())
+        labels = flood_fill_labels(cfg.annuli, order, 512, np.concatenate(cfg.region_points)).reshape(-1, 2)
+        assert len(want) == 25 and want <= set(labels[labels[:, 0] == labels[:, 1], 0].tolist())
 
     def test_disk_intersections_match_edges(self):
         g = complete_graph(list("abc"))
-        cfg = build_configuration(planarity(g), grid=512)
+        cfg = build_configuration(planarity(g))
         for u, v in itertools.combinations(g.vertices, 2):
             d = np.hypot(*(cfg.centers[u] - cfg.centers[v]))
             if g.has_edge(u, v):
@@ -468,7 +461,7 @@ class TestInflation:
     @pytest.mark.parametrize("graph", INFLATION_GRAPHS.values(), ids=INFLATION_GRAPHS.keys())
     def test_against_loop_references(self, graph):
         emb = planarity(graph)
-        check_against_loops(build_configuration(emb, grid=64), emb)
+        check_against_loops(build_configuration(emb), emb)
 
     def test_fixtures_against_loop_references(self, p3_rep, c4_rep, k6_rep, k6_emulator, k5_emulator):
         for rep in (p3_rep, c4_rep):
@@ -515,13 +508,64 @@ class TestInflation:
                              ids=["P3", "C4", "2K2"])
     @pytest.mark.parametrize("grid", [128, 256, 512])
     def test_flood_fill_finds_every_face(self, graph, grid):
-        info = build_configuration(planarity(graph), grid=grid).provenance["components"]
-        assert info["n_faces"] == info["n_components"] == 2 * len(graph.edges) + 1 + len(graph.components())
-        assert info["n_dropped"] == 0
+        """On these graphs the flood-fill oracle, the exact arrangement and
+        Euler's count of faces agree at every grid."""
+        cfg = build_configuration(planarity(graph))
+        info = cfg.provenance["components"]
+        assert info["n_faces"] == info["n_free"] == 2 * len(graph.edges) + 1 + len(graph.components())
+        assert len(reference_region_points(cfg.annuli, list(graph.vertices), grid)) == info["n_free"]
 
     def test_k6_face_count(self, k6_rep):
         # 30 edges of the 2-sheet cover, one component
         assert k6_rep.config.provenance["components"]["n_faces"] == 62
+
+
+# graphs on which grid 512 keeps a region in every component of the complement
+FACE_GRAPHS = {
+    "P3": path_graph(list("uvw")),
+    "C4": cycle_graph(list("wxyz")),
+    "K4": complete_graph(list("abcd")),
+    "2K2": TWO_COMPONENTS,
+    "three-components": THREE_COMPONENTS,
+}
+
+
+class TestArrangement:
+    @pytest.mark.parametrize("name, n_free", [("P3", 6), ("C4", 10), ("K4", 11), ("2K2", 7)])
+    def test_counts_match_flood_fill(self, name, n_free):
+        cfg = build_configuration(planarity(FACE_GRAPHS[name]))
+        info = cfg.provenance["components"]
+        assert info["n_free"] == len(cfg.region_points) == n_free
+        assert len(reference_region_points(cfg.annuli, list(cfg.graph.vertices), 512)) == n_free
+
+    def test_cover_counts(self, k6_rep, k5_emulator):
+        """Every component of the emulator configurations gets its points;
+        the flood fill kept 10 of K6's at grid 256 and 26 of K5's at 512."""
+        k5 = build_configuration(k5_emulator.embedding).provenance["components"]
+        k6 = k6_rep.config.provenance["components"]
+        assert (k5["n_free"], k5["n_faces"]) == (36, 42)
+        assert (k6["n_free"], k6["n_faces"]) == (53, 62)
+        assert len(k6_rep.config.region_points) == 53
+
+    def test_clearance_recorded(self, c4_rep):
+        cfg = c4_rep.config
+        least = cfg.provenance["components"]["least_clearance"]
+        c = np.array([a.center for a in cfg.annuli.values()])
+        r_in = np.array([a.r_inner for a in cfg.annuli.values()])
+        r_out = np.array([a.r_outer for a in cfg.annuli.values()])
+        regions = np.concatenate(cfg.region_points + [cfg.far_point[None]])
+        assert 0.0 < least <= twist._clearances(regions, c, r_in, r_out).min()
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda P, regions: ([None] + P[1:], regions), "no free arc on the circle of 'w'"),
+        (lambda P, regions: (P, regions * 2), "20 complementary components, Euler allows 10"),
+        (lambda P, regions: (P, regions[:-1] + [P[0]]), "inside an annulus it must avoid"),
+    ], ids=["no-free-arc", "too-many-components", "no-clearance"])
+    def test_spoiled_punctures_raise(self, monkeypatch, spoil, match):
+        exact = twist._arrangement_punctures
+        monkeypatch.setattr(twist, "_arrangement_punctures", lambda *a: spoil(*exact(*a)))
+        with pytest.raises(PackingError, match=match):
+            build_configuration(planarity(FACE_GRAPHS["C4"]))
 
 
 class TestRepresentation:
@@ -560,7 +604,7 @@ class TestRepresentation:
 
     def test_emulator_route(self, k5_emulator):
         rep = build_representation(
-            complete_graph(list("abcde")), N=2, emulator=k5_emulator, grid=512
+            complete_graph(list("abcde")), N=2, emulator=k5_emulator
         )
         assert rep.pullback is not None
         assert len(rep.supports("a")) == 2

@@ -6,6 +6,10 @@ annulus with ``AreaChart.to_product``, shifts s by tau*h'(t) and maps the
 rows whose shift is nonzero back with ``AreaChart.to_plane``.  The
 package's tracked word kernel must equal this fold bit for bit.
 
+Punctures: ``flood_fill`` labels the free cells of a grid, the route the
+exact circle arrangement of ``build_configuration`` replaced; it resolves
+every component of the annulus complement only on small graphs.
+
 Inflation: ``bisect_delta`` bisects delta with the pairwise and triple-disk
 test ``inflation_valid``, which the closed-form ``_inflate`` replaced, and
 ``reference_widths`` is the pair loop its width table must equal.
@@ -17,12 +21,12 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from raagham.twist import area_chart
+from raagham.twist import AreaChart
 from raagham.words import hom_apply
 
 
 def reference_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
-    chart = area_chart(annulus)
+    chart = AreaChart(annulus)
     out = np.atleast_2d(np.asarray(pts, float)).copy()
     mask = annulus.contains(out)
     st = chart.to_product(out[mask])
@@ -60,7 +64,7 @@ def boundary_points(annulus, n=16):
 
 def reference_twist_hamiltonian(annulus, profile):
     """H and grad H with the support mask taken from ``RoundAnnulus.contains``."""
-    chart = area_chart(annulus)
+    chart = AreaChart(annulus)
     c = np.asarray(annulus.center)
 
     def H(pts):
@@ -84,10 +88,11 @@ def reference_twist_hamiltonian(annulus, profile):
     return H, grad
 
 
-def reference_region_points(annuli, order, grid):
-    """The region points of ``_complementary_points`` with one distance
-    transform per component mask, where the package shares one transform
-    of all free cells among the components."""
+def flood_fill(annuli, order, grid):
+    """The grid flood fill that the exact arrangement replaced: cells of a
+    grid x grid box farther than 0.75 cell from every annulus, labelled by
+    4-connected component.  Returns the labels, their number, the cell
+    centres X, Y and the cell size."""
     outs = np.array([annuli[v].r_outer for v in order])
     cs = np.array([annuli[v].center for v in order])
     margin = 0.6 * outs.max()
@@ -103,6 +108,25 @@ def reference_region_points(annuli, order, grid):
         d2 = (X - a.center[0]) ** 2 + (Y - a.center[1]) ** 2
         blocked |= (d2 >= (a.r_inner - pad) ** 2) & (d2 <= (a.r_outer + pad) ** 2)
     labels, ncomp = ndimage.label(~blocked)
+    return labels, ncomp, X, Y, cell
+
+
+def flood_fill_labels(annuli, order, grid, pts):
+    """The flood-fill label of the free cell nearest to each point."""
+    labels, _, X, Y, _ = flood_fill(annuli, order, grid)
+    nearest = ndimage.distance_transform_edt(labels == 0, return_distances=False, return_indices=True)
+    pts = np.asarray(pts, float)
+    i = np.rint((pts[:, 0] - X[0, 0]) / (X[1, 0] - X[0, 0])).astype(int)
+    j = np.rint((pts[:, 1] - Y[0, 0]) / (Y[0, 1] - Y[0, 0])).astype(int)
+    return labels[nearest[0][i, j], nearest[1][i, j]]
+
+
+def reference_region_points(annuli, order, grid):
+    """Two points per flood-fill component of at least 4 cells, the region
+    points before the exact arrangement: the cell deepest inside the
+    component by its distance transform, then the deepest at least 3 cells
+    from it."""
+    labels, ncomp, X, Y, cell = flood_fill(annuli, order, grid)
     points = []
     for comp_id in range(1, ncomp + 1):
         mask = labels == comp_id
