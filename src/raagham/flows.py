@@ -46,14 +46,12 @@ class HamiltonianField:
     ``jet`` returning (value, gradient) from one pass; each gives the other.
     """
 
-    def __init__(self, value, gradient=None, support_radius=None, label="", jet=None):
+    def __init__(self, value, gradient=None, jet=None):
         if (gradient is None) == (jet is None):
             raise ValueError("give exactly one of gradient and jet")
         self._value = value
         self._gradient = gradient if jet is None else (lambda pts: jet(pts)[1])
         self._jet = jet if gradient is None else (lambda pts: (value(pts), gradient(pts)))
-        self.support_radius = support_radius
-        self.label = label
 
     def value(self, pts):
         return self._value(np.atleast_2d(np.asarray(pts, float)))

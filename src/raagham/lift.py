@@ -453,7 +453,7 @@ class CorrectedHamiltonian:
         return val, _plane_vectors(grad)
 
     def field(self) -> HamiltonianField:
-        return HamiltonianField(self.value, jet=self.jet, support_radius=1.0)
+        return HamiltonianField(self.value, jet=self.jet)
 
     def _tracked_preimages(self, n):
         ang = np.arange(n) * TWO_PI / n + 0.05
@@ -528,7 +528,7 @@ class AssembledHamiltonian:
         return val, _plane_vectors(grad)
 
     def field(self) -> HamiltonianField:
-        return HamiltonianField(self.value, jet=self.jet, support_radius=1.0)
+        return HamiltonianField(self.value, jet=self.jet)
 
     def boundary_ring_sup(self, inner=0.999, n=4096) -> float:
         ang = np.arange(n) * TWO_PI / n
@@ -624,7 +624,7 @@ def smooth_Hv(assembled: AssembledHamiltonian, eps: float) -> HamiltonianField:
         hv, hg = assembled.jet(pts)
         return ev * hv, ev[:, None] * hg + hv[:, None] * eg
 
-    return HamiltonianField(value, jet=jet, support_radius=1.0, label=f"smoothed(eps={eps})")
+    return HamiltonianField(value, jet=jet)
 
 
 # ----------------------------- boundary estimates ----------------------------

@@ -175,11 +175,9 @@ class AreaChart:
 class PlaneMap:
     """Bijection of the plane, the identity outside its support annuli."""
 
-    def __init__(self, forward, backward, supports, label=""):
+    def __init__(self, forward, backward):
         self._forward = forward
         self._backward = backward
-        self.supports = list(supports)
-        self.label = label
 
     def apply(self, pts):
         pts = np.asarray(pts, float)
@@ -234,7 +232,7 @@ def double_dehn_twist(annulus: RoundAnnulus, profile: TwistProfile, tau: float) 
         raise ValueError("profile wider than the annulus chart target")
     fwd = _twist_forward(chart, profile, tau, -np.inf, np.inf)
     bwd = _twist_forward(chart, profile, -tau, -np.inf, np.inf)
-    return PlaneMap(fwd, bwd, [annulus], label=f"twist(tau={tau})")
+    return PlaneMap(fwd, bwd)
 
 
 def half_twists(annulus: RoundAnnulus, profile: TwistProfile, tau: float):
@@ -249,14 +247,10 @@ def half_twists(annulus: RoundAnnulus, profile: TwistProfile, tau: float):
     lower = PlaneMap(
         _twist_forward(chart, profile, tau, -np.inf, b),
         _twist_forward(chart, profile, -tau, -np.inf, b),
-        [annulus],
-        label="half-",
     )
     upper = PlaneMap(
         _twist_forward(chart, profile, tau, b, np.inf),
         _twist_forward(chart, profile, -tau, b, np.inf),
-        [annulus],
-        label="half+",
     )
     return lower, upper
 
@@ -487,7 +481,10 @@ class Configuration:
     The punctures are exact (``build_configuration``): P_v on C_v outside
     every other annulus, two points in every component of the complement
     of the annuli, and the far point q; ``provenance["components"]`` counts
-    the components and records the least clearance of a puncture.
+    the components and records the least clearance of a puncture.  For
+    each ordered edge (u, v), ``overlap_arcs`` holds the longest arc of C_u
+    inside A(v) between crossings of the arrangement, where the overlap
+    probes are placed.
     """
 
     graph: SimplicialGraph
@@ -496,6 +493,7 @@ class Configuration:
     widths: Mapping  # v -> annulus half-width in radius
     annuli: Mapping  # v -> RoundAnnulus
     punctures_on_circles: Mapping  # v -> (2, 2) array, the two points of P_v on C_v
+    overlap_arcs: Mapping  # (u, v) edge, both orders -> (lo, hi) angles of an arc of C_u in A(v)
     region_points: list  # one (2, 2) array per component of the annulus complement
     far_point: np.ndarray  # q: avoids every annulus and every disk
     basepoint: np.ndarray
@@ -507,48 +505,37 @@ class Configuration:
         pts.append(self.far_point[None, :])
         return np.concatenate(pts, 0)
 
-    def central_circle_points(self, v, n=8):
+    def central_circle_points(self, v):
+        """Eight points on C_v."""
         c, r = self.centers[v], self.radii[v]
-        ang = np.arange(n) * TWO_PI / n + 0.1
+        ang = np.arange(8) * TWO_PI / 8 + 0.1
         return c + r * np.stack([np.cos(ang), np.sin(ang)], -1)
 
-    def near_puncture_points(self, v, frac=0.4):
+    def near_puncture_points(self, v):
         """Points radially offset from each puncture of P_v, off the circle."""
         c, r, w = self.centers[v], self.radii[v], self.widths[v]
         out = []
         for p in self.punctures_on_circles[v]:
             u = (p - c) / np.hypot(*(p - c))
-            out.append(c + (r + frac * w) * u)
-            out.append(c + (r - frac * w) * u)
+            out.append(c + (r + 0.4 * w) * u)
+            out.append(c + (r - 0.4 * w) * u)
         return np.array(out)
 
-    def overlap_points(self, u, v, n=4):
-        """Points inside both A(u) and A(v), off both rotation circles.
+    def overlap_points(self, u, v):
+        """Four points inside both A(u) and A(v), off both rotation circles.
 
         Points exactly on a central circle come back to themselves under the
-        integer twist, so probes start on C_u inside A(v) and step radially
-        off it by a fraction of the smaller width.
+        integer twist, so the probes start on the overlap arc of C_u inside
+        A(v), at 1/2, 1/2, 0.35 and 0.65 of its angle, and step radially off
+        it by a fraction of the smaller width.  A non-edge raises ValueError.
         """
-        intervals = _circle_in_annulus_intervals(
-            self.centers[u], self.radii[u], self.annuli[v]
-        )
-        if not intervals:
+        if (u, v) not in self.overlap_arcs:
             raise ValueError(f"annuli of {u!r} and {v!r} do not overlap")
-        lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
+        lo, hi = self.overlap_arcs[u, v]
         off = 0.35 * min(self.widths[u], self.widths[v])
-        combos = [(0.5, off), (0.5, -off), (0.35, 0.6 * off), (0.65, -0.6 * off)]
-        c, r = self.centers[u], self.radii[u]
-        pts = []
-        for k in range(n):
-            frac, d = combos[k % len(combos)]
-            ang = lo + (hi - lo) * frac
-            unit = np.array([math.cos(ang), math.sin(ang)])
-            pts.append(c + (r + d) * unit)
-        pts = np.array(pts)
-        keep = self.annuli[u].contains(pts) & self.annuli[v].contains(pts)
-        if not keep.all():  # pragma: no cover - transversal crossings keep all
-            pts = pts[keep]
-        return pts
+        ang = lo + (hi - lo) * np.array([0.5, 0.5, 0.35, 0.65])
+        r = self.radii[u] + off * np.array([1.0, -1.0, 0.6, -0.6])
+        return self.centers[u] + r[:, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
 
     def marked_points(self):
         pts = []
@@ -559,34 +546,6 @@ class Configuration:
             pts.append(self.overlap_points(u, v))
             pts.append(self.overlap_points(v, u))
         return np.concatenate(pts, 0)
-
-
-def _circle_in_annulus_intervals(center, radius, ann: RoundAnnulus):
-    """Angular intervals of the circle (center, radius) lying inside ann."""
-    c = np.asarray(center, float)
-    rel = np.asarray(ann.center) - c
-    d = np.hypot(*rel)
-    if d < 1e-15:
-        inside = ann.r_inner <= radius <= ann.r_outer
-        return [(0.0, TWO_PI)] if inside else []
-    phi = math.atan2(rel[1], rel[0])
-    # dist(theta)^2 = radius^2 + d^2 - 2 radius d cos(theta - phi)
-    def cos_bound(R):
-        return (radius**2 + d**2 - R**2) / (2 * radius * d)
-
-    c_out, c_in = cos_bound(ann.r_outer), cos_bound(ann.r_inner)
-    lo_c, hi_c = max(c_out, -1.0), min(c_in, 1.0)
-    if lo_c > 1.0 or hi_c < -1.0 or lo_c > hi_c:
-        return []
-    d_lo = math.acos(min(hi_c, 1.0))  # smallest |theta - phi| in the band
-    d_hi = math.acos(max(lo_c, -1.0))
-    if d_lo <= 1e-12 and d_hi >= math.pi - 1e-12:
-        return [(0.0, TWO_PI)]
-    out = []
-    if d_hi - d_lo > 1e-12:
-        out.append((phi + d_lo, phi + d_hi))
-        out.append((phi - d_hi, phi - d_lo))
-    return out
 
 
 def _clearances(pts, c, r_in, r_out):
@@ -603,16 +562,19 @@ def _arrangement_punctures(c, R, w):
     Each circle is cut into arcs where it crosses a boundary circle of
     another annulus (closed form).  An arc is free when its 1/3 and 2/3
     points lie outside every other annulus.  P_v is those two points of the
-    longest free arc of C_v, or None if C_v has none.  Free boundary arcs
-    that meet at a crossing bound the same complementary component (there
-    are two at a crossing no third annulus covers), so a union-find of them
+    longest free arc of C_v, or None if C_v has none.  The overlap arc of
+    C_u in A(v) is the longest arc of C_u whose two points lie inside A(v),
+    the first in angular order on a tie.  Free boundary arcs that meet at a
+    crossing bound the same complementary component (there are two at a
+    crossing no third annulus covers), so a union-find of them
     gives the boundary cycles.  With the component on the left a cycle's
     signed area is negative only for an outer boundary, and all of those
     bound the one unbounded component.  A component's two points are those
     of its longest free arc, pushed off it to the free side by half their
     clearance, at most half the radius.  Returns P, one (2, 2) array or None
-    per vertex, and the region points, one (2, 2) array per component,
-    ordered by first arc.
+    per vertex, the region points, one (2, 2) array per component, ordered
+    by first arc, and the overlap arcs, {(u, v): (lo, hi)} by vertex index
+    for every pair that has one, with lo in [0, 2*pi) and lo < hi.
     """
     n = len(R)
     cc, owner = np.repeat(c, 3, axis=0), np.repeat(np.arange(n), 3)
@@ -642,14 +604,21 @@ def _arrangement_punctures(c, R, w):
     pts = cc[circ, None] + rr[circ, None, None] * np.stack([np.cos(t), np.sin(t)], -1)
     clear = _clearances(pts.reshape(-1, 2), c, R - w, R + w).reshape(len(circ), 2, n)
     clear[np.arange(len(circ)), :, owner[circ]] = np.inf
+    inside = (clear < 0.0).all(1)  # (arcs, n): the arc lies in that annulus
     clear = clear.min(-1)
     free = clear.min(-1) > 0.0
     length = rr[circ] * (hi - lo)
 
-    P = []
-    for v in range(n):
-        arcs = np.flatnonzero(free & (circ == 3 * v + 1))
-        P.append(pts[arcs[np.argmax(length[arcs])]] if len(arcs) else None)
+    def longest(arcs):  # the first of the longest, in angular order
+        return arcs[np.argmax(length[arcs])]
+
+    P, overlaps = [], {}
+    for u in range(n):
+        arcs = np.flatnonzero(circ == 3 * u + 1)
+        P.append(pts[longest(arcs[free[arcs]])] if free[arcs].any() else None)
+        for v in np.flatnonzero(inside[arcs].any(0)).tolist():
+            a = longest(arcs[inside[arcs, v]])
+            overlaps[u, v] = (float(lo[a]), float(hi[a]))
 
     parent = {a: a for a in np.flatnonzero(free & (side[circ] != 0.0)).tolist()}
 
@@ -682,7 +651,7 @@ def _arrangement_punctures(c, R, w):
         unit = (pts[a] - cc[circ[a]]) / rr[circ[a]]
         push = np.minimum(0.5 * clear[a], 0.5 * rr[circ[a]])
         regions.append(pts[a] + (side[circ[a]] * push)[:, None] * unit)
-    return P, regions
+    return P, regions, overlaps
 
 
 def build_configuration(embedding: PlanarEmbedding) -> Configuration:
@@ -696,16 +665,19 @@ def build_configuration(embedding: PlanarEmbedding) -> Configuration:
     a quarter of the local clearance.  Punctures come from the exact circle
     arrangement (``_arrangement_punctures``): two per circle in an arc free
     of other annuli, two per complementary component, and one far point q
-    outside every disk.  ``provenance["packing"]`` holds the
-    ``_pack_component`` record of each component: size, sweeps, angle error.
+    outside every disk.  The same arrangement gives, for each edge in both
+    orders (u, v), the overlap arc of C_u inside A(v) that
+    ``Configuration.overlap_points`` probes.  ``provenance["packing"]``
+    holds the ``_pack_component`` record of each component: size, sweeps,
+    angle error.
     ``provenance["components"]`` holds ``n_faces`` = 2|E| + 1 + #components,
     the faces of the arrangement of the circles C_v by Euler's formula (2|E|
     crossings, 4|E| arcs), which bounds the components of the annulus
     complement since an annulus can cover a thin face; ``n_free``, the
     components found; and ``least_clearance``, the least distance of a
     puncture from the annuli it must avoid.  A circle without a free arc,
-    more components than faces or a puncture without clearance raise
-    PackingError.
+    an edge without an overlap arc, more components than faces or a
+    puncture without clearance raise PackingError.
     """
     graph = embedding.graph
     if not graph.vertices:
@@ -731,10 +703,15 @@ def build_configuration(embedding: PlanarEmbedding) -> Configuration:
     if nerve.edges != graph.edges:
         raise PackingError("annulus nerve does not match the graph")
 
-    P, region_points = _arrangement_punctures(c, R, w)
+    P, region_points, arcs = _arrangement_punctures(c, R, w)
     for v, p in zip(order, P):
         if p is None:
             raise PackingError(f"no free arc on the circle of {v!r}")
+    overlap_arcs = {(order[i], order[j]): arc for (i, j), arc in arcs.items()}
+    for x, y in graph.sorted_edges():
+        for u, v in ((x, y), (y, x)):
+            if (u, v) not in overlap_arcs:
+                raise PackingError(f"no arc of the circle of {u!r} inside the annulus of {v!r}")
     n_faces = 2 * len(graph.edges) + 1 + len(packing)
     if len(region_points) > n_faces:
         raise PackingError(f"{len(region_points)} complementary components, Euler allows {n_faces}")
@@ -755,6 +732,7 @@ def build_configuration(embedding: PlanarEmbedding) -> Configuration:
         widths=widths,
         annuli=annuli,
         punctures_on_circles=dict(zip(order, P)),
+        overlap_arcs=overlap_arcs,
         region_points=region_points,
         far_point=far,
         basepoint=base,
@@ -876,25 +854,11 @@ def build_representation(
                 "graph is nonplanar and no emulator was supplied; "
                 "find a planar emulator or use the universal-cover route"
             )
-        config = build_configuration(emb)
-        profiles = {
-            v: _profile_for_circle(config.annuli[v], config.radii[v])
-            for v in graph.vertices
-        }
-        return Representation(
-            word_graph=graph, config=config, N=N, profiles=profiles, pullback=None
-        )
-
-    config = build_configuration(emulator.embedding)
+    else:
+        emb = emulator.embedding
+    config = build_configuration(emb)
     profiles = {
-        v: _profile_for_circle(config.annuli[v], config.radii[v])
-        for v in emulator.cover.vertices
+        v: _profile_for_circle(config.annuli[v], config.radii[v]) for v in config.graph.vertices
     }
-    pullback = hom_pullback(emulator.projection)
-    return Representation(
-        word_graph=graph,
-        config=config,
-        N=N,
-        profiles=profiles,
-        pullback=pullback,
-    )
+    pullback = None if emulator is None else hom_pullback(emulator.projection)
+    return Representation(word_graph=graph, config=config, N=N, profiles=profiles, pullback=pullback)

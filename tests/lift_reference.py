@@ -26,7 +26,6 @@ def smoothed_field(assembled, eps):
     return HamiltonianField(
         lambda pts: eta.value(pts) * assembled.value(pts),
         lambda pts: smoothed_gradient(assembled, eta, pts),
-        support_radius=1.0,
     )
 
 

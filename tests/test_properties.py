@@ -235,8 +235,9 @@ def test_chart_inverse_undoes_forward(word, polar):
 @given(simple_graphs(9))
 def test_punctures_avoid_the_annuli(g):
     """Region points lie in no annulus, with the recorded positive
-    clearance, no more components than the Euler count of faces, and each
-    P_v lies on C_v outside every other annulus."""
+    clearance, no more components than the Euler count of faces, each P_v
+    lies on C_v outside every other annulus, and the overlap probes of
+    every ordered edge (u, v) lie in A(u) and A(v), off C_u and C_v."""
     emb = planarity(g)
     if not isinstance(emb, PlanarEmbedding):
         return
@@ -250,6 +251,14 @@ def test_punctures_avoid_the_annuli(g):
         c, r = cfg.centers[v], cfg.radii[v]
         assert np.abs(np.hypot(*(P - c).T) - r).max() <= 1e-12 * r
         assert not any(cfg.annuli[u].contains(P).any() for u in g.vertices if u != v)
+    for x, y in g.sorted_edges():
+        for u, v in ((x, y), (y, x)):
+            probes = cfg.overlap_points(u, v)
+            assert len(probes) == 4
+            assert cfg.annuli[u].contains(probes).all() and cfg.annuli[v].contains(probes).all()
+            for s in (u, v):  # off the circle beyond rounding; widths go down to ~1e-9
+                off = np.abs(np.hypot(*(probes - cfg.centers[s]).T) - cfg.radii[s])
+                assert off.min() > 1e-12 * cfg.radii[s]
 
 
 C4_VERTICES = list("wxyz")

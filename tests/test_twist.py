@@ -33,6 +33,7 @@ from raagham.twist import (
 from twist_reference import (
     bisect_delta,
     boundary_points,
+    circle_in_annulus_intervals,
     gap_floor,
     inflation_valid,
     flood_fill_labels,
@@ -556,11 +557,37 @@ class TestArrangement:
         regions = np.concatenate(cfg.region_points + [cfg.far_point[None]])
         assert 0.0 < least <= twist._clearances(regions, c, r_in, r_out).min()
 
+    @pytest.mark.parametrize("name", ["P3", "C4", "K4", "2K2", "K5-cover", "K6-cover"])
+    def test_overlap_arcs_inside_the_closed_form_intervals(self, name, k5_emulator, k6_emulator):
+        """Every ordered edge has an overlap arc, and it lies inside one
+        interval of C_u inside A(v) from the closed form; where no third
+        annulus cuts C_u inside A(v) (P3, C4) it is that interval."""
+        emb = {"K5-cover": k5_emulator, "K6-cover": k6_emulator}.get(name)
+        cfg = build_configuration(planarity(FACE_GRAPHS[name]) if emb is None else emb.embedding)
+        edges = cfg.graph.sorted_edges()
+        assert set(cfg.overlap_arcs) == set(edges) | {(v, u) for u, v in edges}
+        for (u, v), (lo, hi) in cfg.overlap_arcs.items():
+            assert 0.0 <= lo < TWO_PI and lo < hi
+            fits = []
+            for ilo, ihi in circle_in_annulus_intervals(cfg.centers[u], cfg.radii[u], cfg.annuli[v]):
+                start = (lo - ilo + 1e-12) % TWO_PI - 1e-12  # the arc's start in the interval
+                if start + (hi - lo) <= ihi - ilo + 1e-12:
+                    fits.append(max(abs(start), (ihi - ilo) - (hi - lo)))
+            assert len(fits) == 1
+            if name in ("P3", "C4"):
+                assert fits[0] <= 1e-12
+
+    def test_overlap_points_of_a_non_edge_raise(self, p3_rep):
+        with pytest.raises(ValueError, match="annuli of 'u' and 'w' do not overlap"):
+            p3_rep.config.overlap_points("u", "w")
+
     @pytest.mark.parametrize("spoil, match", [
-        (lambda P, regions: ([None] + P[1:], regions), "no free arc on the circle of 'w'"),
-        (lambda P, regions: (P, regions * 2), "20 complementary components, Euler allows 10"),
-        (lambda P, regions: (P, regions[:-1] + [P[0]]), "inside an annulus it must avoid"),
-    ], ids=["no-free-arc", "too-many-components", "no-clearance"])
+        (lambda P, regions, arcs: ([None] + P[1:], regions, arcs), "no free arc on the circle of 'w'"),
+        (lambda P, regions, arcs: (P, regions * 2, arcs), "20 complementary components, Euler allows 10"),
+        (lambda P, regions, arcs: (P, regions[:-1] + [P[0]], arcs), "inside an annulus it must avoid"),
+        (lambda P, regions, arcs: (P, regions, {k: a for k, a in arcs.items() if k != (2, 1)}),
+         "no arc of the circle of 'y' inside the annulus of 'x'"),
+    ], ids=["no-free-arc", "too-many-components", "no-clearance", "no-overlap-arc"])
     def test_spoiled_punctures_raise(self, monkeypatch, spoil, match):
         exact = twist._arrangement_punctures
         monkeypatch.setattr(twist, "_arrangement_punctures", lambda *a: spoil(*exact(*a)))

@@ -10,6 +10,11 @@ Punctures: ``flood_fill`` labels the free cells of a grid, the route the
 exact circle arrangement of ``build_configuration`` replaced; it resolves
 every component of the annulus complement only on small graphs.
 
+Overlap arcs: ``circle_in_annulus_intervals`` is the closed-form
+intersection of a circle with one annulus that ``overlap_points`` read
+before the arrangement's arcs; each overlap arc must lie inside one of its
+intervals.
+
 Inflation: ``bisect_delta`` bisects delta with the pairwise and triple-disk
 test ``inflation_valid``, which the closed-form ``_inflate`` replaced, and
 ``reference_widths`` is the pair loop its width table must equal.
@@ -142,6 +147,34 @@ def reference_region_points(annuli, order, grid):
             i2 = np.unravel_index(np.argmax(edt), edt.shape)
         points.append(np.array([[X[i1], Y[i1]], [X[i2], Y[i2]]]))
     return points
+
+
+def circle_in_annulus_intervals(center, radius, ann):
+    """Angular intervals of the circle (center, radius) lying inside ann."""
+    c = np.asarray(center, float)
+    rel = np.asarray(ann.center) - c
+    d = np.hypot(*rel)
+    if d < 1e-15:
+        inside = ann.r_inner <= radius <= ann.r_outer
+        return [(0.0, 2 * math.pi)] if inside else []
+    phi = math.atan2(rel[1], rel[0])
+
+    def cos_bound(R):  # dist(theta)^2 = radius^2 + d^2 - 2 radius d cos(theta - phi)
+        return (radius**2 + d**2 - R**2) / (2 * radius * d)
+
+    c_out, c_in = cos_bound(ann.r_outer), cos_bound(ann.r_inner)
+    lo_c, hi_c = max(c_out, -1.0), min(c_in, 1.0)
+    if lo_c > 1.0 or hi_c < -1.0 or lo_c > hi_c:
+        return []
+    d_lo = math.acos(min(hi_c, 1.0))  # smallest |theta - phi| in the band
+    d_hi = math.acos(max(lo_c, -1.0))
+    if d_lo <= 1e-12 and d_hi >= math.pi - 1e-12:
+        return [(0.0, 2 * math.pi)]
+    out = []
+    if d_hi - d_lo > 1e-12:
+        out.append((phi + d_lo, phi + d_hi))
+        out.append((phi - d_hi, phi - d_lo))
+    return out
 
 
 def disk_triple_intersects(circles, i, j, k, margin=0.0):
