@@ -177,9 +177,11 @@ def rep_apply(rep, w: Word, pts, route: str = "closed", steps=None):
 
     Letters act right to left.  The closed route folds the exact twist maps
     letter by letter (an inverse letter is the same twist run backwards)
-    through ``Representation.apply_letters``, which tracks each point's
-    annulus membership so a letter touches only the points it can move; the
-    result is bit-identical to applying ``generator_map`` letter by letter.
+    through ``Representation.apply_letters``: each letter turns the points
+    of its annulus about the centre by the angle -tau*h'(t) of their area
+    height, and tracked annulus membership lets a letter touch only the
+    points it can move; the result is bit-identical to applying
+    ``generator_map`` letter by letter.
     The integrated route flows the per-generator Hamiltonian fields for
     time N per letter, which is only as accurate as the integrator.
     """

@@ -192,29 +192,32 @@ class PlaneMap:
         return out[0] if single else out
 
 
-def _twist_rows(chart, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
-    """The twist's one arithmetic, on an (m, 2) array of points of its annulus.
+def _twist_rows(chart, profile, tau, z, t_lo=-np.inf, t_hi=np.inf):
+    """The twist's one arithmetic, on a complex array z of points of its annulus.
 
-    Returns the indices of the rows it moves (area height in [t_lo, t_hi) and
-    a nonzero angular shift tau*h'(t)) and their images.  Rows within
-    rounding of the annulus boundary have h'(t) == 0 exactly, because the
-    bump's exp(-1/(1-u^2)) underflows there, so they never move.
+    In the area chart the twist shifts s = -theta by tau*h'(t) and keeps the
+    area height t, so it turns each point about the centre c by that angle:
+    z -> c + (z - c) * exp(-i tau h'(t)), with t = (|z - c|^2 - mid)/2.
+    Returns the indices of the rows it moves (area height in [t_lo, t_hi)
+    and a nonzero angle tau*h'(t)) and their images.  Rows within rounding
+    of the annulus boundary have h'(t) == 0 exactly, because the bump's
+    exp(-1/(1-u^2)) underflows there, so they never move.
     """
-    st = chart.to_product(pts)
-    ds = tau * profile.dh(st[:, 1])
-    rows = np.flatnonzero((st[:, 1] >= t_lo) & (st[:, 1] < t_hi) & (ds != 0.0))
-    st_sub = st.take(rows, axis=0)
-    st_sub[:, 0] = (st_sub[:, 0] + ds[rows]) % TWO_PI
-    return rows, chart.to_plane(st_sub)
+    c = complex(*chart.annulus.center)
+    rel = z - c
+    t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - chart.mid)
+    ds = tau * profile.dh(t)
+    rows = np.flatnonzero((t >= t_lo) & (t < t_hi) & (ds != 0.0))
+    return rows, c + rel[rows] * np.exp(-1j * ds[rows])
 
 
 def _twist_forward(chart, profile, tau, t_lo, t_hi):
     def f(pts):
-        out = np.array(pts, float, copy=True)
+        out = np.array(pts, float, order="C")
+        z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
         idx = np.flatnonzero(chart.annulus.contains(out))
-        if len(idx):
-            rows, moved = _twist_rows(chart, profile, tau, out.take(idx, axis=0), t_lo, t_hi)
-            out[idx[rows]] = moved
+        rows, moved = _twist_rows(chart, profile, tau, z[idx], t_lo, t_hi)
+        z[idx[rows]] = moved
         return out
 
     return f
@@ -223,9 +226,11 @@ def _twist_forward(chart, profile, tau, t_lo, t_hi):
 def double_dehn_twist(annulus: RoundAnnulus, profile: TwistProfile, tau: float) -> PlaneMap:
     """Twist supported on the annulus, extended by the identity.
 
-    Conjugates the product twist through the area chart; tau = 1 rotates the
-    circle at height b by a full turn, tau = N is the N-fold iterate, and
-    the map is an exact closed form (Jacobian identically 1).
+    The product twist conjugated through the area chart, evaluated in
+    closed form as the rotation of each circle about the centre by the
+    angle -tau*h'(t) of its area height (``_twist_rows``); tau = 1 rotates
+    the circle at height b by a full turn, tau = N is the N-fold iterate,
+    and the Jacobian is identically 1.
     """
     chart = AreaChart(annulus)
     if profile.a > chart.a + 1e-9:
@@ -769,48 +774,52 @@ class Representation:
     def _letter_tables(self):
         """Per cover vertex: its index, its area chart and the annuli near it.
 
-        The annuli near A(v) are those whose disks meet its disk, A(v)
-        included: a superset of every annulus that can contain a point of
-        A(v), widened by a relative slack that only adds annuli.
+        The annuli near A(v) are the others whose disks meet its disk: a
+        superset of every other annulus that can contain a point of A(v),
+        widened by a relative slack that only adds annuli.
         """
         charts = [AreaChart(a) for a in self.config.annuli.values()]
         centers = np.array([ch.annulus.center for ch in charts])
         outer = np.array([ch.annulus.r_outer for ch in charts])
         diff = centers[:, None] - centers[None]
         meets = np.hypot(diff[..., 0], diff[..., 1]) <= (outer[:, None] + outer) * (1.0 + 1e-9)
+        np.fill_diagonal(meets, False)
         index = {v: i for i, v in enumerate(self.config.annuli)}
         return index, charts, [np.flatnonzero(row) for row in meets]
 
     def apply_letters(self, letters, pts):
         """Apply cover letters (v, e) right to left to an (n, 2) array.
 
-        Letter (v, e) is the twist of A(v) with tau = N*e, by the same
-        arithmetic as ``generator_map(v, N*e).apply`` and bit-identical to
-        it.  Membership of every point in the closed annuli the word uses is
+        Letter (v, e) is the twist of A(v) with tau = N*e, the rotation of
+        ``_twist_rows`` applied in place to the batch's rows as complex
+        numbers, and bit-identical to ``generator_map(v, N*e).apply``.
+        Membership of every point in the closed annuli the word uses is
         computed once and then tracked: a twist moves points only along
-        circles of its own annulus, so after each letter only the moved
-        rows are re-tested, against the annuli near A(v) that a later letter
-        still uses.  A membership decision that rounding could flip never
-        changes an output, because points within rounding of an annulus
-        boundary do not move.
+        circles of its own annulus, so after each letter only the moved rows
+        are re-tested, against the other annuli near A(v) that a later
+        letter still uses.  A moved row stays in A(v): the rotation keeps
+        |z - c| to an ulp, and rows within rounding of an annulus boundary
+        do not move, so no membership decision that rounding could flip
+        ever changes an output.
         """
         index, charts, near = self._letter_tables
         steps = [(index[v], v, e) for v, e in reversed(letters)]
         last = np.full(len(charts), -1)  # the last step that uses each annulus
         for step, (i, _, _) in enumerate(steps):
             last[i] = step
-        out = np.array(pts, float, copy=True)
-        rows_of_out = out.view(complex).ravel()  # one scalar per row: fast row scatter
+        out = np.array(pts, float, order="C")
+        z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
         member = np.zeros((len(charts), len(out)), bool)
         for j in np.flatnonzero(last >= 0):
             member[j] = charts[j].annulus.contains(out)
         for step, (i, v, e) in enumerate(steps):
             idx = np.flatnonzero(member[i])
-            rows, moved = _twist_rows(charts[i], self.profiles[v], self.N * e, out.take(idx, axis=0))
+            rows, moved = _twist_rows(charts[i], self.profiles[v], self.N * e, z[idx])
             idx = idx[rows]
-            rows_of_out[idx] = moved.view(complex).ravel()
+            z[idx] = moved
+            moved_xy = out.take(idx, axis=0)
             for j in near[i][last[near[i]] > step]:
-                member[j, idx] = charts[j].annulus.contains(moved)
+                member[j, idx] = charts[j].annulus.contains(moved_xy)
         return out
 
     def generator_field(self, v):

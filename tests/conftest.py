@@ -24,6 +24,11 @@ def c4_rep():
 
 
 @pytest.fixture(scope="session")
+def k4_rep():
+    return build_representation(complete_graph(list("abcd")), N=2)
+
+
+@pytest.fixture(scope="session")
 def k6_emulator():
     return find_planar_emulator(complete_graph(list("abcdef")), 2)
 

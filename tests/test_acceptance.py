@@ -454,16 +454,21 @@ def test_criterion_12_polydisk_extension(schottky_gens):
 def test_criterion_13_artifact_determinism(tmp_path):
     g = tmp_path / "p3.txt"
     g.write_text("vertices 3\nu v w\nedge u v\nedge v w\n")
+    word = tmp_path / "word.txt"
+    word.write_text("u v u^-1 v^-1 w\n")
     pairs = []
     for tag, hash_seed in (("A", "1"), ("B", "271828")):
         out_v = tmp_path / f"verify_{tag}"
         out_s = tmp_path / f"smooth_{tag}"
+        out_o = tmp_path / f"simulate_{tag}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         for cmd in (
             ["verify", "--graph", str(g), "--N", "2", "--seed", "7",
              "--samples", "60", "--out", str(out_v)],
             ["smooth-study", "--depth", "2", "--eps", "0.1", "0.01",
              "--out", str(out_s)],
+            ["simulate", "--graph", str(g), "--word", str(word), "--N", "2",
+             "--out", str(out_o)],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "raagham.cli", *cmd],
@@ -474,9 +479,10 @@ def test_criterion_13_artifact_determinism(tmp_path):
             {
                 "verification.json": (out_v / "verification.json").read_bytes(),
                 "smooth_study.csv": (out_s / "smooth_study.csv").read_bytes(),
+                "orbits.csv": (out_o / "orbits.csv").read_bytes(),
             }
         )
     mismatches = [k for k in pairs[0] if pairs[0][k] != pairs[1][k]]
     assert not mismatches, mismatches
-    print("\nACCEPTANCE 13 PASS: verification.json and smooth_study.csv are "
-          "byte-identical across seeded reruns (different hash seeds)")
+    print("\nACCEPTANCE 13 PASS: verification.json, smooth_study.csv and orbits.csv "
+          "are byte-identical across seeded reruns (different hash seeds)")

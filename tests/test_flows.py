@@ -36,7 +36,7 @@ from raagham.twist import (
 )
 from raagham.words import Word, commutator, empty_word, generator, normal_form, word_from_tokens
 from flow_reference import fixed_point_flow, reference_jacobian_probe
-from twist_reference import boundary_points, reference_fold, reference_twist
+from twist_reference import probe_points, reference_fold, reference_twist
 
 
 def rotation_field():
@@ -176,23 +176,6 @@ class TestRepApply:
 REPS = ["p3_rep", "c4_rep", "k6_rep"]
 
 
-def probe_points(rep, seed):
-    """Annulus samples, points on and one ulp off every annulus boundary,
-    free points among the annuli, the punctures and far points."""
-    cfg = rep.config
-    rng = np.random.default_rng(seed)
-    annuli = list(cfg.annuli.values())
-    centers = np.array([a.center for a in annuli])
-    outer = np.array([a.r_outer for a in annuli])[:, None]
-    free = rng.uniform((centers - outer).min(0), (centers + outer).max(0), size=(300, 2))
-    far = np.stack([cfg.far_point, cfg.basepoint, [1e6, -1e6]])
-    return np.concatenate(
-        [a.sample_points(40, rng) for a in annuli]
-        + [boundary_points(a) for a in annuli]
-        + [free, cfg.all_punctures(), far]
-    )
-
-
 def random_words(graph, rng, length, count):
     """count random words of the given length, inverse letters included."""
     out = []
@@ -308,6 +291,17 @@ class TestVerification:
         assert report.all_passed()
         twist_checks = [c for c in report.relation_checks if c.kind == "twisting"]
         assert len(twist_checks) == 1 and twist_checks[0].displacement > 1e-3
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_inflate leaves A(v0) 2.5e-10 and A(v7) 2.1e-8 of their radii wide; a twist "
+        "across so thin a band does not undo itself, so 10 commuting checks fail",
+    )
+    def test_thin_annulus_relations(self):
+        edges = [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 3),
+                 (2, 4), (3, 4), (4, 6), (5, 8), (6, 8)]
+        g = SimplicialGraph([f"v{i}" for i in range(9)], [(f"v{a}", f"v{b}") for a, b in edges])
+        assert verify_relations(build_representation(g, N=2), seed=0).all_passed()
 
 
 class TestJacobianProbe:

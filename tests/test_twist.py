@@ -33,10 +33,12 @@ from raagham.twist import (
 from twist_reference import (
     bisect_delta,
     boundary_points,
+    chart_twist,
     circle_in_annulus_intervals,
     gap_floor,
     inflation_valid,
     flood_fill_labels,
+    probe_points,
     reference_region_points,
     reference_twist_hamiltonian,
     reference_widths,
@@ -209,6 +211,56 @@ class TestDoubleDehnTwist:
         gy = (H(pts + [0, h]) - H(pts - [0, h])) / (2 * h)
         g = grad(pts)
         assert np.abs(np.stack([gx, gy], -1) - g).max() < 1e-5 * max(1, np.abs(g).max())
+
+
+class TestRotationAccuracy:
+    """The rotation z -> c + (z - c) exp(-i tau h'(t)) against the chart route
+    it replaced (``chart_twist``) and against 50-digit arithmetic."""
+
+    @pytest.mark.parametrize("rep_name", ["p3_rep", "c4_rep", "k4_rep", "k6_rep"])
+    @pytest.mark.parametrize("tau", [2.0, -2.0, 0.7])
+    def test_twists_match_the_chart_route(self, request, rep_name, tau):
+        rep = request.getfixturevalue(rep_name)
+        pts = probe_points(rep, 5)
+        for v, ann in rep.config.annuli.items():
+            prof = rep.profiles[v]
+            lower, upper = half_twists(ann, prof, tau)
+            for f, bounds in (
+                (double_dehn_twist(ann, prof, tau), {}),
+                (lower, {"t_hi": prof.b}),
+                (upper, {"t_lo": prof.b}),
+            ):
+                assert np.abs(f.apply(pts) - chart_twist(ann, prof, tau, pts, **bounds)).max() <= 1e-13
+
+    def test_as_accurate_as_the_chart_route(self, p3_rep):
+        import mpmath
+
+        ann, prof, tau = p3_rep.config.annuli["v"], p3_rep.profiles["v"], float(p3_rep.N)
+        pts = ann.sample_points(400, np.random.default_rng(7))
+        rotated = double_dehn_twist(ann, prof, tau).apply(pts)
+        charted = chart_twist(ann, prof, tau, pts)
+        with mpmath.workdps(50):
+            c, mid = mpmath.mpc(*ann.center), mpmath.mpf(AreaChart(ann).mid)
+            err_rot = err_chart = 0.0
+            for p, q_rot, q_chart in zip(pts, rotated, charted):
+                rel = mpmath.mpc(*p) - c
+                u = ((abs(rel) ** 2 - mid) / 2 - prof.b) / prof.width
+                dh = 0 if abs(u) >= 1 else (
+                    2 * mpmath.pi * mpmath.e * mpmath.exp(-1 / (1 - u * u)) * (1 - 2 * u * u / (1 - u * u) ** 2)
+                )
+                exact = c + rel * mpmath.expj(-tau * dh)
+                err_rot = max(err_rot, float(abs(mpmath.mpc(*q_rot) - exact)))
+                err_chart = max(err_chart, float(abs(mpmath.mpc(*q_chart) - exact)))
+        assert err_rot <= 1.5 * err_chart
+
+    def test_inverse_undoes_the_twist_on_the_k6_cover(self, k6_rep):
+        rng = np.random.default_rng(11)
+        errs = []
+        for v, ann in k6_rep.config.annuli.items():
+            f = k6_rep.generator_map(v, k6_rep.N)
+            pts = ann.sample_points(20_000, rng)
+            errs.append(np.hypot(*(f.apply_inverse(f.apply(pts)) - pts).T))
+        assert np.percentile(np.concatenate(errs), 99) <= 2e-11
 
 
 class FlatProfile:

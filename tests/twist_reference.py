@@ -1,10 +1,14 @@
 """Loop references for the closed routes of ``raagham.twist``.
 
-Letter by letter: each letter scans the whole batch, masks the closed
-annulus with ``RoundAnnulus.contains``, maps those rows to the product
-annulus with ``AreaChart.to_product``, shifts s by tau*h'(t) and maps the
-rows whose shift is nonzero back with ``AreaChart.to_plane``.  The
-package's tracked word kernel must equal this fold bit for bit.
+Letter by letter: ``reference_twist`` scans the whole batch, masks the
+closed annulus with ``RoundAnnulus.contains`` and turns the masked rows
+whose angle tau*h'(t) is nonzero about the centre, z -> c + (z - c) *
+exp(-i tau h'(t)), by the same floating-point operations as the package.
+The package's tracked word kernel must equal this fold bit for bit.
+``chart_twist`` is the route the rotation replaced: it maps the masked rows
+to the product annulus with ``AreaChart.to_product``, shifts s by
+tau*h'(t), reduces it mod 2*pi and maps back with ``AreaChart.to_plane``;
+the rotation must agree with it to rounding.
 
 Punctures: ``flood_fill`` labels the free cells of a grid, the route the
 exact circle arrangement of ``build_configuration`` replaced; it resolves
@@ -31,6 +35,19 @@ from raagham.words import hom_apply
 
 
 def reference_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
+    out = np.atleast_2d(np.asarray(pts, float)).copy()
+    mask = annulus.contains(out)
+    c = complex(*annulus.center)
+    rel = out[mask, 0] + 1j * out[mask, 1] - c
+    t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - AreaChart(annulus).mid)
+    ds = tau * profile.dh(t)
+    sub = (t >= t_lo) & (t < t_hi) & (ds != 0.0)
+    moved = c + rel[sub] * np.exp(-1j * ds[sub])
+    out[np.flatnonzero(mask)[sub]] = np.stack([moved.real, moved.imag], -1)
+    return out
+
+
+def chart_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
     chart = AreaChart(annulus)
     out = np.atleast_2d(np.asarray(pts, float)).copy()
     mask = annulus.contains(out)
@@ -65,6 +82,23 @@ def boundary_points(annulus, n=16):
         for r1 in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))
     ]
     return np.concatenate([np.asarray(annulus.center) + r * ring for r in radii])
+
+
+def probe_points(rep, seed):
+    """Annulus samples, points on and one ulp off every annulus boundary,
+    free points among the annuli, the punctures and far points."""
+    cfg = rep.config
+    rng = np.random.default_rng(seed)
+    annuli = list(cfg.annuli.values())
+    centers = np.array([a.center for a in annuli])
+    outer = np.array([a.r_outer for a in annuli])[:, None]
+    free = rng.uniform((centers - outer).min(0), (centers + outer).max(0), size=(300, 2))
+    far = np.stack([cfg.far_point, cfg.basepoint, [1e6, -1e6]])
+    return np.concatenate(
+        [a.sample_points(40, rng) for a in annuli]
+        + [boundary_points(a) for a in annuli]
+        + [free, cfg.all_punctures(), far]
+    )
 
 
 def reference_twist_hamiltonian(annulus, profile):
