@@ -5,8 +5,8 @@ Submodules:
 * ``graphs`` - simplicial graphs, doubles, orbi-covers, planarity, emulators
 * ``words``  - group words, normal forms, the word-problem oracle,
   diagonal/retraction/pullback homomorphisms
-* ``twist``  - annulus charts, closed-form double Dehn twists, circle
-  configurations, twist representations
+* ``twist``  - round annuli and their area heights, closed-form double Dehn
+  twists, circle configurations, twist representations
 * ``lift``   - Mobius maps, Schottky enumeration, corrected Hamiltonians on
   translated annuli, mollifiers, boundary estimates
 * ``flows``  - symplectic integration, relation verification, faithfulness
@@ -42,7 +42,6 @@ from .words import (
     hom_diagonal,
     hom_pullback,
     hom_retraction,
-    inversion_count,
     normal_form,
     oracle_equal,
     word_from_tokens,
@@ -58,7 +57,6 @@ from .twist import (
     double_dehn_twist,
     half_twists,
     make_profile,
-    product_twist,
     twist_hamiltonian,
 )
 from .lift import (

@@ -172,35 +172,24 @@ def flow_map(
 # ------------------------- applying representations -------------------------
 
 
-def rep_apply(rep, w: Word, pts, route: str = "closed", steps=None):
+def rep_apply(rep, w: Word, pts):
     """Evaluate the image of a word on a batch of points.
 
-    Letters act right to left.  The closed route folds the exact twist maps
-    letter by letter (an inverse letter is the same twist run backwards)
-    through ``Representation.apply_letters``: each letter turns the points
-    of its annulus about the centre by the angle -tau*h'(t) of their area
-    height, and tracked annulus membership lets a letter touch only the
-    points it can move; the result is bit-identical to applying
-    ``generator_map`` letter by letter.
-    The integrated route flows the per-generator Hamiltonian fields for
-    time N per letter, which is only as accurate as the integrator.
+    Letters act right to left.  The exact twist maps are folded letter by
+    letter (an inverse letter is the same twist run backwards) through
+    ``Representation.apply_letters``: each letter turns the points of its
+    annulus about the centre by the angle -tau*h'(t) of their area height,
+    and tracked annulus membership lets a letter touch only the points it
+    can move; the result is bit-identical to applying ``generator_map``
+    letter by letter.
     """
     if w.graph != rep.word_graph:
         raise ValueError("word is not over the representation's graph")
-    if route not in ("closed", "integrated"):
-        raise ValueError(f"unknown route {route!r}")
     if rep.pullback is not None:
         w = hom_apply(rep.pullback, w)
     pts = np.asarray(pts, float)
-    single = pts.ndim == 1
-    out = np.atleast_2d(pts).copy()
-    if route == "closed":
-        out = rep.apply_letters(w.letters, out)
-    else:
-        for v, e in reversed(w.letters):
-            H, grad = rep.generator_field(v)
-            out = flow_map(HamiltonianField(H, grad), out, T=rep.N * e, steps=steps).final
-    return out[0] if single else out
+    out = rep.apply_letters(w.letters, np.atleast_2d(pts))
+    return out[0] if pts.ndim == 1 else out
 
 
 # ------------------------------ verification --------------------------------

@@ -490,7 +490,3 @@ def incidence_nerve(labels: Sequence[VertexId], flags) -> SimplicialGraph:
         (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if flags[i, j]
     ]
     return SimplicialGraph(labels, edges)
-
-
-def graphs_isomorphic(a: SimplicialGraph, b: SimplicialGraph) -> bool:
-    return nx.is_isomorphic(a.to_networkx(), b.to_networkx())

@@ -82,10 +82,6 @@ class MobiusMap:
     def identity() -> "MobiusMap":
         return MobiusMap(0.0, 0.0)
 
-    @staticmethod
-    def rotation(phi: float) -> "MobiusMap":
-        return MobiusMap(phi, 0.0)
-
     def __call__(self, z):
         z = np.asarray(z, complex)
         return (self.alpha * z + self.beta) / (self.beta.conjugate() * z + self.alpha.conjugate())
@@ -143,13 +139,6 @@ def schottky_pair(s: float = 0.98):
 def schottky_interior_radius(s: float) -> float:
     """Largest disk about 0 avoiding the four isometric disks."""
     return (1.0 - math.sqrt(1.0 - s * s)) / s
-
-
-def free_group_count(m: int, L: int) -> int:
-    total = 1
-    for k in range(1, L + 1):
-        total += 2 * m * (2 * m - 1) ** (k - 1)
-    return total
 
 
 def enumerate_group(generators: Sequence[MobiusMap], L: int):

@@ -1,10 +1,12 @@
 """Annulus twist maps and circle configurations in the plane.
 
 Everything here is Euclidean: the symplectic form is dx^dy, a twist is the
-time-tau map of a Hamiltonian depending only on the area coordinate of a
-round annulus, and configurations of overlapping disks realize an Artin
-graph as the nerve of round annuli.  All plane maps are exact closed forms;
-the ODE integrator in ``flows`` is only ever a cross-check here.
+time-tau map of a Hamiltonian depending only on the area height
+t = (r^2 - mid)/2 of a round annulus (``RoundAnnulus.mid`` and ``.a``), and
+configurations of overlapping disks realize an Artin graph as the nerve of
+round annuli.  A twist (``PlaneMap``) is the exact rotation of each circle
+of its annulus by an angle of its area height; the ODE integrator in
+``flows`` is only ever a cross-check here.
 """
 
 from __future__ import annotations
@@ -85,14 +87,6 @@ def make_profile(a: float, b: float = 0.0) -> TwistProfile:
     return TwistProfile(a=float(a), b=float(b), width=float(w))
 
 
-def product_twist(profile: TwistProfile, tau: float, p):
-    """Closed-form twist on the product annulus: (s, t) -> (s + tau*h'(t), t)."""
-    s, t = float(p[0]), float(p[1])
-    if abs(t) > profile.a + 1e-12:
-        raise ValueError(f"t={t} outside [-a, a]")
-    return ((s + tau * profile.dh(t)) % TWO_PI, t)
-
-
 # ------------------------------- annuli ------------------------------------
 
 
@@ -109,6 +103,17 @@ class RoundAnnulus:
     @property
     def area(self) -> float:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
+
+    @property
+    def mid(self) -> float:
+        """Squared radius of the circle at area height 0: the area height of a
+        point at radius r is t = (r^2 - mid)/2, and ds^dt = dx^dy with s = -theta."""
+        return 0.5 * (self.r_inner**2 + self.r_outer**2)
+
+    @property
+    def a(self) -> float:
+        """Half-range of the area height: t runs over [-a, a] across the annulus."""
+        return 0.25 * (self.r_outer**2 - self.r_inner**2)
 
     def contains(self, pts):
         """Membership in the closed annulus, for (..., 2) points."""
@@ -134,110 +139,68 @@ def annuli_intersect(a: RoundAnnulus, b: RoundAnnulus) -> bool:
     return min_sep <= d <= a.r_outer + b.r_outer
 
 
-class AreaChart:
-    """Symplectomorphism from a round annulus to a product annulus.
-
-    s = -theta (mod 2*pi) and t = (r^2 - (r_i^2 + r_o^2)/2) / 2, so that
-    ds^dt equals dx^dy including orientation; the target is S^1 x [-a, a]
-    with a = (r_o^2 - r_i^2)/4.  The angular sign flip is what makes the
-    chart honestly symplectic rather than merely area-preserving.
-    """
-
-    def __init__(self, annulus: RoundAnnulus):
-        self.annulus = annulus
-        self.mid = 0.5 * (annulus.r_inner**2 + annulus.r_outer**2)
-        self.a = 0.25 * (annulus.r_outer**2 - annulus.r_inner**2)
-
-    def to_product(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        rel = pts - np.asarray(self.annulus.center)
-        r2 = np.einsum("ij,ij->i", rel, rel)
-        theta = np.arctan2(rel[:, 1], rel[:, 0])
-        s = (-theta) % TWO_PI
-        t = 0.5 * (r2 - self.mid)
-        return np.stack([s, t], -1)
-
-    def to_plane(self, st):
-        st = np.atleast_2d(np.asarray(st, float))
-        r = np.sqrt(2.0 * st[:, 1] + self.mid)
-        theta = -st[:, 0]
-        return np.asarray(self.annulus.center) + np.stack(
-            [r * np.cos(theta), r * np.sin(theta)], -1
-        )
-
-    def t_of_radius(self, r):
-        return 0.5 * (np.asarray(r, float) ** 2 - self.mid)
-
-
 # ------------------------------ plane maps ---------------------------------
 
 
-class PlaneMap:
-    """Bijection of the plane, the identity outside its support annuli."""
-
-    def __init__(self, forward, backward):
-        self._forward = forward
-        self._backward = backward
-
-    def apply(self, pts):
-        pts = np.asarray(pts, float)
-        single = pts.ndim == 1
-        out = self._forward(np.atleast_2d(pts))
-        return out[0] if single else out
-
-    def apply_inverse(self, pts):
-        pts = np.asarray(pts, float)
-        single = pts.ndim == 1
-        out = self._backward(np.atleast_2d(pts))
-        return out[0] if single else out
-
-
-def _twist_rows(chart, profile, tau, z, t_lo=-np.inf, t_hi=np.inf):
+def _twist_rows(annulus, profile, tau, z, t_lo=-np.inf, t_hi=np.inf):
     """The twist's one arithmetic, on a complex array z of points of its annulus.
 
-    In the area chart the twist shifts s = -theta by tau*h'(t) and keeps the
-    area height t, so it turns each point about the centre c by that angle:
-    z -> c + (z - c) * exp(-i tau h'(t)), with t = (|z - c|^2 - mid)/2.
+    In the area coordinates (s, t) = (-theta, (r^2 - mid)/2) of the annulus
+    the twist shifts s by tau*h'(t) and keeps t, so it turns each point about
+    the centre c by that angle: z -> c + (z - c) * exp(-i tau h'(t)).
     Returns the indices of the rows it moves (area height in [t_lo, t_hi)
     and a nonzero angle tau*h'(t)) and their images.  Rows within rounding
     of the annulus boundary have h'(t) == 0 exactly, because the bump's
     exp(-1/(1-u^2)) underflows there, so they never move.
     """
-    c = complex(*chart.annulus.center)
+    c = complex(*annulus.center)
     rel = z - c
-    t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - chart.mid)
+    t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - annulus.mid)
     ds = tau * profile.dh(t)
     rows = np.flatnonzero((t >= t_lo) & (t < t_hi) & (ds != 0.0))
     return rows, c + rel[rows] * np.exp(-1j * ds[rows])
 
 
-def _twist_forward(chart, profile, tau, t_lo, t_hi):
-    def f(pts):
-        out = np.array(pts, float, order="C")
-        z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
-        idx = np.flatnonzero(chart.annulus.contains(out))
-        rows, moved = _twist_rows(chart, profile, tau, z[idx], t_lo, t_hi)
-        z[idx[rows]] = moved
-        return out
+@dataclass(frozen=True)
+class PlaneMap:
+    """The time-tau twist of one annulus on the area heights [t_lo, t_hi),
+    extended by the identity: ``_twist_rows`` on the points of the closed
+    annulus, run with tau forward and -tau backward."""
 
-    return f
+    annulus: RoundAnnulus
+    profile: TwistProfile
+    tau: float
+    t_lo: float = -np.inf
+    t_hi: float = np.inf
+
+    def _rotate(self, pts, tau):
+        pts = np.asarray(pts, float)
+        out = np.array(np.atleast_2d(pts), float, order="C")
+        z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
+        idx = np.flatnonzero(self.annulus.contains(out))
+        rows, moved = _twist_rows(self.annulus, self.profile, tau, z[idx], self.t_lo, self.t_hi)
+        z[idx[rows]] = moved
+        return out[0] if pts.ndim == 1 else out
+
+    def apply(self, pts):
+        return self._rotate(pts, self.tau)
+
+    def apply_inverse(self, pts):
+        return self._rotate(pts, -self.tau)
 
 
 def double_dehn_twist(annulus: RoundAnnulus, profile: TwistProfile, tau: float) -> PlaneMap:
     """Twist supported on the annulus, extended by the identity.
 
-    The product twist conjugated through the area chart, evaluated in
-    closed form as the rotation of each circle about the centre by the
-    angle -tau*h'(t) of its area height (``_twist_rows``); tau = 1 rotates
-    the circle at height b by a full turn, tau = N is the N-fold iterate,
-    and the Jacobian is identically 1.
+    The product twist (s, t) -> (s + tau*h'(t), t) in the annulus's area
+    coordinates, evaluated in closed form as the rotation of each circle
+    about the centre by the angle -tau*h'(t) of its area height
+    (``_twist_rows``); tau = 1 rotates the circle at height b by a full
+    turn, tau = N is the N-fold iterate, and the Jacobian is identically 1.
     """
-    chart = AreaChart(annulus)
-    if profile.a > chart.a + 1e-9:
-        raise ValueError("profile wider than the annulus chart target")
-    fwd = _twist_forward(chart, profile, tau, -np.inf, np.inf)
-    bwd = _twist_forward(chart, profile, -tau, -np.inf, np.inf)
-    return PlaneMap(fwd, bwd)
+    if profile.a > annulus.a + 1e-9:
+        raise ValueError("profile wider than the annulus")
+    return PlaneMap(annulus, profile, tau)
 
 
 def half_twists(annulus: RoundAnnulus, profile: TwistProfile, tau: float):
@@ -247,17 +210,8 @@ def half_twists(annulus: RoundAnnulus, profile: TwistProfile, tau: float):
     reproduces the full twist exactly for every tau, and their supports are
     disjoint so they commute.
     """
-    chart = AreaChart(annulus)
     b = profile.b
-    lower = PlaneMap(
-        _twist_forward(chart, profile, tau, -np.inf, b),
-        _twist_forward(chart, profile, -tau, -np.inf, b),
-    )
-    upper = PlaneMap(
-        _twist_forward(chart, profile, tau, b, np.inf),
-        _twist_forward(chart, profile, -tau, b, np.inf),
-    )
-    return lower, upper
+    return PlaneMap(annulus, profile, tau, t_hi=b), PlaneMap(annulus, profile, tau, t_lo=b)
 
 
 def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):
@@ -266,15 +220,14 @@ def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):
     H(z) = h(t(z)) with t the area coordinate; grad t is simply the vector
     from the annulus center, so grad H = h'(t) * (z - c).
     """
-    chart = AreaChart(annulus)
-    c = np.asarray(annulus.center)
+    c, mid = np.asarray(annulus.center), annulus.mid
     lo, hi = annulus.r_inner**2, annulus.r_outer**2
 
     def rel_t_mask(pts):
         # r^2 once: the mask is RoundAnnulus.contains (closed) on the same r^2
         rel = np.atleast_2d(np.asarray(pts, float)) - c
         r2 = np.einsum("ij,ij->i", rel, rel)
-        return rel, 0.5 * (r2 - chart.mid), (r2 >= lo) & (r2 <= hi)
+        return rel, 0.5 * (r2 - mid), (r2 >= lo) & (r2 <= hi)
 
     def H(pts):
         rel, t, mask = rel_t_mask(pts)
@@ -772,20 +725,20 @@ class Representation:
 
     @cached_property
     def _letter_tables(self):
-        """Per cover vertex: its index, its area chart and the annuli near it.
+        """Per cover vertex: its index, its annulus and the annuli near it.
 
         The annuli near A(v) are the others whose disks meet its disk: a
         superset of every other annulus that can contain a point of A(v),
         widened by a relative slack that only adds annuli.
         """
-        charts = [AreaChart(a) for a in self.config.annuli.values()]
-        centers = np.array([ch.annulus.center for ch in charts])
-        outer = np.array([ch.annulus.r_outer for ch in charts])
+        annuli = list(self.config.annuli.values())
+        centers = np.array([A.center for A in annuli])
+        outer = np.array([A.r_outer for A in annuli])
         diff = centers[:, None] - centers[None]
         meets = np.hypot(diff[..., 0], diff[..., 1]) <= (outer[:, None] + outer) * (1.0 + 1e-9)
         np.fill_diagonal(meets, False)
         index = {v: i for i, v in enumerate(self.config.annuli)}
-        return index, charts, [np.flatnonzero(row) for row in meets]
+        return index, annuli, [np.flatnonzero(row) for row in meets]
 
     def apply_letters(self, letters, pts):
         """Apply cover letters (v, e) right to left to an (n, 2) array.
@@ -802,40 +755,25 @@ class Representation:
         do not move, so no membership decision that rounding could flip
         ever changes an output.
         """
-        index, charts, near = self._letter_tables
+        index, annuli, near = self._letter_tables
         steps = [(index[v], v, e) for v, e in reversed(letters)]
-        last = np.full(len(charts), -1)  # the last step that uses each annulus
+        last = np.full(len(annuli), -1)  # the last step that uses each annulus
         for step, (i, _, _) in enumerate(steps):
             last[i] = step
         out = np.array(pts, float, order="C")
         z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
-        member = np.zeros((len(charts), len(out)), bool)
+        member = np.zeros((len(annuli), len(out)), bool)
         for j in np.flatnonzero(last >= 0):
-            member[j] = charts[j].annulus.contains(out)
+            member[j] = annuli[j].contains(out)
         for step, (i, v, e) in enumerate(steps):
             idx = np.flatnonzero(member[i])
-            rows, moved = _twist_rows(charts[i], self.profiles[v], self.N * e, z[idx])
+            rows, moved = _twist_rows(annuli[i], self.profiles[v], self.N * e, z[idx])
             idx = idx[rows]
             z[idx] = moved
             moved_xy = out.take(idx, axis=0)
             for j in near[i][last[near[i]] > step]:
-                member[j, idx] = charts[j].annulus.contains(moved_xy)
+                member[j, idx] = annuli[j].contains(moved_xy)
         return out
-
-    def generator_field(self, v):
-        return twist_hamiltonian(self.config.annuli[v], self.profiles[v])
-
-    def supports(self, v):
-        """Annuli supporting the image of the word-graph generator g_v."""
-        if self.pullback is None:
-            return [self.config.annuli[v]]
-        return [self.config.annuli[x] for x, _ in self.pullback.images[v].letters]
-
-
-def _profile_for_circle(annulus: RoundAnnulus, circle_radius: float) -> TwistProfile:
-    chart = AreaChart(annulus)
-    b = float(chart.t_of_radius(circle_radius))
-    return make_profile(chart.a, b)
 
 
 def build_representation(
@@ -866,8 +804,9 @@ def build_representation(
     else:
         emb = emulator.embedding
     config = build_configuration(emb)
-    profiles = {
-        v: _profile_for_circle(config.annuli[v], config.radii[v]) for v in config.graph.vertices
-    }
+    profiles = {}
+    for v, A in config.annuli.items():
+        R = config.radii[v]  # the rotation circle of A(v), at area height b = (R^2 - mid)/2
+        profiles[v] = make_profile(A.a, 0.5 * (R * R - A.mid))
     pullback = None if emulator is None else hom_pullback(emulator.projection)
     return Representation(word_graph=graph, config=config, N=N, profiles=profiles, pullback=pullback)

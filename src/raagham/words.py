@@ -136,13 +136,6 @@ def _alphabet(graph: SimplicialGraph):
     return neighbor_idx, commute
 
 
-def inversion_count(w: Word) -> int:
-    """Consecutive commuting pairs that are out of order (later vertex first)."""
-    _, commute = _alphabet(w.graph)
-    ids = w._ids
-    return sum(1 for a, b in zip(ids, ids[1:]) if a >> 1 > b >> 1 and commute[a][b])
-
-
 # -------------------------- fast route: piling -----------------------------
 
 
@@ -219,59 +212,6 @@ def geodesic_length(w: Word) -> int:
 
 
 # --------------------- slow route: closure search ---------------------------
-
-
-def _shuffle_closure_ids(graph, ids):
-    _, commute = _alphabet(graph)
-    seen = {ids}
-    stack = [ids]
-    while stack:
-        cur = stack.pop()
-        for i in range(len(cur) - 1):
-            a, b = cur[i], cur[i + 1]
-            if commute[a][b]:
-                nxt = cur[:i] + (b, a) + cur[i + 2 :]
-                if nxt not in seen:
-                    if len(seen) >= DEFAULT_CLOSURE_CAP:
-                        raise ResourceCapExceeded(f"shuffle closure exceeded {len(seen)} words")
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return seen
-
-
-def shuffle_closure(w: Word):
-    """Every word reachable from w by swapping adjacent commuting letters."""
-    return {Word._trusted(w.graph, ids) for ids in _shuffle_closure_ids(w.graph, w._ids)}
-
-
-def _first_cancellation(ids):
-    for i in range(len(ids) - 1):
-        if ids[i] ^ 1 == ids[i + 1]:
-            return ids[:i] + ids[i + 2 :]
-    return None
-
-
-def normal_form_closure(w: Word) -> NormalForm:
-    """Reference normal form by explicit closure search.
-
-    Repeatedly computes the full shuffle closure, cancels the first
-    cancelling pair found in any member (scanning members in sorted order for
-    determinism) and restarts; once no member cancels, the shortlex-least
-    member is the answer.  Exponential in the worst case; the piling route
-    must agree with this one.
-    """
-    current = w._ids
-    while True:
-        closure = _shuffle_closure_ids(w.graph, current)
-        reduced = None
-        for ids in sorted(closure):
-            shorter = _first_cancellation(ids)
-            if shorter is not None:
-                reduced = shorter
-                break
-        if reduced is None:
-            return NormalForm(word=Word._trusted(w.graph, min(closure)))
-        current = reduced
 
 
 def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:

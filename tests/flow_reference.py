@@ -5,11 +5,18 @@ fixed-point sweeps from an explicit-Euler predictor, until the largest
 change over the whole batch is below tol.  ``reference_jacobian_probe``
 makes one ``apply`` call per offset batch (8 in all).  The package's Newton
 stage and batched probe are checked against these.
+
+``integrated_rep_apply`` is the integrated route of a word: it flows each
+cover letter's generating Hamiltonian ``twist_hamiltonian`` for time N*e,
+so it is only as accurate as the integrator; the closed route
+``rep_apply`` must track it.
 """
 
 import numpy as np
 
-from raagham.flows import IntegrationError
+from raagham.flows import HamiltonianField, IntegrationError, flow_map
+from raagham.twist import twist_hamiltonian
+from raagham.words import hom_apply
 
 
 def fixed_point_flow(field, z0, T, steps, tol=1e-12, max_iter=50):
@@ -55,3 +62,16 @@ def reference_jacobian_probe(plane_map, pts, step=1e-6):
         "max_deviation": float(dev.max()),
         "count": int(len(pts)),
     }
+
+
+def integrated_rep_apply(rep, w, pts, steps=None):
+    """The image of a word, each cover letter's Hamiltonian flowed for time
+    N*e, right to left."""
+    if rep.pullback is not None:
+        w = hom_apply(rep.pullback, w)
+    pts = np.asarray(pts, float)
+    out = np.atleast_2d(pts).copy()
+    for v, e in reversed(w.letters):
+        H, grad = twist_hamiltonian(rep.config.annuli[v], rep.profiles[v])
+        out = flow_map(HamiltonianField(H, grad), out, T=rep.N * e, steps=steps).final
+    return out[0] if pts.ndim == 1 else out

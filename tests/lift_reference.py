@@ -5,6 +5,9 @@ separate value and gradient passes of the mollifier and the assembled
 Hamiltonian, and the polydisk gradient called k.value, k.gradient and the
 mollifier's value and gradient block by block.  Both compositions are kept
 here as oracles: the fused evaluations must match them bit for bit.
+
+``free_group_count`` is the number of reduced words of length <= L in a
+free group of rank m, the size ``enumerate_group`` must reach.
 """
 
 import numpy as np
@@ -49,3 +52,10 @@ def polydisk_gradient(pd, pts):
                 others = others * e
         grads[:, 2 * i : 2 * i + 2] = pd.eta.gradient(blocks[i]) * others[:, None]
     return grads
+
+
+def free_group_count(m: int, L: int) -> int:
+    total = 1
+    for k in range(1, L + 1):
+        total += 2 * m * (2 * m - 1) ** (k - 1)
+    return total

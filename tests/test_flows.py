@@ -27,7 +27,6 @@ from raagham.lift import (
 from raagham.twist import (
     Representation,
     RoundAnnulus,
-    AreaChart,
     build_representation,
     double_dehn_twist,
     half_twists,
@@ -35,7 +34,7 @@ from raagham.twist import (
     twist_hamiltonian,
 )
 from raagham.words import Word, commutator, empty_word, generator, normal_form, word_from_tokens
-from flow_reference import fixed_point_flow, reference_jacobian_probe
+from flow_reference import fixed_point_flow, integrated_rep_apply, reference_jacobian_probe
 from twist_reference import probe_points, reference_fold, reference_twist
 
 
@@ -62,7 +61,7 @@ class TestFlowMap:
 
     def test_matches_closed_form_twist(self):
         A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
-        prof = make_profile(AreaChart(A).a, 0.0)
+        prof = make_profile(A.a, 0.0)
         H, grad = twist_hamiltonian(A, prof)
         rng = np.random.default_rng(5)
         pts = A.sample_points(25, rng)
@@ -169,7 +168,7 @@ class TestRepApply:
         w = word_from_tokens(g, ["v"])
         ov = p3_rep.config.overlap_points("v", "u")
         closed = rep_apply(p3_rep, w, ov)
-        integ = rep_apply(p3_rep, w, ov, route="integrated", steps=6000)
+        integ = integrated_rep_apply(p3_rep, w, ov, steps=6000)
         assert np.hypot(*(integ - closed).T).max() < 1e-3
 
 
@@ -242,31 +241,15 @@ class TestClosedRouteBitIdentity:
 
 
 class TestRepApplyErrors:
-    @pytest.fixture
-    def no_geometry(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("geometry ran")
-
-        monkeypatch.setattr(Representation, "apply_letters", fail)
-        monkeypatch.setattr(Representation, "generator_field", fail)
-
     @pytest.mark.parametrize("rep_name", REPS)
-    def test_word_over_another_graph(self, request, rep_name, no_geometry):
+    def test_word_over_another_graph(self, request, rep_name, monkeypatch):
         rep = request.getfixturevalue(rep_name)
+        monkeypatch.setattr(Representation, "apply_letters", lambda *a: pytest.fail("geometry ran"))
         # the cover graph is the tempting wrong graph for an emulator rep
         other = rep.config.graph if rep.pullback is not None else SimplicialGraph(["q"], [])
         w = generator(other, other.vertices[0])
-        for route in ("closed", "integrated"):
-            with pytest.raises(ValueError, match="not over the representation's graph"):
-                rep_apply(rep, w, np.zeros((3, 2)), route=route)
-
-    @pytest.mark.parametrize("rep_name", ["p3_rep", "k6_rep"])
-    def test_unknown_route(self, request, rep_name, no_geometry):
-        rep = request.getfixturevalue(rep_name)
-        g = rep.word_graph
-        for w in (empty_word(g), generator(g, g.vertices[0])):
-            with pytest.raises(ValueError, match="unknown route 'bogus'"):
-                rep_apply(rep, w, np.zeros((3, 2)), route="bogus")
+        with pytest.raises(ValueError, match="not over the representation's graph"):
+            rep_apply(rep, w, np.zeros((3, 2)))
 
 
 class TestVerification:
@@ -311,7 +294,7 @@ class TestJacobianProbe:
 
     def test_closed_twist(self):
         A = RoundAnnulus((0.0, 0.0), 1.0, 2.0)
-        prof = make_profile(AreaChart(A).a, 0.0)
+        prof = make_profile(A.a, 0.0)
         f = double_dehn_twist(A, prof, 2.0)
         pts = A.sample_points(100, np.random.default_rng(1))
         stats = jacobian_probe(f, pts, 1e-5)
@@ -389,7 +372,7 @@ def agreement_case(name, smoothed_field):
         return rotation_field(), rng.uniform(-1, 1, (20, 2))
     if name == "twist":
         A = RoundAnnulus((0.2, -0.1), 1.0, math.sqrt(3))
-        H, grad = twist_hamiltonian(A, make_profile(AreaChart(A).a, 0.0))
+        H, grad = twist_hamiltonian(A, make_profile(A.a, 0.0))
         return HamiltonianField(H, grad), A.sample_points(20, rng)
     if name == "lift":
         return smoothed_field, slice_points()

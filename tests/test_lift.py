@@ -20,7 +20,6 @@ from raagham.lift import (
     assemble_Hv,
     default_study_annulus,
     enumerate_group,
-    free_group_count,
     lambda_scale,
     schottky_interior_radius,
     schottky_pair,
@@ -28,6 +27,7 @@ from raagham.lift import (
     _deriv_sq_polar,
 )
 from raagham.twist import RoundAnnulus
+from lift_reference import free_group_count
 
 IDENT = GroupElement((), MobiusMap.identity())
 
@@ -99,7 +99,7 @@ class TestLambda:
 
     def test_rotation_is_area(self):
         A = default_study_annulus()
-        rot = GroupElement((), MobiusMap.rotation(1.2))
+        rot = GroupElement((), MobiusMap(1.2, 0.0))
         assert abs(lambda_scale(rot, A) - A.area) < 1e-10
 
     def test_matches_exact_image_area(self):
@@ -330,13 +330,13 @@ class TestAssembled:
     def test_overlap_detected(self):
         A = default_study_annulus()
         with pytest.raises(RegionOverlapError):
-            assemble_Hv("v", [IDENT, GroupElement((), MobiusMap.rotation(0.5))], A)
+            assemble_Hv("v", [IDENT, GroupElement((), MobiusMap(0.5, 0.0))], A)
 
     def test_overlap_names_first_pair(self):
         A = default_study_annulus()
         els = enumerate_group(schottky_pair(0.98), 2)
         # a rotation fixes the annulus, so this copy covers translate 5 exactly
-        twin = GroupElement(els[5].word, els[5].map.compose(MobiusMap.rotation(0.5)))
+        twin = GroupElement(els[5].word, els[5].map.compose(MobiusMap(0.5, 0.0)))
         with pytest.raises(RegionOverlapError, match="regions 5 and 17 overlap"):
             assemble_Hv("v", els + [twin], A)
 

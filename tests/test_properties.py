@@ -18,13 +18,13 @@ from raagham.twist import (
     _inflate,
     _pack_component,
     _plane_packing,
-    AreaChart,
     build_configuration,
     double_dehn_twist,
     make_profile,
 )
-from raagham.words import Word, normal_form, normal_form_closure, word_from_tokens
+from raagham.words import Word, normal_form, word_from_tokens
 from twist_reference import bisect_delta, gap_floor, inflation_valid, reference_fold
+from words_reference import normal_form_closure
 
 TWO_PI = 2 * math.pi
 # derandomized so that every run draws the same examples
@@ -64,7 +64,7 @@ def test_mobius_pair_is_the_theta_a_map(theta, a, zs):
 
 
 TWIST_ANNULUS = RoundAnnulus((0.3, -0.2), 1.0, math.sqrt(3))
-TWIST_PROFILE = make_profile(AreaChart(TWIST_ANNULUS).a, 0.1)
+TWIST_PROFILE = make_profile(TWIST_ANNULUS.a, 0.1)
 TWIST_POINTS = TWIST_ANNULUS.sample_points(64, np.random.default_rng(3))
 taus = st.floats(-3.0, 3.0, allow_nan=False)
 

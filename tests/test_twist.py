@@ -9,7 +9,6 @@ from raagham.graphs import (
     SimplicialGraph,
     complete_graph,
     cycle_graph,
-    graphs_isomorphic,
     incidence_nerve,
     path_graph,
     planarity,
@@ -19,7 +18,6 @@ from raagham.twist import (
     ANGLE_TOL,
     MAX_SWEEPS,
     PackingError,
-    AreaChart,
     RoundAnnulus,
     annuli_intersect,
     build_configuration,
@@ -27,10 +25,11 @@ from raagham.twist import (
     double_dehn_twist,
     half_twists,
     make_profile,
-    product_twist,
     twist_hamiltonian,
 )
+from graphs_reference import graphs_isomorphic
 from twist_reference import (
+    AreaChart,
     bisect_delta,
     boundary_points,
     chart_twist,
@@ -39,6 +38,7 @@ from twist_reference import (
     inflation_valid,
     flood_fill_labels,
     probe_points,
+    product_twist,
     reference_region_points,
     reference_twist_hamiltonian,
     reference_widths,
@@ -147,18 +147,39 @@ class TestAreaChart:
         det = (sx[:, 0] * sy[:, 1] - sx[:, 1] * sy[:, 0]) / (2 * h) ** 2
         assert np.abs(det - 1.0).max() < 1e-6
 
+    def test_annulus_area_height_equals_chart(self):
+        """RoundAnnulus.mid and .a are the chart's to the bit; the boundary
+        circles sit at area height -a and +a up to the roundings of r^2 and
+        mid (exact on some annuli, within 2 ulp of mid on all)."""
+        rng = np.random.default_rng(0)
+        for r_i, w in rng.uniform(0.01, 2.0, (500, 2)):
+            A = RoundAnnulus(tuple(rng.uniform(-1, 1, 2)), r_i, r_i + w)
+            ch = AreaChart(A)
+            assert A.mid == ch.mid and A.a == ch.a
+            t = ch.t_of_radius([A.r_inner, A.r_outer])
+            assert np.abs(t - [-A.a, A.a]).max() <= 2 * np.spacing(A.mid)
+        A = RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3))
+        assert AreaChart(A).t_of_radius([A.r_inner, A.r_outer]).tolist() == [-A.a, A.a]
+
 
 class TestDoubleDehnTwist:
     A = RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3))
 
     def setup_method(self, _):
-        self.prof = make_profile(AreaChart(self.A).a, 0.0)
+        self.prof = make_profile(self.A.a, 0.0)
         self.rng = np.random.default_rng(1)
         self.pts = self.A.sample_points(150, self.rng)
 
     def test_tau_zero_identity(self):
         f0 = double_dehn_twist(self.A, self.prof, 0.0)
         assert np.abs(f0.apply(self.pts) - self.pts).max() == 0.0
+
+    def test_profile_wider_than_annulus_rejected(self):
+        with pytest.raises(ValueError, match="profile wider than the annulus"):
+            double_dehn_twist(self.A, make_profile(self.A.a + 2e-9, 0.0), 1.0)
+        # within the 1e-9 slack the twist is built
+        f = double_dehn_twist(self.A, make_profile(self.A.a + 5e-10, 0.0), 1.0)
+        assert f.annulus == self.A
 
     def test_central_circle_full_turn(self):
         f = double_dehn_twist(self.A, self.prof, 1.0)
@@ -240,7 +261,7 @@ class TestRotationAccuracy:
         rotated = double_dehn_twist(ann, prof, tau).apply(pts)
         charted = chart_twist(ann, prof, tau, pts)
         with mpmath.workdps(50):
-            c, mid = mpmath.mpc(*ann.center), mpmath.mpf(AreaChart(ann).mid)
+            c, mid = mpmath.mpc(*ann.center), mpmath.mpf(ann.mid)
             err_rot = err_chart = 0.0
             for p, q_rot, q_chart in zip(pts, rotated, charted):
                 rel = mpmath.mpc(*p) - c
@@ -315,7 +336,7 @@ class TestTwistHamiltonianMask:
     @pytest.mark.parametrize("A", ANNULI)
     @pytest.mark.parametrize("b_frac", [0.0, 0.4])
     def test_values_equal_contains_reference(self, A, b_frac):
-        prof = make_profile(AreaChart(A).a, b_frac * AreaChart(A).a)
+        prof = make_profile(A.a, b_frac * A.a)
         rng = np.random.default_rng(3)
         pts = np.concatenate([boundary_points(A), A.sample_points(200, rng),
                               np.asarray(A.center) + rng.uniform(-2, 2, (50, 2))])
@@ -686,5 +707,5 @@ class TestRepresentation:
             complete_graph(list("abcde")), N=2, emulator=k5_emulator
         )
         assert rep.pullback is not None
-        assert len(rep.supports("a")) == 2
+        assert len(rep.pullback.images["a"]) == 2
         check_packing_records(rep.config)

@@ -5,10 +5,14 @@ closed annulus with ``RoundAnnulus.contains`` and turns the masked rows
 whose angle tau*h'(t) is nonzero about the centre, z -> c + (z - c) *
 exp(-i tau h'(t)), by the same floating-point operations as the package.
 The package's tracked word kernel must equal this fold bit for bit.
-``chart_twist`` is the route the rotation replaced: it maps the masked rows
-to the product annulus with ``AreaChart.to_product``, shifts s by
-tau*h'(t), reduces it mod 2*pi and maps back with ``AreaChart.to_plane``;
-the rotation must agree with it to rounding.
+
+Area chart: ``AreaChart`` is the symplectomorphism of a round annulus onto
+the product annulus S^1 x [-a, a], and ``product_twist`` is the twist
+(s, t) -> (s + tau*h'(t), t) there.  ``chart_twist`` is the route the
+rotation replaced: it maps the masked rows to the product annulus with
+``AreaChart.to_product``, shifts s by tau*h'(t), reduces it mod 2*pi and
+maps back with ``AreaChart.to_plane``; the rotation must agree with it to
+rounding, and ``RoundAnnulus.mid`` and ``.a`` must equal the chart's.
 
 Punctures: ``flood_fill`` labels the free cells of a grid, the route the
 exact circle arrangement of ``build_configuration`` replaced; it resolves
@@ -30,8 +34,47 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from raagham.twist import AreaChart
 from raagham.words import hom_apply
+
+TWO_PI = 2.0 * math.pi
+
+
+class AreaChart:
+    """s = -theta (mod 2*pi) and t = (r^2 - mid)/2 onto S^1 x [-a, a]: the sign
+    flip of the angle makes ds^dt = dx^dy including orientation."""
+
+    def __init__(self, annulus):
+        self.annulus = annulus
+        self.mid = 0.5 * (annulus.r_inner**2 + annulus.r_outer**2)
+        self.a = 0.25 * (annulus.r_outer**2 - annulus.r_inner**2)
+
+    def to_product(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        rel = pts - np.asarray(self.annulus.center)
+        r2 = np.einsum("ij,ij->i", rel, rel)
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        s = (-theta) % TWO_PI
+        t = 0.5 * (r2 - self.mid)
+        return np.stack([s, t], -1)
+
+    def to_plane(self, st):
+        st = np.atleast_2d(np.asarray(st, float))
+        r = np.sqrt(2.0 * st[:, 1] + self.mid)
+        theta = -st[:, 0]
+        return np.asarray(self.annulus.center) + np.stack(
+            [r * np.cos(theta), r * np.sin(theta)], -1
+        )
+
+    def t_of_radius(self, r):
+        return 0.5 * (np.asarray(r, float) ** 2 - self.mid)
+
+
+def product_twist(profile, tau, p):
+    """Closed-form twist on the product annulus: (s, t) -> (s + tau*h'(t), t)."""
+    s, t = float(p[0]), float(p[1])
+    if abs(t) > profile.a + 1e-12:
+        raise ValueError(f"t={t} outside [-a, a]")
+    return ((s + tau * profile.dh(t)) % TWO_PI, t)
 
 
 def reference_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
