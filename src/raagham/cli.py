@@ -1,17 +1,20 @@
 """Batch command line: one verb per pipeline stage.
 
+Each verb takes only the flags it reads (``VERBS``); every flag's default
+sits in ``FLAGS``.  Verbs write their artifacts into ``--out`` (default the
+working directory), except ``normal-form`` and ``double``, which print their
+result and write it to a file only when ``--out`` is given.
+
 Exit codes: 0 success / all checks passed, 1 a verification failed,
-2 invalid input, 3 a resource cap was hit.  Given the same configuration and
-seed every CSV/JSON artifact is byte-identical between runs.
+2 invalid input, 3 a resource cap was hit.  Given the same flags every
+CSV/JSON artifact is byte-identical between runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,45 +24,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    N: int = 2
-    depth: int = 6
-    eps: tuple = (1e-1, 1e-2, 1e-3)
-    tol: float = 1e-9
-    out: str = "."
-    max_sheets: int = 2
-    steps: int = 2000
-    max_len: int = 2
-    samples: int = 200
-    schottky_s: float = 0.98
-    polydisk_n: int = 2
-
-    def validate(self):
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
-        if self.tol <= 0 or any(e <= 0 for e in self.eps):
-            raise ValueError("tolerances must be positive")
-
-
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            data = json.load(f)
-        for k, v in data.items():
-            if not hasattr(cfg, k):
-                raise ValueError(f"unknown config key {k!r}")
-            setattr(cfg, k, tuple(v) if k == "eps" else v)
-    for k in vars(cfg):
-        v = getattr(args, k, None)
-        if v is not None:
-            setattr(cfg, k, v)
-    cfg.validate()
-    return cfg
 
 
 def _read_graph(path) -> graphs.SimplicialGraph:
@@ -72,8 +36,8 @@ def _read_word(path, graph) -> words.Word:
         return textio.parse_word(f.read(), graph)
 
 
-def _emit(cfg, name, data):
-    path = os.path.join(cfg.out, name)
+def _emit(args, name, data):
+    path = os.path.join(args.out, name)
     textio.atomic_write(path, data)
     return path
 
@@ -82,19 +46,17 @@ def _emit(cfg, name, data):
 
 
 def cmd_normal_form(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
     w = _read_word(args.word, g)
     nf = words.normal_form(w)
     line = textio.format_word(nf.word)
     print(line)
-    if args.out != ".":
-        _emit(cfg, "normal_form.txt", line + "\n")
+    if args.out is not None:
+        _emit(args, "normal_form.txt", line + "\n")
     return EXIT_OK
 
 
 def cmd_word_eq(args):
-    _load_config(args)
     g = _read_graph(args.graph)
     w1 = _read_word(args.word, g)
     w2 = _read_word(args.word2, g)
@@ -103,17 +65,15 @@ def cmd_word_eq(args):
 
 
 def cmd_double(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
     text = textio.format_graph(graphs.double(g))
     sys.stdout.write(text)
-    if args.out != ".":
-        _emit(cfg, "double.txt", text)
+    if args.out is not None:
+        _emit(args, "double.txt", text)
     return EXIT_OK
 
 
 def cmd_check_cover(args):
-    _load_config(args)
     base = _read_graph(args.graph)
     with open(args.cover) as f:
         cover, morphism = textio.parse_cover_file(f.read(), base)
@@ -136,19 +96,18 @@ def cmd_check_cover(args):
 
 
 def cmd_emulator(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
-    res = graphs.find_planar_emulator(g, cfg.max_sheets)
+    res = graphs.find_planar_emulator(g, args.max_sheets)
     if isinstance(res, graphs.NotFound):
         print(f"not found: {res.reason} after {res.tried} assignments")
         return EXIT_RESOURCE if not res.exhausted else EXIT_VERIFICATION
     cover_text = textio.format_cover_file(res.cover, res.projection)
-    _emit(cfg, "cover.txt", cover_text)
+    _emit(args, "cover.txt", cover_text)
     emb = {
         textio.vertex_name(v): list(map(float, res.embedding.positions[v]))
         for v in res.cover.vertices
     }
-    _emit(cfg, "embedding.json", textio.dump_json(emb))
+    _emit(args, "embedding.json", textio.dump_json(emb))
     cert = graphs.check_orbicover(res.projection)
     print(
         f"planar {res.voltage.group_order}-sheet cover: "
@@ -160,7 +119,6 @@ def cmd_emulator(args):
 
 
 def cmd_certificate(args):
-    _load_config(args)
     g = _read_graph(args.graph)
     cert = graphs.certificate_no_emulator(g)
     if isinstance(cert, graphs.NotApplicable):
@@ -174,39 +132,42 @@ def cmd_certificate(args):
     return EXIT_OK
 
 
-def _build_rep(cfg, g):
+def _build_rep(args, g):
     emb = graphs.planarity(g)
     emulator = None
     if isinstance(emb, graphs.NonplanarWitness):
-        res = graphs.find_planar_emulator(g, cfg.max_sheets)
+        res = graphs.find_planar_emulator(g, args.max_sheets)
         if isinstance(res, graphs.NotFound):
+            if not res.exhausted:
+                raise words.ResourceCapExceeded(
+                    f"graph is nonplanar ({emb.detail}); emulator search stopped "
+                    f"after {res.tried} assignments: {res.reason}"
+                )
             raise ValueError(
                 f"graph is nonplanar ({emb.detail}) and no emulator found "
-                f"within {cfg.max_sheets} sheets"
+                f"within {args.max_sheets} sheets"
             )
         emulator = res
-    return twist.build_representation(g, cfg.N, emulator=emulator)
+    return twist.build_representation(g, args.N, emulator=emulator)
 
 
 def cmd_build_config(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
     emb = graphs.planarity(g)
     if isinstance(emb, graphs.NonplanarWitness):
         print(f"graph not planar: {emb.detail}")
         return EXIT_INVALID
     config = twist.build_configuration(emb)
-    _emit(cfg, "config.json", textio.dump_json(textio.config_to_json(config)))
-    _emit(cfg, "config.svg", textio.svg_configuration(config))
+    _emit(args, "config.json", textio.dump_json(textio.config_to_json(config)))
+    _emit(args, "config.svg", textio.svg_configuration(config))
     print(f"configuration built: delta={config.provenance['delta']:.6f}, "
           f"{len(config.region_points)} complementary components")
     return EXIT_OK
 
 
 def cmd_build_rep(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
-    rep = _build_rep(cfg, g)
+    rep = _build_rep(args, g)
     info = {
         "N": rep.N,
         "route": "emulator" if rep.pullback is not None else "direct",
@@ -217,16 +178,15 @@ def cmd_build_rep(args):
             textio.vertex_name(v): textio.format_word(rep.pullback.images[v])
             for v in g.vertices
         }
-    _emit(cfg, "representation.json", textio.dump_json(info))
-    _emit(cfg, "config.svg", textio.svg_configuration(rep.config))
+    _emit(args, "representation.json", textio.dump_json(info))
+    _emit(args, "config.svg", textio.svg_configuration(rep.config))
     print(f"representation built ({info['route']} route, N={rep.N})")
     return EXIT_OK
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
-    rep = _build_rep(cfg, g)
+    rep = _build_rep(args, g)
     w = _read_word(args.word, g)
     marked = rep.config.marked_points()
     moved = flows.rep_apply(rep, w, marked)
@@ -237,20 +197,17 @@ def cmd_simulate(args):
         }
         for a, b in zip(marked, moved)
     ]
-    _emit(cfg, "orbits.csv", textio.dump_csv(rows, ["x0", "y0", "x1", "y1", "displacement"]))
-    _emit(cfg, "orbits.svg", textio.svg_orbits(rep.config, marked, moved))
+    _emit(args, "orbits.csv", textio.dump_csv(rows, ["x0", "y0", "x1", "y1", "displacement"]))
+    _emit(args, "orbits.svg", textio.svg_orbits(rep.config, marked, moved))
     print(f"applied word of length {len(w)} to {len(marked)} marked points; "
           f"max displacement {max(r['displacement'] for r in rows):.6g}")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
-    rep = _build_rep(cfg, g)
-    report = flows.verify_relations(
-        rep, samples=cfg.samples, seed=cfg.seed, puncture_tol=cfg.tol
-    )
+    rep = _build_rep(args, g)
+    report = flows.verify_relations(rep, samples=args.samples, seed=args.seed)
     payload = {
         "seed": report.seed,
         "samples": report.samples,
@@ -258,7 +215,7 @@ def cmd_verify(args):
         "jacobian_max_deviation": report.jacobian_max_deviation,
         "all_passed": report.all_passed(),
     }
-    _emit(cfg, "verification.json", textio.dump_json(payload))
+    _emit(args, "verification.json", textio.dump_json(payload))
     for row in report.rows():
         status = "pass" if row["passed"] else "FAIL"
         print(f"[{status}] {row['check']:>16} {row['pair']:<12} "
@@ -267,24 +224,30 @@ def cmd_verify(args):
 
 
 def cmd_probe_faithful(args):
-    cfg = _load_config(args)
     g = _read_graph(args.graph)
-    rep = _build_rep(cfg, g)
-    table = flows.faithfulness_probe(rep, cfg.max_len, seed=cfg.seed)
-    _emit(cfg, "faithfulness.json", textio.dump_json(table))
+    rep = _build_rep(args, g)
+    table = flows.faithfulness_probe(rep, args.max_len, seed=args.seed)
+    _emit(args, "faithfulness.json", textio.dump_json(table))
     worst = [t for t in table if t["verdict"] == "INCONCLUSIVE"]
     print(f"{len(table)} words probed, {len(table) - len(worst)} NONTRIVIAL, "
           f"{len(worst)} INCONCLUSIVE")
     return EXIT_OK
 
 
-def cmd_lambda_decay(args):
-    cfg = _load_config(args)
-    gens = lift.schottky_pair(cfg.schottky_s)
-    elements = lift.enumerate_group(gens, cfg.depth)
-    tail = [e for e in lift.enumerate_group(gens, cfg.depth + 1) if e.length == cfg.depth + 1]
+def _study_Hv(depth, tail):
+    """The study annulus and H_v assembled over its Schottky translates up to
+    depth; the truncation bound reads the first ``tail`` elements of length
+    depth + 1, and there is none when tail is 0."""
+    gens = lift.schottky_pair()
+    elements = lift.enumerate_group(gens, depth)
+    longer = lift.enumerate_group(gens, depth + 1) if tail else []
+    tail_elements = [e for e in longer if e.length == depth + 1][:tail]
     annulus = lift.default_study_annulus()
-    assembled = lift.assemble_Hv("v", elements, annulus, tail_elements=tail[:64])
+    return annulus, lift.assemble_Hv("v", elements, annulus, tail_elements=tail_elements)
+
+
+def cmd_lambda_decay(args):
+    _, assembled = _study_Hv(args.depth, 64)
     report = lift.analytic_report(assembled)
     rows = []
     sup_by_len = {}
@@ -304,11 +267,11 @@ def cmd_lambda_decay(args):
                 "slope_d3": report.slopes.get(3),
             }
         )
-    _emit(cfg, "lambda_decay.csv", textio.dump_csv(
+    _emit(args, "lambda_decay.csv", textio.dump_csv(
         rows, ["word_length", "count", "max_lambda2", "sup_H",
                "slope_d1", "slope_d2", "slope_d3"]))
-    _emit(cfg, "translates.svg", textio.svg_disk_translates(assembled.pieces))
-    print(f"depth {cfg.depth}: lambda^2 monotone beyond length 2: {report.lambda_monotone}; "
+    _emit(args, "translates.svg", textio.svg_disk_translates(assembled.pieces))
+    print(f"depth {args.depth}: lambda^2 monotone beyond length 2: {report.lambda_monotone}; "
           f"slopes {['%.3f' % report.slopes[n] for n in sorted(report.slopes)]}; "
           f"verdicts {report.slope_verdicts}; truncation tail <= {assembled.tail_estimate:.3e}")
     print(f"slope fits kept {report.slope_rows} of {len(report.rows)} rows "
@@ -318,22 +281,18 @@ def cmd_lambda_decay(args):
 
 
 def cmd_smooth_study(args):
-    cfg = _load_config(args)
-    gens = lift.schottky_pair(cfg.schottky_s)
-    elements = lift.enumerate_group(gens, min(cfg.depth, 4))
-    annulus = lift.default_study_annulus()
-    assembled = lift.assemble_Hv("v", elements, annulus)
+    _, assembled = _study_Hv(min(args.depth, 4), 0)
     grid = np.linspace(-0.9, 0.9, 241)
     X, Y = np.meshgrid(grid, grid)
     mask = X**2 + Y**2 <= 0.81
     pts = np.stack([X[mask], Y[mask]], -1)
     base = assembled.value(pts)
     rows = []
-    for eps in cfg.eps:
+    for eps in args.eps:
         # the smoothed value eta * H, with H evaluated once for every eps
         sup = float(np.abs(lift.Mollifier(eps).value(pts) * base - base).max())
         rows.append({"eps": eps, "sup_difference": sup})
-    _emit(cfg, "smooth_study.csv", textio.dump_csv(rows, ["eps", "sup_difference"]))
+    _emit(args, "smooth_study.csv", textio.dump_csv(rows, ["eps", "sup_difference"]))
     sups = [r["sup_difference"] for r in rows]
     decreasing = all(a > b for a, b in zip(sups, sups[1:]))
     print("sup|H_eps - H| over |z| <= 0.9:",
@@ -343,29 +302,28 @@ def cmd_smooth_study(args):
 
 
 def cmd_polydisk(args):
-    cfg = _load_config(args)
-    gens = lift.schottky_pair(cfg.schottky_s)
-    elements = lift.enumerate_group(gens, min(cfg.depth, 2))
-    annulus = lift.default_study_annulus()
-    assembled = lift.assemble_Hv("v", elements, annulus)
-    k = lift.smooth_Hv(assembled, cfg.eps[0])
-    pd = flows.polydisk_extend(k, cfg.polydisk_n)
-    rng = np.random.default_rng(cfg.seed)
+    # eps[0] alone is read, but every value given must be a mollifier parameter
+    if args.N < 2 or min(args.eps) <= 0:
+        raise ValueError("N must be at least 2 and every eps positive")
+    annulus, assembled = _study_Hv(min(args.depth, 2), 0)
+    k = lift.smooth_Hv(assembled, args.eps[0])
+    pd = flows.polydisk_extend(k, args.n)
+    rng = np.random.default_rng(args.seed)
     slice_pts = annulus.sample_points(100, rng)
     resid = pd.slice_gradient_residual(slice_pts)
     sub = slice_pts[:8]
-    res_n = flows.flow_map(pd, pd.embed_slice(sub), T=float(cfg.N), steps=cfg.steps)
-    res_2 = flows.flow_map(k, sub, T=float(cfg.N), steps=cfg.steps)
+    res_n = flows.flow_map(pd, pd.embed_slice(sub), T=float(args.N), steps=args.steps)
+    res_2 = flows.flow_map(k, sub, T=float(args.N), steps=args.steps)
     off_slice = float(np.abs(res_n.final[:, 2:]).max())
     agree = float(np.abs(res_n.final[:, :2] - res_2.final).max())
     payload = {
         "n": pd.n,
-        "N": cfg.N,
+        "N": args.N,
         "slice_gradient_residual": resid,
         "off_slice_after_flow": off_slice,
         "slice_flow_agreement": agree,
     }
-    _emit(cfg, "polydisk.json", textio.dump_json(payload))
+    _emit(args, "polydisk.json", textio.dump_json(payload))
     print(f"n={pd.n}: slice gradient residual {resid:.2e}, "
           f"off-slice drift {off_slice:.2e}, agreement {agree:.2e}")
     ok = resid <= 1e-9 and off_slice <= 1e-5 and agree <= 1e-5
@@ -375,60 +333,58 @@ def cmd_polydisk(args):
 # --------------------------------- parser -----------------------------------
 
 
+# Every flag a verb may take: its option string and argparse spec, default
+# included.  "copy-to" is the --out of the verbs that print their result and
+# write it to a file only when asked.
+FLAGS = {
+    "graph": ("--graph", dict(required=True)),
+    "word": ("--word", dict(required=True)),
+    "word2": ("--word2", dict(required=True)),
+    "cover": ("--cover", dict(required=True)),
+    "out": ("--out", dict(default=".")),
+    "copy-to": ("--out", dict(default=None)),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "N": ("--N", dict(type=int, default=2)),
+    "max-sheets": ("--max-sheets", dict(type=int, default=2)),
+    "samples": ("--samples", dict(type=int, default=200)),
+    "max-len": ("--max-len", dict(type=int, default=2)),
+    "depth": ("--depth", dict(type=int, default=6)),
+    "eps": ("--eps", dict(type=float, nargs="+", default=(1e-1, 1e-2, 1e-3))),
+    "steps": ("--steps", dict(type=int, default=2000)),
+    "n": ("--n", dict(type=int, default=2)),
+}
+
+# Each verb and the flags it reads.
+VERBS = {
+    "normal-form": (cmd_normal_form, "graph word copy-to"),
+    "word-eq": (cmd_word_eq, "graph word word2"),
+    "double": (cmd_double, "graph copy-to"),
+    "check-cover": (cmd_check_cover, "graph cover"),
+    "emulator": (cmd_emulator, "graph max-sheets out"),
+    "certificate": (cmd_certificate, "graph"),
+    "build-config": (cmd_build_config, "graph out"),
+    "build-rep": (cmd_build_rep, "graph N max-sheets out"),
+    "simulate": (cmd_simulate, "graph word N max-sheets out"),
+    "verify": (cmd_verify, "graph N max-sheets samples seed out"),
+    "probe-faithful": (cmd_probe_faithful, "graph N max-sheets max-len seed out"),
+    "lambda-decay": (cmd_lambda_decay, "depth out"),
+    "smooth-study": (cmd_smooth_study, "depth eps out"),
+    "polydisk": (cmd_polydisk, "depth eps N steps n seed out"),
+}
+
+
 def make_parser():
     p = argparse.ArgumentParser(
         prog="raagham",
         description="Artin-graph word algebra and Hamiltonian annulus twists",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **needs):
+    for name, (fn, flags) in VERBS.items():
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--config", help="JSON file of RunConfig fields")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", default=".")
-        sp.add_argument("--tol", type=float)
-        if needs.get("graph"):
-            sp.add_argument("--graph", required=True)
-        if needs.get("word"):
-            sp.add_argument("--word", required=True)
-        if needs.get("word2"):
-            sp.add_argument("--word2", required=True)
-        if needs.get("cover"):
-            sp.add_argument("--cover", required=True)
-        if needs.get("N"):
-            sp.add_argument("--N", type=int, dest="N")
-        if needs.get("depth"):
-            sp.add_argument("--depth", type=int)
-        if needs.get("eps"):
-            sp.add_argument("--eps", type=float, nargs="+")
-        if needs.get("sheets"):
-            sp.add_argument("--max-sheets", type=int, dest="max_sheets")
-        if needs.get("steps"):
-            sp.add_argument("--steps", type=int)
-        if needs.get("max_len"):
-            sp.add_argument("--max-len", type=int, dest="max_len")
-        if needs.get("samples"):
-            sp.add_argument("--samples", type=int)
-        if needs.get("polydisk_n"):
-            sp.add_argument("--n", type=int, dest="polydisk_n")
-        return sp
-
-    add("normal-form", cmd_normal_form, graph=True, word=True)
-    add("word-eq", cmd_word_eq, graph=True, word=True, word2=True)
-    add("double", cmd_double, graph=True)
-    add("check-cover", cmd_check_cover, graph=True, cover=True)
-    add("emulator", cmd_emulator, graph=True, sheets=True)
-    add("certificate", cmd_certificate, graph=True)
-    add("build-config", cmd_build_config, graph=True)
-    add("build-rep", cmd_build_rep, graph=True, N=True, sheets=True)
-    add("simulate", cmd_simulate, graph=True, word=True, N=True, sheets=True)
-    add("verify", cmd_verify, graph=True, N=True, sheets=True, samples=True)
-    add("probe-faithful", cmd_probe_faithful, graph=True, N=True, sheets=True, max_len=True)
-    add("lambda-decay", cmd_lambda_decay, depth=True)
-    add("smooth-study", cmd_smooth_study, depth=True, eps=True)
-    add("polydisk", cmd_polydisk, depth=True, eps=True, N=True, steps=True, polydisk_n=True)
+        for flag in flags.split():
+            option, spec = FLAGS[flag]
+            sp.add_argument(option, **spec)
     return p
 
 
@@ -439,7 +395,7 @@ def main(argv=None) -> int:
     except words.ResourceCapExceeded as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -74,7 +74,6 @@ class FlowResult:
     steps: int
     iterations: int  # Newton vector-field calls, all steps
     max_iterations: int  # the most in any one step
-    trajectory: Optional[np.ndarray] = None
 
 
 def _midpoint_step(field, z, h, tol):
@@ -130,7 +129,6 @@ def flow_map(
     T: float,
     steps: Optional[int] = None,
     tol: float = 1e-12,
-    record: bool = False,
 ) -> FlowResult:
     """Implicit-midpoint integration of z' = X_H(z) for time T.
 
@@ -147,14 +145,11 @@ def flow_map(
         steps = 1000  # default step 1e-3 * T
     h = T / steps
     H0 = field.value(z) if hasattr(field, "value") else None
-    traj = [z.copy()] if record else None
     iterations = max_iterations = 0
     for _ in range(steps):
         z, calls = _midpoint_step(field, z, h, tol)
         iterations += calls
         max_iterations = max(max_iterations, calls)
-        if record:
-            traj.append(z.copy())
     drift = 0.0
     if H0 is not None:
         drift = float(np.abs(field.value(z) - H0).max())
@@ -165,7 +160,6 @@ def flow_map(
         steps=steps,
         iterations=iterations,
         max_iterations=max_iterations,
-        trajectory=np.array(traj) if record else None,
     )
 
 
@@ -212,7 +206,6 @@ class VerificationReport:
     puncture_residual: float
     puncture_threshold: float
     jacobian_max_deviation: float
-    displacement_floor: float
 
     def all_passed(self) -> bool:
         return (
@@ -257,19 +250,23 @@ def _sample_points(rep, samples, rng):
     return np.concatenate(pts + [free], 0)
 
 
-def verify_relations(
-    rep,
-    samples: int = 200,
-    seed: int = 0,
-    commute_tol: float = 1e-9,
-    displacement_floor: float = 1e-3,
-    puncture_tol: float = 1e-9,
-) -> VerificationReport:
+# verify_relations: a commuting pair may move a sample by at most
+# COMMUTE_TOL, an adjacent pair must move some overlap probe by more than
+# TWIST_FLOOR, and no generator image may move a puncture by more than
+# PUNCTURE_TOL
+COMMUTE_TOL = 1e-9
+TWIST_FLOOR = 1e-3
+PUNCTURE_TOL = 1e-9
+
+
+def verify_relations(rep, samples: int = 200, seed: int = 0) -> VerificationReport:
     """Check the defining relations of the representation numerically.
 
     Non-adjacent generators must commute (disjoint supports make this exact
     up to roundoff); adjacent ones must visibly fail to commute at some
-    overlap probe; every puncture must be fixed by every generator image.
+    overlap probe; every puncture must be fixed by the image of every
+    generator of the configuration's graph (the cover's, on the emulator
+    route).
     """
     g = rep.word_graph
     rng = np.random.default_rng(seed)
@@ -281,24 +278,20 @@ def verify_relations(
             moved = rep_apply(rep, word, pts)
             disp = float(np.abs(moved - pts).max())
             checks.append(
-                RelationCheck((u, v), "commuting", disp, commute_tol, disp <= commute_tol)
+                RelationCheck((u, v), "commuting", disp, COMMUTE_TOL, disp <= COMMUTE_TOL)
             )
         else:
             probes = _edge_probes(rep, u, v)
             moved = rep_apply(rep, word, probes)
             disp = float(np.hypot(*(moved - probes).T).max())
-            checks.append(
-                RelationCheck(
-                    (u, v), "twisting", disp, displacement_floor, disp > displacement_floor
-                )
-            )
+            checks.append(RelationCheck((u, v), "twisting", disp, TWIST_FLOOR, disp > TWIST_FLOOR))
     punct = rep.config.all_punctures()
     worst = 0.0
-    for v in g.vertices if rep.pullback is None else rep.config.graph.vertices:
+    for v in rep.config.graph.vertices:
         fv = rep.generator_map(v, rep.N)
         worst = max(worst, float(np.abs(fv.apply(punct) - punct).max()))
     jac = jacobian_probe(
-        rep.generator_map(g.vertices[0] if rep.pullback is None else rep.config.graph.vertices[0], rep.N),
+        rep.generator_map(rep.config.graph.vertices[0], rep.N),
         _sample_points(rep, 64, rng),
         1e-6,
     )
@@ -307,23 +300,23 @@ def verify_relations(
         samples=len(pts),
         relation_checks=checks,
         puncture_residual=worst,
-        puncture_threshold=puncture_tol,
+        puncture_threshold=PUNCTURE_TOL,
         jacobian_max_deviation=jac["max_deviation"],
-        displacement_floor=displacement_floor,
     )
 
 
 def _edge_probes(rep, u, v):
+    """Overlap probes, both orders, of every configuration edge between the
+    fibers of u and v; on the direct route a vertex is its own fiber."""
     cfg = rep.config
-    if rep.pullback is None:
-        return np.concatenate([cfg.overlap_points(u, v), cfg.overlap_points(v, u)], 0)
-    cover = cfg.graph
-    fu = [x for x, _ in rep.pullback.images[u].letters]
-    fv = [x for x, _ in rep.pullback.images[v].letters]
+
+    def fiber(x):
+        return [x] if rep.pullback is None else [y for y, _ in rep.pullback.images[x].letters]
+
     probes = []
-    for x in fu:
-        for y in fv:
-            if cover.has_edge(x, y):
+    for x in fiber(u):
+        for y in fiber(v):
+            if cfg.graph.has_edge(x, y):
                 probes.append(cfg.overlap_points(x, y))
                 probes.append(cfg.overlap_points(y, x))
     return np.concatenate(probes, 0)
@@ -357,38 +350,38 @@ def jacobian_probe(plane_map, pts, step: float = 1e-6) -> dict:
     }
 
 
-def faithfulness_probe(
-    rep,
-    max_len: int,
-    marked=None,
-    seed: int = 0,
-    extra_random: int = 20,
-    word_cap: int = 5000,
-    threshold: float = 1e-6,
-):
+# faithfulness_probe: random longer words drawn after the short normal
+# forms, the most normal forms it enumerates, and the displacement above
+# which a word is NONTRIVIAL
+PROBE_EXTRA_WORDS = 20
+PROBE_WORD_CAP = 5000
+PROBE_THRESHOLD = 1e-6
+
+
+def faithfulness_probe(rep, max_len: int, seed: int = 0):
     """Displacement table over short normal forms; a probe, not a proof.
 
-    Every nontrivial normal form up to max_len (plus a few random longer
-    words) is applied to the marked points; a word that moves something is
-    NONTRIVIAL, one that does not is merely INCONCLUSIVE.
+    Every nontrivial normal form up to max_len (plus PROBE_EXTRA_WORDS
+    random longer words) is applied to the configuration's marked points; a
+    word that moves something is NONTRIVIAL, one that does not is merely
+    INCONCLUSIVE.
     """
     g = rep.word_graph
     forms = enumerate_normal_forms(g, max_len)
-    if len(forms) > word_cap:
+    if len(forms) > PROBE_WORD_CAP:
         raise ResourceCapExceeded(
-            f"{len(forms)} normal forms exceed the probe cap {word_cap}"
+            f"{len(forms)} normal forms exceed the probe cap {PROBE_WORD_CAP}"
         )
     rng = np.random.default_rng(seed)
     extra = []
     alphabet = [(v, e) for v in g.vertices for e in (1, -1)]
-    for _ in range(extra_random):
+    for _ in range(PROBE_EXTRA_WORDS):
         n = int(rng.integers(max_len + 1, max_len + 4))
         lets = [alphabet[i] for i in rng.integers(0, len(alphabet), n)]
         w = normal_form(Word(g, lets)).word
         if len(w) and w not in forms:
             extra.append(w)
-    if marked is None:
-        marked = rep.config.marked_points()
+    marked = rep.config.marked_points()
     table = []
     for w in forms + extra:
         if not len(w):
@@ -400,13 +393,17 @@ def faithfulness_probe(
                 "word": " ".join(w.tokens()),
                 "length": len(w),
                 "displacement": disp,
-                "verdict": "NONTRIVIAL" if disp > threshold else "INCONCLUSIVE",
+                "verdict": "NONTRIVIAL" if disp > PROBE_THRESHOLD else "INCONCLUSIVE",
             }
         )
     return table
 
 
 # ------------------------------- polydisk -----------------------------------
+
+
+# the mollifier parameter of the off-slice factors eta
+POLYDISK_EPS = 1.0
 
 
 class PolydiskField:
@@ -418,7 +415,7 @@ class PolydiskField:
     and the slice is invariant under the flow.
     """
 
-    def __init__(self, k_field: HamiltonianField, n: int, c: float = 1.0, eps: float = 1.0):
+    def __init__(self, k_field: HamiltonianField, n: int, c: float = 1.0):
         from .lift import Mollifier
 
         if n < 2:
@@ -426,7 +423,7 @@ class PolydiskField:
         self.k = k_field
         self.n = n
         self.c = float(c)
-        self.eta = Mollifier(eps)
+        self.eta = Mollifier(POLYDISK_EPS)
 
     def _blocks(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -487,6 +484,6 @@ class PolydiskField:
         return float(max(first, rest))
 
 
-def polydisk_extend(k_field: HamiltonianField, n: int, c: float = 1.0, eps: float = 1.0) -> PolydiskField:
+def polydisk_extend(k_field: HamiltonianField, n: int, c: float = 1.0) -> PolydiskField:
     """Extend a disk Hamiltonian to the polydisk by mollifier factors."""
-    return PolydiskField(k_field, n, c=c, eps=eps)
+    return PolydiskField(k_field, n, c=c)

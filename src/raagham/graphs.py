@@ -232,8 +232,9 @@ class NonplanarWitness:
     subgraph_edges: frozenset = frozenset()
 
 
-def _segments_cross(p1, p2, p3, p4, eps=1e-12):
+def _segments_cross(p1, p2, p3, p4):
     """Closed segments p1p2 and p3p4 intersect somewhere off shared endpoints."""
+    eps = 1e-12  # orientations this small count as collinear
 
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])

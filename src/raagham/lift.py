@@ -236,13 +236,12 @@ class TransportChart:
     of both legs (``lambda_scale`` for the mass).
     """
 
-    def __init__(self, annulus: RoundAnnulus, sigma, circle_radius: Optional[float] = None):
+    def __init__(self, annulus: RoundAnnulus, sigma):
         self.annulus = annulus
         self.sigma = sigma.map if isinstance(sigma, GroupElement) else sigma
         self.c = complex(annulus.center[0], annulus.center[1])
-        if circle_radius is None:
-            circle_radius = math.sqrt(0.5 * (annulus.r_inner**2 + annulus.r_outer**2))
-        self.circle_radius = float(circle_radius)
+        # the tracked circle: area height 0, the middle of the annulus by area
+        self.circle_radius = math.sqrt(annulus.mid)
         beta = self.sigma.beta
         g = beta.conjugate() * self.c + self.sigma.alpha.conjugate()
         # the pole lies off the disk, so D > q r^2 on the annulus
@@ -352,10 +351,10 @@ class CorrectedHamiltonian:
     (``lambda_scale`` is the quadrature oracle).
     """
 
-    def __init__(self, element: GroupElement, annulus: RoundAnnulus, circle_radius=None):
+    def __init__(self, element: GroupElement, annulus: RoundAnnulus):
         self.element = element
         self.annulus = annulus
-        self.chart = TransportChart(annulus, element.map, circle_radius=circle_radius)
+        self.chart = TransportChart(annulus, element.map)
         self.lambda2 = self.chart.mass
         self.b = self.chart.b
         self.profile = make_profile(0.5, self.b)
@@ -519,9 +518,11 @@ class AssembledHamiltonian:
     def field(self) -> HamiltonianField:
         return HamiltonianField(self.value, jet=self.jet)
 
-    def boundary_ring_sup(self, inner=0.999, n=4096) -> float:
+    def boundary_ring_sup(self) -> float:
+        """sup |H| on 8 circles x 4096 angles of the ring 0.999 <= |z| <= 1."""
+        n = 4096
         ang = np.arange(n) * TWO_PI / n
-        rad = np.linspace(inner, 1.0, 8)
+        rad = np.linspace(0.999, 1.0, 8)
         z = rad[:, None] * np.exp(1j * ang[None, :])
         return float(np.abs(self.value_complex(z.ravel())).max())
 
@@ -536,7 +537,6 @@ def assemble_Hv(
     vertex,
     elements: Sequence[GroupElement],
     annulus: RoundAnnulus,
-    circle_radius=None,
     tail_elements: Optional[Sequence[GroupElement]] = None,
 ) -> AssembledHamiltonian:
     """Corrected Hamiltonians over every enumerated translate, glued by zero.
@@ -545,7 +545,7 @@ def assemble_Hv(
     the reported truncation bound: the dropped tail is below
     max lambda^2(L+1) * sup|h| / 2 pi.
     """
-    pieces = [CorrectedHamiltonian(el, annulus, circle_radius) for el in elements]
+    pieces = [CorrectedHamiltonian(el, annulus) for el in elements]
     tail = None
     if tail_elements:
         lam_max = max(TransportChart(annulus, el).mass for el in tail_elements)
@@ -632,12 +632,14 @@ class EstimateReport:
     rows: list = field(default_factory=list)
 
 
-def _fd_derivatives(f, base, orders, h):
+# the derivative orders analytic_report differences and fits
+ORDERS = (1, 2, 3)
+
+
+def _fd_derivatives(f, base, h):
     """n-th central differences along x and y from one call f(base, offsets)
     on the stacked stencil, offsets kept apart from the base points rather
     than rounded into them; per order n, "dn" is the larger of the two sups."""
-    if any(n not in (1, 2, 3) for n in orders):
-        raise ValueError("order must be 1, 2 or 3")
     e = np.array([h, 1j * h])
     offsets = np.concatenate([[0.0], e, -e, 2 * e, -2 * e])
     vals = f(np.asarray(base, complex)[None, :], offsets[:, None])
@@ -647,14 +649,14 @@ def _fd_derivatives(f, base, orders, h):
         2: (fp - 2 * f0 + fm) / h**2,
         3: (fp2 - 2 * fp + 2 * fm - fm2) / (2 * h**3),
     }
-    return {f"d{n}": float(np.abs(quotients[n]).max()) for n in orders}
+    return {f"d{n}": float(np.abs(quotients[n]).max()) for n in ORDERS}
 
 
 SAMPLES_PER_PIECE = 8
 SLOPE_SLACK = 0.3
 
 
-def analytic_report(assembled: AssembledHamiltonian, orders=(1, 2, 3)) -> EstimateReport:
+def analytic_report(assembled: AssembledHamiltonian) -> EstimateReport:
     """Decay and smoothness evidence near the boundary circle.
 
     (i) the largest scale lambda^2 per word length, which must not increase
@@ -684,11 +686,11 @@ def analytic_report(assembled: AssembledHamiltonian, orders=(1, 2, 3)) -> Estima
         r = float(((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min())
         h = 1e-3 * r
         entry = {"length": p.element.length, "r": r, "lambda2": p.lambda2}
-        entry.update(_fd_derivatives(p._value_near, w0, orders, h))
+        entry.update(_fd_derivatives(p._value_near, w0, h))
         rows.append(entry)
 
     slopes, verdicts, kept = {}, {}, {}
-    for n in orders:
+    for n in ORDERS:
         xs = np.array([math.log(1.0 / e["r"]) for e in rows])
         ys = np.array([e[f"d{n}"] for e in rows])
         keep = ys > 0
@@ -706,7 +708,7 @@ def analytic_report(assembled: AssembledHamiltonian, orders=(1, 2, 3)) -> Estima
     d1_trend = all(
         b_ < a_ for (La, a_), (Lb, b_) in zip(d1_by_length, d1_by_length[1:]) if La >= 2
     )
-    d2_max = max(e["d2"] for e in rows) if 2 in orders else float("nan")
+    d2_max = max(e["d2"] for e in rows)
 
     return EstimateReport(
         lambda_table=lambda_table,

@@ -4,7 +4,6 @@ Graph files:      line 1 ``vertices <n>``, line 2 the names, then
                   ``edge <u> <v>`` lines.  Lines starting with # are skipped.
 Morphism lines:   ``map <x> <y>`` (appended to a cover's graph file).
 Word files:       whitespace-separated tokens ``v`` / ``v^-1``.
-Homomorphisms:    ``image <v> := <word tokens>``.
 
 All writers are deterministic: fixed key order, repr floats, no timestamps;
 files are written atomically (temp file + rename).
@@ -21,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .graphs import GraphMorphism, SimplicialGraph
-from .words import Homomorphism, Word, word_from_tokens
+from .words import Word, word_from_tokens
 
 
 def vertex_name(v) -> str:
@@ -117,28 +116,6 @@ def format_word(w: Word) -> str:
     return " ".join(w.tokens())
 
 
-def parse_homomorphism(text: str, source: SimplicialGraph, target: SimplicialGraph) -> Homomorphism:
-    images = {}
-    for line in _content_lines(text):
-        parts = line.split()
-        if parts[0] != "image":
-            raise ValueError(f"unrecognized line: {line}")
-        if len(parts) < 3 or parts[2] != ":=":
-            raise ValueError(f"bad image line: {line}")
-        images[parts[1]] = word_from_tokens(target, parts[3:])
-    missing = [v for v in source.vertices if v not in images]
-    if missing:
-        raise ValueError(f"homomorphism misses generators: {missing}")
-    return Homomorphism(source=source, target=target, images=images)
-
-
-def format_homomorphism(h: Homomorphism) -> str:
-    out = []
-    for v in h.source.vertices:
-        out.append(f"image {vertex_name(v)} := {format_word(h.images[v])}")
-    return "\n".join(out) + "\n"
-
-
 # ------------------------------ file plumbing -------------------------------
 
 
@@ -215,7 +192,8 @@ def config_to_json(cfg) -> dict:
 # ---------------------------------- SVG -------------------------------------
 
 
-def _svg_header(xmin, ymin, xmax, ymax, size=720):
+def _svg_header(xmin, ymin, xmax, ymax):
+    size = 720  # width in pixels
     w = xmax - xmin
     h = ymax - ymin
     return (

@@ -80,7 +80,7 @@ class TwistProfile:
         return TWO_PI * math.e * self.width * u * math.exp(-1.0 / (1.0 - u * u))
 
 
-def make_profile(a: float, b: float = 0.0) -> TwistProfile:
+def make_profile(a: float, b: float) -> TwistProfile:
     if not (-a < b < a):
         raise ValueError(f"rotation height b={b} outside (-{a}, {a})")
     w = min(a - b, a + b)

@@ -1,24 +1,42 @@
+import argparse
 import json
-import os
+import pathlib
 
 import pytest
 
-from raagham.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFICATION, main
+from raagham import graphs
+from raagham.cli import EXIT_INVALID, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main, make_parser
 from raagham.graphs import SimplicialGraph, complete_graph, double, path_graph
 from raagham.textio import (
     dump_csv,
     format_cover_file,
     format_graph,
-    format_homomorphism,
     format_word,
     parse_cover_file,
     parse_graph,
-    parse_homomorphism,
     parse_word,
 )
-from raagham.words import hom_diagonal
 
 P3_TEXT = "vertices 3\nu v w\nedge u v\nedge v w\n"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# the options of each verb: exactly the flags it reads
+VERB_FLAGS = {
+    "normal-form": {"--graph", "--word", "--out"},
+    "word-eq": {"--graph", "--word", "--word2"},
+    "double": {"--graph", "--out"},
+    "check-cover": {"--graph", "--cover"},
+    "emulator": {"--graph", "--max-sheets", "--out"},
+    "certificate": {"--graph"},
+    "build-config": {"--graph", "--out"},
+    "build-rep": {"--graph", "--N", "--max-sheets", "--out"},
+    "simulate": {"--graph", "--word", "--N", "--max-sheets", "--out"},
+    "verify": {"--graph", "--N", "--max-sheets", "--samples", "--seed", "--out"},
+    "probe-faithful": {"--graph", "--N", "--max-sheets", "--max-len", "--seed", "--out"},
+    "lambda-decay": {"--depth", "--out"},
+    "smooth-study": {"--depth", "--eps", "--out"},
+    "polydisk": {"--depth", "--eps", "--N", "--steps", "--n", "--seed", "--out"},
+}
 
 
 @pytest.fixture()
@@ -65,15 +83,33 @@ class TestFormats:
             ["u", "u", "v", "v", "w", "w"]
         )
 
-    def test_homomorphism_roundtrip(self):
-        g = SimplicialGraph(["u", "v"], [])
-        text = "image u := u v\nimage v := v^-1\n"
-        h = parse_homomorphism(text, g, g)
-        assert format_homomorphism(h) == text
-
     def test_csv_deterministic(self):
         rows = [{"a": 0.1, "b": 2}, {"a": float(1/3), "b": -1}]
         assert dump_csv(rows, ["a", "b"]) == dump_csv(rows, ["a", "b"])
+
+
+class TestParser:
+    def test_each_verb_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert got == VERB_FLAGS
+        assert sum(map(len, got.values())) == 49
+
+    def test_flag_a_verb_does_not_read_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["normal-form", "--graph", "g.txt", "--word", "w.txt", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("raagham ")]
+        assert {argv[0] for argv in commands} == set(VERB_FLAGS)
+        for argv in commands:
+            assert make_parser().parse_args(argv).command == argv[0]
 
 
 class TestCommands:
@@ -91,6 +127,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("vertices 6")
         assert "edge u+ v-" in out
+
+    def test_out_given_as_working_directory(self, workdir):
+        # normal-form and double write a file only when --out is given
+        assert main(["normal-form", "--graph", "p3.txt", "--word", "w.txt"]) == EXIT_OK
+        assert main(["double", "--graph", "p3.txt"]) == EXIT_OK
+        assert not (workdir / "normal_form.txt").exists() and not (workdir / "double.txt").exists()
+        assert main(["normal-form", "--graph", "p3.txt", "--word", "w.txt", "--out", "."]) == EXIT_OK
+        assert (workdir / "normal_form.txt").read_text() == "u w v u^-1\n"
+        assert main(["double", "--graph", "p3.txt", "--out", "."]) == EXIT_OK
+        assert (workdir / "double.txt").read_text().startswith("vertices 6")
 
     def test_check_cover_pass_and_fail(self, workdir, capsys):
         main(["double", "--graph", "p3.txt", "--out", "d"])
@@ -114,6 +160,26 @@ class TestCommands:
     def test_invalid_input_exit_code(self, workdir):
         (workdir / "junk.txt").write_text("not a graph\n")
         assert main(["normal-form", "--graph", "junk.txt", "--word", "w.txt"]) == EXIT_INVALID
+        # polydisk rejects these before it builds anything
+        assert main(["polydisk", "--N", "1", "--out", "pd"]) == EXIT_INVALID
+        assert main(["polydisk", "--eps", "0.1", "-1", "--out", "pd"]) == EXIT_INVALID
+        assert not (workdir / "pd").exists()
+
+    def test_emulator_search_cap_exits_3(self, workdir, monkeypatch):
+        (workdir / "k5.txt").write_text(format_graph(complete_graph(list("abcde"))))
+        (workdir / "k5w.txt").write_text("a b^-1\n")
+        for exhausted, emulator_code, build_code in (
+            (False, EXIT_RESOURCE, EXIT_RESOURCE),
+            (True, EXIT_VERIFICATION, EXIT_INVALID),
+        ):
+            found = graphs.NotFound(exhausted=exhausted, tried=7, reason="stub")
+            monkeypatch.setattr(graphs, "find_planar_emulator", lambda g, max_sheets: found)
+            assert main(["emulator", "--graph", "k5.txt", "--out", "e"]) == emulator_code
+            for verb in ("verify", "build-rep", "probe-faithful"):
+                assert main([verb, "--graph", "k5.txt", "--out", "o"]) == build_code
+            argv = ["simulate", "--graph", "k5.txt", "--word", "k5w.txt", "--out", "o"]
+            assert main(argv) == build_code
+        assert not (workdir / "o").exists()
 
     def test_build_config_artifacts(self, workdir):
         code = main(["build-config", "--graph", "p3.txt", "--out", "cfg"])
@@ -123,12 +189,6 @@ class TestCommands:
         assert set(data["provenance"]) == {"delta"}
         assert len(data["punctures"]["regions"]) == 6
         assert (workdir / "cfg" / "config.svg").read_text().startswith("<svg")
-
-    def test_config_naming_grid_rejected(self, workdir, capsys):
-        (workdir / "grid.json").write_text('{"grid": 512}')
-        code = main(["build-config", "--graph", "p3.txt", "--config", "grid.json", "--out", "cfg"])
-        assert code == EXIT_INVALID
-        assert "unknown config key 'grid'" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, workdir):
         code = main([

@@ -604,10 +604,6 @@ class TestReport:
             kept = sum(row[f"d{n}"] > 0 for row in rep.rows)
             assert rep.slope_rows[n] == kept == len(rep.rows) == len(assembled_depth6.pieces)
 
-    def test_rejects_unknown_order(self, assembled_depth6):
-        with pytest.raises(ValueError, match="order"):
-            analytic_report(assembled_depth6, orders=(1, 4))
-
     def test_needs_depth(self):
         gens = schottky_pair(0.98)
         A = default_study_annulus()
