@@ -7,8 +7,8 @@ Submodules:
   diagonal/retraction/pullback homomorphisms
 * ``twist``  - round annuli and their area heights, closed-form double Dehn
   twists, circle configurations, twist representations
-* ``lift``   - Mobius maps, Schottky enumeration, corrected Hamiltonians on
-  translated annuli, mollifiers, boundary estimates
+* ``lift``   - Mobius maps, Schottky enumeration and point location,
+  corrected Hamiltonians on translated annuli, mollifiers, boundary estimates
 * ``flows``  - symplectic integration, relation verification, faithfulness
   probes, the polydisk extension
 * ``cli``    - the ``raagham`` command

@@ -234,14 +234,17 @@ def cmd_probe_faithful(args):
     return EXIT_OK
 
 
+# the Schottky depth of the assembly whose smoothed field polydisk extends
+POLYDISK_DEPTH = 2
+
+
 def _study_Hv(depth, tail):
     """The study annulus and H_v assembled over its Schottky translates up to
     depth; the truncation bound reads the first ``tail`` elements of length
     depth + 1, and there is none when tail is 0."""
     gens = lift.schottky_pair()
     elements = lift.enumerate_group(gens, depth)
-    longer = lift.enumerate_group(gens, depth + 1) if tail else []
-    tail_elements = [e for e in longer if e.length == depth + 1][:tail]
+    tail_elements = lift.next_words(gens, elements, tail)
     annulus = lift.default_study_annulus()
     return annulus, lift.assemble_Hv("v", elements, annulus, tail_elements=tail_elements)
 
@@ -281,7 +284,7 @@ def cmd_lambda_decay(args):
 
 
 def cmd_smooth_study(args):
-    _, assembled = _study_Hv(min(args.depth, 4), 0)
+    _, assembled = _study_Hv(args.depth, 0)
     grid = np.linspace(-0.9, 0.9, 241)
     X, Y = np.meshgrid(grid, grid)
     mask = X**2 + Y**2 <= 0.81
@@ -302,11 +305,10 @@ def cmd_smooth_study(args):
 
 
 def cmd_polydisk(args):
-    # eps[0] alone is read, but every value given must be a mollifier parameter
-    if args.N < 2 or min(args.eps) <= 0:
-        raise ValueError("N must be at least 2 and every eps positive")
-    annulus, assembled = _study_Hv(min(args.depth, 2), 0)
-    k = lift.smooth_Hv(assembled, args.eps[0])
+    if args.N < 2:
+        raise ValueError("N must be at least 2")
+    annulus, assembled = _study_Hv(POLYDISK_DEPTH, 0)
+    k = lift.smooth_Hv(assembled, args.eps)
     pd = flows.polydisk_extend(k, args.n)
     rng = np.random.default_rng(args.seed)
     slice_pts = annulus.sample_points(100, rng)
@@ -335,7 +337,8 @@ def cmd_polydisk(args):
 
 # Every flag a verb may take: its option string and argparse spec, default
 # included.  "copy-to" is the --out of the verbs that print their result and
-# write it to a file only when asked.
+# write it to a file only when asked; "mollifier-eps" is the one --eps of the
+# verb that smooths a single field.
 FLAGS = {
     "graph": ("--graph", dict(required=True)),
     "word": ("--word", dict(required=True)),
@@ -350,6 +353,7 @@ FLAGS = {
     "max-len": ("--max-len", dict(type=int, default=2)),
     "depth": ("--depth", dict(type=int, default=6)),
     "eps": ("--eps", dict(type=float, nargs="+", default=(1e-1, 1e-2, 1e-3))),
+    "mollifier-eps": ("--eps", dict(type=float, default=1e-1)),
     "steps": ("--steps", dict(type=int, default=2000)),
     "n": ("--n", dict(type=int, default=2)),
 }
@@ -369,7 +373,7 @@ VERBS = {
     "probe-faithful": (cmd_probe_faithful, "graph N max-sheets max-len seed out"),
     "lambda-decay": (cmd_lambda_decay, "depth out"),
     "smooth-study": (cmd_smooth_study, "depth eps out"),
-    "polydisk": (cmd_polydisk, "depth eps N steps n seed out"),
+    "polydisk": (cmd_polydisk, "mollifier-eps N steps n seed out"),
 }
 
 

@@ -9,8 +9,9 @@ the translates, and its boundary behaviour (decay of the scales, growth of
 higher derivatives) is what the report functions measure.
 
 The default group is a rank-2 Schottky pair: free reduction makes the
-enumeration exact and translates of an annulus inside the fundamental
-domain are guaranteed disjoint.
+enumeration exact, translates of an annulus inside the fundamental
+domain are guaranteed disjoint, and reducing a point into that domain names
+the one translate that can hold it.
 
 Group elements are SU(1,1) pairs (alpha, beta) for z -> (alpha z + beta) /
 (conj(beta) z + conj(alpha)): products, scales, image circles and charts
@@ -20,6 +21,7 @@ stay free of cancellation at every word length.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flows import HamiltonianField
-from .twist import RoundAnnulus, make_profile
+from .twist import RoundAnnulus, TwistProfile, make_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,28 +143,38 @@ def schottky_interior_radius(s: float) -> float:
     return (1.0 - math.sqrt(1.0 - s * s)) / s
 
 
+def _letters(generators: Sequence[MobiusMap]):
+    """Letter maps by id: 2k for generator k, 2k + 1 for its inverse."""
+    return [m for g in generators for m in (g, g.inverse())]
+
+
+def _extensions(frontier, letters):
+    """The freely reduced one-letter extensions of each element, in order."""
+    for el in frontier:
+        last = el.word[-1] if el.word else None
+        for lid, lmap in enumerate(letters):
+            if last is None or lid != last ^ 1:
+                yield GroupElement(word=el.word + (lid,), map=el.map.compose(lmap))
+
+
 def enumerate_group(generators: Sequence[MobiusMap], L: int):
     """All freely reduced words of length <= L with their Mobius products."""
-    gens = list(generators)
-    letters = []
-    for g in gens:
-        letters.append(g)
-        letters.append(g.inverse())
+    letters = _letters(generators)
     out = [GroupElement(word=(), map=MobiusMap.identity())]
-    frontier = [out[0]]
+    frontier = out[:]
     for _ in range(L):
-        nxt = []
-        for el in frontier:
-            last = el.word[-1] if el.word else None
-            for lid, lmap in enumerate(letters):
-                if last is not None and lid == last ^ 1:
-                    continue
-                nxt.append(
-                    GroupElement(word=el.word + (lid,), map=el.map.compose(lmap))
-                )
-        out.extend(nxt)
-        frontier = nxt
+        frontier = list(_extensions(frontier, letters))
+        out.extend(frontier)
     return out
+
+
+def next_words(generators: Sequence[MobiusMap], elements, count: int):
+    """The first count words one letter longer than the last of elements (an
+    ``enumerate_group`` list), in ``enumerate_group``'s order, extending only
+    the last length rather than enumerating every shorter word again."""
+    L = elements[-1].length
+    frontier = [el for el in elements if el.length == L]
+    return list(itertools.islice(_extensions(frontier, _letters(generators)), count))
 
 
 # ------------------------------- lambda scale -------------------------------
@@ -425,7 +437,7 @@ class CorrectedHamiltonian:
         (no support test).  With G = conj(beta) w + conj(alpha) it pulls back
         exactly to w + d G^2 / (1 - conj(beta) G d): no rounded sigma(w) + d,
         and no sigma^{-1} cancelling digits near the boundary."""
-        sigma = self.element.map
+        sigma = self.inv.inverse()
         G = sigma.beta.conjugate() * w + sigma.alpha.conjugate()
         pre = w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d)
         return self.scale * self.profile.h(self._height(np.abs(pre - self.chart.c)))
@@ -451,56 +463,198 @@ class CorrectedHamiltonian:
         z = self.element.map(self._tracked_preimages(n))
         return np.stack([z.real, z.imag], -1)
 
+    def _constants(self):
+        """The piece's complex and real constants, in the order ``_stacked``
+        reads them back."""
+        ch = self.chart
+        return (
+            (self.inv.alpha, self.inv.beta, ch.c, self.outer_center, self.inner_center),
+            (ch._q, ch._D, ch._R2_inner, ch.mass, ch.circle_radius, self.profile.b,
+             self.profile.width, self.scale, self.outer_radius, self.inner_radius),
+        )
+
+    @classmethod
+    def _stacked(cls, cplx, real):
+        """Many pieces' arithmetic in one object: rows of the stacked
+        ``_constants`` (one column per point, or broadcasting against the
+        points) become its constants, so ``contains``, ``_value_on``,
+        ``_jet_on``, ``_value_near`` and ``_tracked_preimages`` run on it
+        unchanged and give each point the bits of its own piece."""
+        piece, chart = object.__new__(cls), object.__new__(TransportChart)
+        ia, ib, chart.c, piece.outer_center, piece.inner_center = cplx
+        (chart._q, chart._D, chart._R2_inner, chart.mass, chart.circle_radius, b, width,
+         piece.scale, piece.outer_radius, piece.inner_radius) = real
+        piece.inv, piece.chart = MobiusMap._pair(ia, ib), chart
+        piece.profile = TwistProfile(0.5, b, width)
+        return piece
+
+
+# pairs per block of the disjointness check, points per chunk of point location
+PAIR_BLOCK = 1 << 16
+LOCATE_CHUNK = 4096
+
+
+def _check_disjoint(oc, orad, ic, irad):
+    """Translates pairwise apart or nested, from the columns of their outer and
+    inner circles.  Pairs (i, j > i) run in triangular blocks of rows, in
+    order, so the first overlapping pair is the one reported."""
+    n = len(oc)
+    rows = max(1, PAIR_BLOCK // n)
+    for i0 in range(0, n - 1, rows):
+        # rows i0.. against columns i0 + 1..: a rectangle covering the block's triangle
+        i, j = slice(i0, min(i0 + rows, n - 1)), slice(i0 + 1, None)
+        apart = np.abs(oc[i, None] - oc[None, j]) > orad[i, None] + orad[None, j] - 1e-13
+        ii, jj = np.nonzero(~apart)
+        i, j = i0 + ii, i0 + 1 + jj
+        i, j = i[j > i], j[j > i]
+        # nested: one translate sits entirely inside the other's hole
+        j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
+        i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
+        bad = np.flatnonzero(~(j_in_i | i_in_j))
+        if bad.size:
+            raise RegionOverlapError(f"translate regions {i[bad[0]]} and {j[bad[0]]} overlap")
+
+
+def _isometric_disk(alpha, beta):
+    """Centre and radius of {|conj(beta) z + conj(alpha)| < 1}, where the map
+    (alpha, beta) expands: -conj(alpha / beta) and 1 / |beta|."""
+    return -(alpha / beta).conjugate(), 1.0 / abs(beta)
+
 
 class AssembledHamiltonian:
-    """Continuous Hamiltonian on the closed disk supported on the translates."""
+    """Continuous Hamiltonian on the closed disk supported on the translates.
+
+    The pieces are translates sigma(A) of annuli A in the common exterior F
+    of the letters' isometric disks, one per freely reduced word and closed
+    under prefixes, as ``enumerate_group`` lists them.  Then sigma(A) lies in
+    the isometric disk of the inverse of sigma's first letter, so a point of
+    it returns to A by applying, at most L times, the inverse letter whose
+    disk holds it, and the letters that reduction takes spell sigma (Mumford,
+    Series & Wright, *Indra's Pearls*, 2002).  Each point is evaluated on the
+    one piece its reduction names, from a table of every piece's constants
+    built once: no loop over pieces.
+    """
 
     def __init__(self, vertex, pieces: Sequence[CorrectedHamiltonian], tail_estimate=None):
         self.vertex = vertex
         self.pieces = list(pieces)
         self.tail_estimate = tail_estimate
-        self._check_disjoint()
+        if not self.pieces:
+            raise ValueError("an assembly needs at least one piece")
+        rows = [p._constants() for p in self.pieces]
+        # one row per constant and one column per piece: a gather is one take per dtype
+        self._complex = np.array([c for c, _ in rows], complex).T.copy()
+        self._real = np.array([r for _, r in rows], float).T.copy()
+        every = CorrectedHamiltonian._stacked(self._complex, self._real)
+        _check_disjoint(every.outer_center, every.outer_radius, every.inner_center, every.inner_radius)
+        self._index_words()
 
-    def _check_disjoint(self):
-        """Translates pairwise apart or nested; rows of pairs (i, j > i) in
-        order, so the first overlapping pair is the one reported."""
-        cols = ("outer_center", "outer_radius", "inner_center", "inner_radius")
-        oc, orad, ic, irad = (np.array([getattr(p, k) for p in self.pieces]) for k in cols)
-        for i in range(len(self.pieces) - 1):
-            j = slice(i + 1, None)
-            apart = np.abs(oc[i] - oc[j]) > orad[i] + orad[j] - 1e-13
-            # nested: one translate sits entirely inside the other's hole
-            j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
-            i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
-            bad = np.flatnonzero(~(apart | j_in_i | i_in_j))
-            if bad.size:
-                raise RegionOverlapError(
-                    f"translate regions {i} and {i + 1 + bad[0]} overlap"
-                )
+    def _index_words(self):
+        """The reducing letters and the table from word codes to pieces.
 
-    def _by_piece(self, z, kernel, dtypes):
-        """kernel(piece, points on it) at each point of the open disk, from the
-        first piece containing it; zero elsewhere.  The kernel returns one
-        array per dtype."""
-        z = np.atleast_1d(np.asarray(z, complex))
-        outs = tuple(np.zeros(z.shape, dt) for dt in dtypes)
-        todo = np.abs(z) < 1.0
-        for piece in self.pieces:
-            if not todo.any():
+        A word l_1 ... l_k has the base-(m + 1) code with digits l_i + 1, m
+        the number of letter ids.  Rejects the assemblies point location
+        cannot serve: a repeated word, a word whose prefix or last letter is
+        not a piece's word, a letter without an isometric circle, and
+        isometric disks that meet each other or a piece's annulus.
+        """
+        words = [p.element.word for p in self.pieces]
+        first = {}
+        for i, w in enumerate(words):
+            if first.setdefault(w, i) != i:
+                raise ValueError(f"pieces {first[w]} and {i} have the same word {w}")
+        for i, w in enumerate(words):
+            for part in (w[:-1], w[-1:]) if w else ():
+                if part not in first:
+                    raise ValueError(f"piece {i} has the word {w} but no piece has {part}")
+        letters = sorted(w[0] for w in words if len(w) == 1)
+        maps = [self.pieces[first[(lid,)]].element.map for lid in letters]
+        disks = {}
+        for lid, g in zip(letters, maps):
+            if g.beta == 0:
+                raise ValueError(f"letter {lid} has no isometric circle")
+            # g maps the outside of its own disk onto the disk of its inverse
+            disks.setdefault(lid, _isometric_disk(g.alpha, g.beta))
+            disks.setdefault(lid ^ 1, _isometric_disk(g.alpha.conjugate(), -g.beta))
+        annuli = {id(p.annulus): p.annulus for p in self.pieces}.values()
+        for ka, (ca, ra) in sorted(disks.items()):
+            for kb, (cb, rb) in sorted(disks.items()):
+                if ka < kb and abs(ca - cb) <= ra + rb:
+                    raise ValueError(f"the isometric disks of letters {ka} and {kb} meet")
+            for A in annuli:
+                if abs(complex(*A.center) - ca) <= A.r_outer + ra:
+                    raise ValueError(f"the isometric disk of letter {ka} meets the annulus {A}")
+        # the disk about 0 inside the unit disk that meets no isometric disk:
+        # its points need no reduction
+        self._clear = min([abs(c) - r for c, r in disks.values()] + [1.0])
+        self._identity = self.pieces[first[()]]
+        # reducing by letter l applies l^-1
+        self._reduce = np.array([[g.alpha.conjugate() for g in maps], [-g.beta for g in maps]], complex)
+        self._digits = np.array(letters, np.intp) + 1
+        self._base = max(letters, default=-1) + 2
+        self._depth = max(map(len, words))
+        self._pieces_by_code = np.full(self._base**self._depth, -1, np.intp)
+        for i, w in enumerate(words):
+            code = 0
+            for lid in w:
+                code = code * self._base + lid + 1
+            self._pieces_by_code[code] = i
+
+    def _locate(self, z, rho):
+        """The piece each point's Schottky reduction names, -1 for none and off
+        the open disk (rho = |z|): at most L inverse letters, each the one
+        whose isometric disk holds the point, then the word's code looked up."""
+        code = np.zeros(z.shape, np.intp)
+        live = np.flatnonzero((rho >= self._clear) & (rho < 1.0))
+        z = z[live]
+        ia, ib = self._reduce[:, :, None]
+        for _ in range(self._depth):
+            if not live.size:
                 break
-            mask = todo & piece.contains(z)
-            if mask.any():
-                for out, vals in zip(outs, kernel(piece, z[mask])):
-                    out[mask] = vals
-                todo &= ~mask
-        return outs
+            g = ib.conjugate() * z + ia.conjugate()
+            held = np.abs(g) < 1.0
+            moved = np.flatnonzero(held.any(0))
+            k = held[:, moved].argmax(0)
+            live, z = live[moved], z[moved]
+            z = (ia[k, 0] * z + ib[k, 0]) / g[k, moved]
+            code[live] = code[live] * self._base + self._digits[k]
+        return np.where(rho < 1.0, self._pieces_by_code[code], -1)
+
+    def _evaluate(self, z, jet):
+        """H, or (H, H_x + i H_y), at each point of the open disk on the piece
+        located for it when that piece contains it; zero elsewhere.  Points
+        are located in chunks, so temporaries stay a few thousand long."""
+        z = np.atleast_1d(np.asarray(z, complex))
+        flat = z.ravel()
+        outs = (np.zeros(flat.shape, float),) + ((np.zeros(flat.shape, complex),) if jet else ())
+        for start in range(0, flat.size, LOCATE_CHUNK):
+            chunk = slice(start, start + LOCATE_CHUNK)
+            zc = flat[chunk]
+            rho = np.abs(zc)
+            if rho.max(initial=0.0) < self._clear:
+                # nothing to reduce, as on a flow's stencil: only A itself can
+                # hold these points, and it keeps its own scalars
+                piece = self._identity
+                on = piece.contains(zc)
+            else:
+                idx = self._locate(zc, rho)
+                on = idx >= 0
+                cplx, real = (table.take(idx[on], 1) for table in (self._complex, self._real))
+                held = CorrectedHamiltonian._stacked(cplx, real).contains(zc[on])
+                piece = CorrectedHamiltonian._stacked(cplx[:, held], real[:, held])
+                on[on] = held
+            zs = zc[on]
+            vals = piece._jet_on(zs) if jet else (piece._value_on(zs),)
+            for out, v in zip(outs, vals):
+                out[chunk][on] = v
+        return tuple(out.reshape(z.shape) for out in outs)
 
     def value_complex(self, z):
-        return self._by_piece(z, lambda p, zm: (p._value_on(zm),), (float,))[0]
+        return self._evaluate(z, jet=False)[0]
 
     def jet_complex(self, z):
-        """(H, H_x + i H_y) from one piece loop."""
-        return self._by_piece(z, CorrectedHamiltonian._jet_on, (float, complex))
+        """(H, H_x + i H_y) from one location and one pull-back."""
+        return self._evaluate(z, jet=True)
 
     def gradient_complex(self, z):
         return self.jet_complex(z)[1]
@@ -514,9 +668,6 @@ class AssembledHamiltonian:
     def jet(self, pts):
         val, grad = self.jet_complex(_complex_points(pts))
         return val, _plane_vectors(grad)
-
-    def field(self) -> HamiltonianField:
-        return HamiltonianField(self.value, jet=self.jet)
 
     def boundary_ring_sup(self) -> float:
         """sup |H| on 8 circles x 4096 angles of the ring 0.999 <= |z| <= 1."""
@@ -637,23 +788,30 @@ ORDERS = (1, 2, 3)
 
 
 def _fd_derivatives(f, base, h):
-    """n-th central differences along x and y from one call f(base, offsets)
-    on the stacked stencil, offsets kept apart from the base points rather
-    than rounded into them; per order n, "dn" is the larger of the two sups."""
-    e = np.array([h, 1j * h])
-    offsets = np.concatenate([[0.0], e, -e, 2 * e, -2 * e])
-    vals = f(np.asarray(base, complex)[None, :], offsets[:, None])
-    f0, (fp, fm, fp2, fm2) = vals[0], vals[1:].reshape(4, 2, -1)
+    """n-th central differences along x and y of each row of base points, with
+    that row's step h, from one call f(base, offsets) on the stacked stencil,
+    offsets kept apart from the base points rather than rounded into them;
+    per order n, "dn" holds each row's larger sup of the two directions."""
+    n = len(h)
+    e = np.stack([h, 1j * h], 1)[:, :, None]
+    offsets = np.concatenate([np.zeros((n, 1, 1)), e, -e, 2 * e, -2 * e], 1)
+    vals = f(np.asarray(base, complex).reshape(n, 1, -1), offsets)
+    f0, (fp, fm, fp2, fm2) = vals[:, :1], vals[:, 1:].reshape(n, 4, 2, -1).swapaxes(0, 1)
+    # h^2 and h^3 from the libm pow of each float, as a per-row stencil takes them
+    h2, h3 = (np.array([x**k for x in h.tolist()])[:, None, None] for k in (2, 3))
+    h = h[:, None, None]
     quotients = {
         1: (fp - fm) / (2 * h),
-        2: (fp - 2 * f0 + fm) / h**2,
-        3: (fp2 - 2 * fp + 2 * fm - fm2) / (2 * h**3),
+        2: (fp - 2 * f0 + fm) / h2,
+        3: (fp2 - 2 * fp + 2 * fm - fm2) / (2 * h3),
     }
-    return {f"d{n}": float(np.abs(quotients[n]).max()) for n in ORDERS}
+    return {f"d{n}": np.abs(quotients[n]).max(axis=(1, 2)) for n in ORDERS}
 
 
 SAMPLES_PER_PIECE = 8
 SLOPE_SLACK = 0.3
+# pieces per array pass of analytic_report's stencils
+REPORT_BLOCK = 128
 
 
 def analytic_report(assembled: AssembledHamiltonian) -> EstimateReport:
@@ -678,16 +836,21 @@ def analytic_report(assembled: AssembledHamiltonian) -> EstimateReport:
     mono = all(lam_max[b] < lam_max[a] for a, b in zip(lengths, lengths[1:]) if a >= 2)
 
     rows = []
-    for p in assembled.pieces:
-        w0, sigma = p._tracked_preimages(SAMPLES_PER_PIECE), p.element.map
+    for start in range(0, len(assembled.pieces), REPORT_BLOCK):
+        # a block of pieces in one carrier, its constants a (piece, 1, 1) column
+        block = slice(start, start + REPORT_BLOCK)
+        cplx, real = assembled._complex[:, block, None, None], assembled._real[:, block, None, None]
+        p = CorrectedHamiltonian._stacked(cplx, real)
+        w0, sigma = p._tracked_preimages(SAMPLES_PER_PIECE), p.inv.inverse()
         # r = min 1 - |sigma(w0)| without cancellation near the circle:
         # 1 - |z|^2 = (1 - |w0|^2) / |G|^2, G = conj(beta) w0 + conj(alpha)
         G = sigma.beta.conjugate() * w0 + sigma.alpha.conjugate()
-        r = float(((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min())
-        h = 1e-3 * r
-        entry = {"length": p.element.length, "r": r, "lambda2": p.lambda2}
-        entry.update(_fd_derivatives(p._value_near, w0, h))
-        rows.append(entry)
+        r = ((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min((1, 2))
+        fd = _fd_derivatives(p._value_near, w0, 1e-3 * r)
+        for k, piece in enumerate(assembled.pieces[block]):
+            entry = {"length": piece.element.length, "r": float(r[k]), "lambda2": piece.lambda2}
+            entry.update({key: float(v[k]) for key, v in fd.items()})
+            rows.append(entry)
 
     slopes, verdicts, kept = {}, {}, {}
     for n in ORDERS:

@@ -41,15 +41,19 @@ class TwistProfile:
     width: float
 
     def _bump(self, t):
-        """u = (t - b)/w, the mask |u| < 1, u on it and exp(-1/(1 - u^2)) there."""
+        """u = (t - b)/w, the mask |u| < 1, w and u on it and exp(-1/(1 - u^2))
+        there.  b and w may be arrays broadcasting against t: one profile per
+        point, as an assembly evaluates its pieces."""
         t = np.asarray(t, float)
         u = (t - self.b) / self.width
         inside = np.abs(u) < 1.0
         ui = u[inside]
-        return u, inside, ui, np.exp(-1.0 / (1.0 - ui * ui))
+        wi = np.broadcast_to(self.width, u.shape)[inside] if np.ndim(self.width) else self.width
+        return u, inside, wi, ui, np.exp(-1.0 / (1.0 - ui * ui))
 
-    def _h(self, ui, phi):
-        return TWO_PI * math.e * self.width * ui * phi
+    @staticmethod
+    def _h(wi, ui, phi):
+        return TWO_PI * math.e * wi * ui * phi
 
     @staticmethod
     def _dh(ui, phi):
@@ -62,17 +66,17 @@ class TwistProfile:
         return out if out.ndim else float(out)
 
     def h(self, t):
-        u, inside, ui, phi = self._bump(t)
-        return self._masked(u, inside, self._h(ui, phi))
+        u, inside, wi, ui, phi = self._bump(t)
+        return self._masked(u, inside, self._h(wi, ui, phi))
 
     def dh(self, t):
-        u, inside, ui, phi = self._bump(t)
+        u, inside, _, ui, phi = self._bump(t)
         return self._masked(u, inside, self._dh(ui, phi))
 
     def jet(self, t):
         """(h(t), h'(t)) from one exp."""
-        u, inside, ui, phi = self._bump(t)
-        return self._masked(u, inside, self._h(ui, phi)), self._masked(u, inside, self._dh(ui, phi))
+        u, inside, wi, ui, phi = self._bump(t)
+        return self._masked(u, inside, self._h(wi, ui, phi)), self._masked(u, inside, self._dh(ui, phi))
 
     def sup_abs(self) -> float:
         """max |h|, at |u| = (sqrt 6 - sqrt 2)/2 where dh vanishes: (1 - u^2)^2 = 2 u^2."""

@@ -6,6 +6,10 @@ Hamiltonian, and the polydisk gradient called k.value, k.gradient and the
 mollifier's value and gradient block by block.  Both compositions are kept
 here as oracles: the fused evaluations must match them bit for bit.
 
+``piece_loop`` is how an assembly evaluated before Schottky point location:
+a loop over its pieces, each point taken by the first piece containing it.
+Located values and jets must match it bit for bit.
+
 ``free_group_count`` is the number of reduced words of length <= L in a
 free group of rank m, the size ``enumerate_group`` must reach.
 """
@@ -59,3 +63,21 @@ def free_group_count(m: int, L: int) -> int:
     for k in range(1, L + 1):
         total += 2 * m * (2 * m - 1) ** (k - 1)
     return total
+
+
+def piece_loop(assembled, z, jet=False):
+    """H, or (H, H_x + i H_y), at each point of the open disk from the first
+    piece whose ``contains`` holds it; zero elsewhere."""
+    z = np.atleast_1d(np.asarray(z, complex))
+    outs = (np.zeros(z.shape, float),) + ((np.zeros(z.shape, complex),) if jet else ())
+    todo = np.abs(z) < 1.0
+    for piece in assembled.pieces:
+        if not todo.any():
+            break
+        mask = todo & piece.contains(z)
+        if mask.any():
+            vals = piece._jet_on(z[mask]) if jet else (piece._value_on(z[mask]),)
+            for out, v in zip(outs, vals):
+                out[mask] = v
+            todo &= ~mask
+    return outs if jet else outs[0]

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from raagham import graphs
+from raagham import cli, graphs
 from raagham.cli import EXIT_INVALID, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main, make_parser
 from raagham.graphs import SimplicialGraph, complete_graph, double, path_graph
 from raagham.textio import (
@@ -35,7 +35,7 @@ VERB_FLAGS = {
     "probe-faithful": {"--graph", "--N", "--max-sheets", "--max-len", "--seed", "--out"},
     "lambda-decay": {"--depth", "--out"},
     "smooth-study": {"--depth", "--eps", "--out"},
-    "polydisk": {"--depth", "--eps", "--N", "--steps", "--n", "--seed", "--out"},
+    "polydisk": {"--eps", "--N", "--steps", "--n", "--seed", "--out"},
 }
 
 
@@ -96,13 +96,20 @@ class TestParser:
             for name, sp in sub.choices.items()
         }
         assert got == VERB_FLAGS
-        assert sum(map(len, got.values())) == 49
+        assert sum(map(len, got.values())) == 48
 
     def test_flag_a_verb_does_not_read_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             make_parser().parse_args(["normal-form", "--graph", "g.txt", "--word", "w.txt", "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_polydisk_takes_one_eps(self, capsys):
+        assert make_parser().parse_args(["polydisk", "--eps", "0.05"]).eps == 0.05
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["polydisk", "--eps", "0.1", "0.01"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: 0.01" in capsys.readouterr().err
 
     def test_readme_commands_parse(self):
         block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -160,9 +167,9 @@ class TestCommands:
     def test_invalid_input_exit_code(self, workdir):
         (workdir / "junk.txt").write_text("not a graph\n")
         assert main(["normal-form", "--graph", "junk.txt", "--word", "w.txt"]) == EXIT_INVALID
-        # polydisk rejects these before it builds anything
+        # polydisk rejects these before it writes anything
         assert main(["polydisk", "--N", "1", "--out", "pd"]) == EXIT_INVALID
-        assert main(["polydisk", "--eps", "0.1", "-1", "--out", "pd"]) == EXIT_INVALID
+        assert main(["polydisk", "--eps", "-1", "--out", "pd"]) == EXIT_INVALID
         assert not (workdir / "pd").exists()
 
     def test_emulator_search_cap_exits_3(self, workdir, monkeypatch):
@@ -212,6 +219,16 @@ class TestCommands:
         assert main(["lambda-decay", "--depth", "4", "--out", "ld"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "slope fits kept {1: " in out and "of 161 rows" in out
+
+    def test_smooth_study_honours_depth(self, workdir, monkeypatch):
+        depths, study = [], cli._study_Hv
+        monkeypatch.setattr(cli, "_study_Hv", lambda depth, tail: depths.append(depth) or study(depth, tail))
+        for depth in (6, 4):
+            assert main(["smooth-study", "--depth", str(depth), "--out", f"d{depth}"]) == EXIT_OK
+        assert depths == [6, 4]
+        # no grid point of |z| <= 0.9 lies on a translate of length 5 or 6
+        csv = [(workdir / d / "smooth_study.csv").read_bytes() for d in ("d6", "d4")]
+        assert csv[0] == csv[1]
 
     def test_smooth_study(self, workdir):
         code = main(["smooth-study", "--depth", "2", "--eps", "0.1", "0.01", "--out", "sm"])

@@ -1,8 +1,11 @@
+import functools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagham import lift
 from raagham.flows import flow_map
@@ -27,7 +30,8 @@ from raagham.lift import (
     _deriv_sq_polar,
 )
 from raagham.twist import RoundAnnulus
-from lift_reference import free_group_count
+from lift_reference import free_group_count, piece_loop
+from test_jets import same
 
 IDENT = GroupElement((), MobiusMap.identity())
 
@@ -79,6 +83,17 @@ class TestEnumeration:
         zs = np.array([0.05, -0.1 + 0.2j, 0.3j])
         images = [tuple(np.round(e.map(zs), 9)) for e in els]
         assert len(set(images)) == len(els)
+
+    def test_next_words_are_the_start_of_the_next_length(self):
+        gens = schottky_pair(0.98)
+        for L in range(5):
+            longer = [e for e in enumerate_group(gens, L + 1) if e.length == L + 1]
+            for count in (0, 5, 64):
+                got = lift.next_words(gens, enumerate_group(gens, L), count)
+                assert [e.word for e in got] == [e.word for e in longer[:count]]
+                assert [(e.map.alpha, e.map.beta) for e in got] == [
+                    (e.map.alpha, e.map.beta) for e in longer[:count]
+                ]
 
     def test_words_match_products(self):
         gens = schottky_pair(0.9)
@@ -306,6 +321,12 @@ class TestCorrected:
         assert np.hypot(*(res.final - pts).T).max() < 1e-4
 
 
+def _circles(pieces):
+    """The columns _check_disjoint reads: outer centres and radii, inner centres and radii."""
+    cols = ("outer_center", "outer_radius", "inner_center", "inner_radius")
+    return [np.array([getattr(p, k) for p in pieces]) for k in cols]
+
+
 class TestAssembled:
     def test_chart_mass_matches_quadrature_on_every_piece(self, assembled_depth6):
         A = default_study_annulus()
@@ -341,12 +362,14 @@ class TestAssembled:
             assemble_Hv("v", els + [twin], A)
 
     def test_nested_translates_accepted(self):
+        # the nested clause of the disjointness check, called directly: as an
+        # assembly the two pieces share the empty word, which is rejected
         outer = CorrectedHamiltonian(IDENT, default_study_annulus())
         inner = CorrectedHamiltonian(IDENT, RoundAnnulus((0.02, 0.0), 0.1, 0.2))
         for pieces in ([outer, inner], [inner, outer]):
-            assert len(AssembledHamiltonian("v", pieces).pieces) == 2
+            lift._check_disjoint(*_circles(pieces))
 
-    def test_overlap_check_matches_pairwise_loop(self):
+    def test_overlap_check_matches_pairwise_loop(self, monkeypatch):
         def disjoint(a, b):
             if abs(a.outer_center - b.outer_center) > a.outer_radius + b.outer_radius - 1e-13:
                 return True
@@ -372,11 +395,13 @@ class TestAssembled:
                  if not disjoint(pieces[i], pieces[j])),
                 None,
             )
+            # one row per block, a few rows, and the whole triangle at once
+            monkeypatch.setattr(lift, "PAIR_BLOCK", (1, 40, 1 << 16)[trial % 3])
             if first is None:
-                AssembledHamiltonian("v", pieces)
+                lift._check_disjoint(*_circles(pieces))
             else:
                 with pytest.raises(RegionOverlapError, match=f"regions {first[0]} and {first[1]} "):
-                    AssembledHamiltonian("v", pieces)
+                    lift._check_disjoint(*_circles(pieces))
 
     def test_matches_piece_on_its_region(self, assembled_depth6):
         H = assembled_depth6
@@ -391,6 +416,138 @@ class TestAssembled:
             pts = piece.tracked_circle_points(6)
             z = pts[:, 0] + 1j * pts[:, 1]
             assert np.array_equal(H.gradient_complex(z), piece.gradient_complex(z))
+
+
+# an annulus reaching close to the isometric disks, r_outer 0.8 < 0.817: its
+# first translates come within |z| = 0.833 of the origin
+WIDE = RoundAnnulus((0.0, 0.0), 0.7, 0.8)
+
+
+@functools.lru_cache(maxsize=None)
+def _schottky_assembly(depth, annulus=None):
+    annulus = annulus or default_study_annulus()
+    return assemble_Hv("v", enumerate_group(schottky_pair(0.98), depth), annulus)
+
+
+def _point_set(H, name):
+    """The smooth-study grid, the ring 0.999 <= |z| <= 1, 50 000 random points
+    of [-1.05, 1.05]^2, or every piece's tracked points."""
+    if name == "grid":
+        grid = np.linspace(-0.9, 0.9, 241)
+        X, Y = np.meshgrid(grid, grid)
+        mask = X**2 + Y**2 <= 0.81
+        return X[mask] + 1j * Y[mask]
+    if name == "ring":
+        ang = np.arange(4096) * 2 * math.pi / 4096
+        return (np.linspace(0.999, 1.0, 8)[:, None] * np.exp(1j * ang)[None, :]).ravel()
+    if name == "random":
+        rng = np.random.default_rng(17)
+        return rng.uniform(-1.05, 1.05, 50_000) + 1j * rng.uniform(-1.05, 1.05, 50_000)
+    pts = np.concatenate([p.tracked_circle_points(lift.SAMPLES_PER_PIECE) for p in H.pieces])
+    return pts[:, 0] + 1j * pts[:, 1]
+
+
+def _isometric_circle_points(n=64):
+    """Points on the isometric circles of the Schottky letters and inverses."""
+    ang = np.exp(1j * np.arange(n) * 2 * math.pi / n)
+    out = []
+    for g in schottky_pair(0.98):
+        for m in (g, g.inverse()):
+            centre, radius = lift._isometric_disk(m.alpha, m.beta)
+            out.append(centre + radius * ang)
+    return np.concatenate(out)
+
+
+OUTSIDE = np.array([1.0, -1.0j, np.exp(0.3j), 1.0 + 1e-15, -1.5, 2.0 + 1.0j, 30.0, 0.6 + 0.8j])
+
+
+def _edge_points(H, n=8):
+    """Both boundary circles of every piece, the isometric circles and points with |z| >= 1."""
+    w = np.exp(1j * (np.arange(n) * 2 * math.pi / n + 0.1))
+    circles = [
+        p.element.map(p.chart.c + r * w) for p in H.pieces for r in (p.annulus.r_inner, p.annulus.r_outer)
+    ]
+    return np.concatenate(circles + [_isometric_circle_points(), OUTSIDE])
+
+
+def _assert_located_is_loop(H, z):
+    assert same(H.value_complex(z), piece_loop(H, z))
+    (val, grad), (want_val, want_grad) = H.jet_complex(z), piece_loop(H, z, jet=True)
+    assert same(val, want_val) and same(grad, want_grad)
+
+
+class TestPointLocation:
+    """Values and jets located by Schottky reduction against the loop over
+    pieces (``lift_reference.piece_loop``), bit for bit."""
+
+    @pytest.mark.parametrize("points", ["grid", "ring", "random", "tracked"])
+    @pytest.mark.parametrize("depth", [4, 6])
+    def test_point_sets_match_piece_loop(self, depth, points):
+        H = _schottky_assembly(depth)
+        _assert_located_is_loop(H, _point_set(H, points))
+
+    @pytest.mark.parametrize("depth, annulus", [(d, None) for d in range(7)] + [(2, WIDE), (4, WIDE)])
+    def test_edges_match_piece_loop(self, depth, annulus):
+        H = _schottky_assembly(depth, annulus)
+        _assert_located_is_loop(H, _edge_points(H))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 6), st.data())
+    def test_drawn_points_match_piece_loop(self, depth, data):
+        H = _schottky_assembly(depth)
+        piece = H.pieces[data.draw(st.integers(0, len(H.pieces) - 1))]
+        # points across the drawn translate and just beyond its boundary circles
+        r = np.array(data.draw(st.lists(st.floats(0.3, 0.6), min_size=1, max_size=8)))
+        ang = np.array(data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(r), max_size=len(r))))
+        near = piece.element.map(piece.chart.c + r * np.exp(1j * ang))
+        free = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=1.5), max_size=8)), complex)
+        z = np.concatenate([near, free, _isometric_circle_points(8), OUTSIDE])
+        _assert_located_is_loop(H, z)
+        _assert_located_is_loop(H, z[:1])
+
+    def test_chunks_match_one_pass(self, monkeypatch):
+        H = _schottky_assembly(4)
+        z = _point_set(H, "tracked")
+        want = H.jet_complex(z)
+        monkeypatch.setattr(lift, "LOCATE_CHUNK", 97)
+        got = H.jet_complex(z)
+        assert same(got[0], want[0]) and same(got[1], want[1])
+
+    def test_rejects_a_repeated_word(self):
+        # nested translates pass the disjointness check (test_nested_translates_accepted)
+        outer = CorrectedHamiltonian(IDENT, default_study_annulus())
+        inner = CorrectedHamiltonian(IDENT, RoundAnnulus((0.02, 0.0), 0.1, 0.2))
+        with pytest.raises(ValueError, match=r"pieces 0 and 1 have the same word \(\)"):
+            AssembledHamiltonian("v", [outer, inner])
+
+    def test_rejects_a_missing_prefix_or_letter(self):
+        els = enumerate_group(schottky_pair(0.98), 2)
+        A = default_study_annulus()
+        with pytest.raises(ValueError, match=r"word \(0, 0\) but no piece has \(0,\)"):
+            assemble_Hv("v", [e for e in els if e.word != (0,)], A)
+        # (2, 0) keeps its prefix (2,), but its letter 0 is no piece's word
+        with pytest.raises(ValueError, match=r"word \(2, 0\) but no piece has \(0,\)"):
+            assemble_Hv("v", [e for e in els if e.word[:1] != (0,)], A)
+        with pytest.raises(ValueError, match="at least one piece"):
+            assemble_Hv("v", [], A)
+
+    def test_rejects_meeting_isometric_disks(self):
+        # for s <= 1/sqrt 2 neighbouring isometric disks overlap; a tiny annulus
+        # keeps the translates apart, so only point location objects
+        small = RoundAnnulus((0.0, 0.0), 0.01, 0.02)
+        with pytest.raises(ValueError, match="isometric disks of letters 0 and 2 meet"):
+            assemble_Hv("v", enumerate_group(schottky_pair(0.6), 1), small)
+
+    def test_rejects_an_annulus_meeting_an_isometric_disk(self):
+        ring = RoundAnnulus((0.85, 0.0), 0.005, 0.01)
+        with pytest.raises(ValueError, match="isometric disk of letter 1 meets the annulus"):
+            assemble_Hv("v", enumerate_group(schottky_pair(0.98), 1), ring)
+
+    def test_rejects_a_letter_without_isometric_circle(self):
+        off = RoundAnnulus((0.5, 0.0), 0.05, 0.1)
+        half_turn = GroupElement((0,), MobiusMap(math.pi, 0.0))
+        with pytest.raises(ValueError, match="letter 0 has no isometric circle"):
+            assemble_Hv("v", [IDENT, half_turn], off)
 
 
 def _mp_pairs(words, s=0.98):
@@ -578,8 +735,12 @@ class TestReport:
         H = assemble_Hv("v", enumerate_group(schottky_pair(0.98), 4), default_study_annulus())
         rep = analytic_report(H)
         assert len(rep.rows) == len(H.pieces)
+        assert len(H.pieces) % lift.REPORT_BLOCK  # the last block is a partial one
         for p, row in zip(H.pieces, rep.rows):
-            w0 = p._tracked_preimages(8)
+            w0, sigma = p._tracked_preimages(8), p.element.map
+            G = sigma.beta.conjugate() * w0 + sigma.alpha.conjugate()
+            r = ((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min()
+            assert row["r"] == float(r)
             h = 1e-3 * row["r"]
 
             # one call per offset, each taken exactly through sigma^-1
@@ -596,7 +757,14 @@ class TestReport:
                 for n, q in quotients.items():
                     want[n] = max(want[n], float(np.abs(q).max()))
             for n in (1, 2, 3):
-                assert abs(row[f"d{n}"] - want[n]) <= 1e-12 * want[n]
+                assert row[f"d{n}"] == want[n]
+
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch):
+        H = _schottky_assembly(4)
+        want = analytic_report(H).rows
+        for block in (1, 7, len(H.pieces), 1000):
+            monkeypatch.setattr(lift, "REPORT_BLOCK", block)
+            assert analytic_report(H).rows == want
 
     def test_slope_rows_count_nonzero_sups(self, assembled_depth6):
         rep = analytic_report(assembled_depth6)
