@@ -480,8 +480,7 @@ class PolydiskField:
         gh = self.gradient(pts)
         gk = self.k.gradient(np.atleast_2d(pts2d))
         first = np.abs(gh[:, 0:2] - gk).max()
-        rest = np.abs(gh[:, 2:]).max() if self.n > 1 else 0.0
-        return float(max(first, rest))
+        return float(max(first, np.abs(gh[:, 2:]).max()))
 
 
 def polydisk_extend(k_field: HamiltonianField, n: int, c: float = 1.0) -> PolydiskField:

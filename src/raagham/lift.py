@@ -138,11 +138,6 @@ def schottky_pair(s: float = 0.98):
     return [MobiusMap._pair(alpha, s * alpha), MobiusMap._pair(alpha, 1j * s * alpha)]
 
 
-def schottky_interior_radius(s: float) -> float:
-    """Largest disk about 0 avoiding the four isometric disks."""
-    return (1.0 - math.sqrt(1.0 - s * s)) / s
-
-
 def _letters(generators: Sequence[MobiusMap]):
     """Letter maps by id: 2k for generator k, 2k + 1 for its inverse."""
     return [m for g in generators for m in (g, g.inverse())]
@@ -360,7 +355,8 @@ class CorrectedHamiltonian:
     height b of the translated circle; the scale makes the time-1 flow with
     respect to the Euclidean form rotate that circle exactly once.
     lambda^2 is the chart's closed-form mass, the image-disk area difference
-    (``lambda_scale`` is the quadrature oracle).
+    (``lambda_scale`` is the quadrature oracle).  A translate is evaluated
+    only through its ``AssembledHamiltonian``, on its row of stacked constants.
     """
 
     def __init__(self, element: GroupElement, annulus: RoundAnnulus):
@@ -374,10 +370,6 @@ class CorrectedHamiltonian:
         self.inv = element.map.inverse()
         self.outer_center, self.outer_radius = element.map.image_circle(self.chart.c, annulus.r_outer)
         self.inner_center, self.inner_radius = element.map.image_circle(self.chart.c, annulus.r_inner)
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.outer_radius
 
     def sup_abs(self) -> float:
         return self.scale * self.profile.sup_abs()
@@ -412,26 +404,6 @@ class CorrectedHamiltonian:
         gw = self.scale * dh * dt_dr * rel
         return self.scale * h, gw / (np.where(r == 0, 1.0, r) * np.conj(g * g))
 
-    def value_complex(self, z):
-        z = np.atleast_1d(np.asarray(z, complex))
-        out = np.zeros(z.shape, float)
-        mask = self.contains(z)
-        if mask.any():
-            out[mask] = self._value_on(z[mask])
-        return out
-
-    def jet_complex(self, z):
-        """(H, H_x + i H_y) from one support test and one pull-back."""
-        z = np.atleast_1d(np.asarray(z, complex))
-        val, grad = np.zeros(z.shape, float), np.zeros(z.shape, complex)
-        mask = self.contains(z)
-        if mask.any():
-            val[mask], grad[mask] = self._jet_on(z[mask])
-        return val, grad
-
-    def gradient_complex(self, z):
-        return self.jet_complex(z)[1]
-
     def _value_near(self, w, d):
         """H at sigma(w) + d for offsets that keep the point on the translate
         (no support test).  With G = conj(beta) w + conj(alpha) it pulls back
@@ -442,26 +414,9 @@ class CorrectedHamiltonian:
         pre = w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d)
         return self.scale * self.profile.h(self._height(np.abs(pre - self.chart.c)))
 
-    def value(self, pts):
-        return self.value_complex(_complex_points(pts))
-
-    def gradient(self, pts):
-        return _plane_vectors(self.gradient_complex(_complex_points(pts)))
-
-    def jet(self, pts):
-        val, grad = self.jet_complex(_complex_points(pts))
-        return val, _plane_vectors(grad)
-
-    def field(self) -> HamiltonianField:
-        return HamiltonianField(self.value, jet=self.jet)
-
     def _tracked_preimages(self, n):
         ang = np.arange(n) * TWO_PI / n + 0.05
         return self.chart.c + self.chart.circle_radius * np.exp(1j * ang)
-
-    def tracked_circle_points(self, n=8):
-        z = self.element.map(self._tracked_preimages(n))
-        return np.stack([z.real, z.imag], -1)
 
     def _constants(self):
         """The piece's complex and real constants, in the order ``_stacked``
@@ -656,14 +611,11 @@ class AssembledHamiltonian:
         """(H, H_x + i H_y) from one location and one pull-back."""
         return self._evaluate(z, jet=True)
 
-    def gradient_complex(self, z):
-        return self.jet_complex(z)[1]
-
     def value(self, pts):
         return self.value_complex(_complex_points(pts))
 
     def gradient(self, pts):
-        return _plane_vectors(self.gradient_complex(_complex_points(pts)))
+        return _plane_vectors(self.jet_complex(_complex_points(pts))[1])
 
     def jet(self, pts):
         val, grad = self.jet_complex(_complex_points(pts))
@@ -676,12 +628,6 @@ class AssembledHamiltonian:
         rad = np.linspace(0.999, 1.0, 8)
         z = rad[:, None] * np.exp(1j * ang[None, :])
         return float(np.abs(self.value_complex(z.ravel())).max())
-
-    def diameters_by_length(self):
-        out = {}
-        for p in self.pieces:
-            out.setdefault(p.element.length, []).append(p.diameter)
-        return {k: max(v) for k, v in sorted(out.items())}
 
 
 def assemble_Hv(
@@ -797,13 +743,11 @@ def _fd_derivatives(f, base, h):
     offsets = np.concatenate([np.zeros((n, 1, 1)), e, -e, 2 * e, -2 * e], 1)
     vals = f(np.asarray(base, complex).reshape(n, 1, -1), offsets)
     f0, (fp, fm, fp2, fm2) = vals[:, :1], vals[:, 1:].reshape(n, 4, 2, -1).swapaxes(0, 1)
-    # h^2 and h^3 from the libm pow of each float, as a per-row stencil takes them
-    h2, h3 = (np.array([x**k for x in h.tolist()])[:, None, None] for k in (2, 3))
     h = h[:, None, None]
     quotients = {
         1: (fp - fm) / (2 * h),
-        2: (fp - 2 * f0 + fm) / h2,
-        3: (fp2 - 2 * fp + 2 * fm - fm2) / (2 * h3),
+        2: (fp - 2 * f0 + fm) / (h * h),
+        3: (fp2 - 2 * fp + 2 * fm - fm2) / (2 * h * h * h),
     }
     return {f"d{n}": np.abs(quotients[n]).max(axis=(1, 2)) for n in ORDERS}
 

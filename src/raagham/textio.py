@@ -44,9 +44,10 @@ def _content_lines(text: str):
 
 def parse_graph(text: str) -> SimplicialGraph:
     lines = list(_content_lines(text))
-    if not lines or not lines[0].startswith("vertices"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "vertices" or not head[1].isdecimal():
         raise ValueError("graph file must start with a 'vertices <n>' line")
-    n = int(lines[0].split()[1])
+    n = int(head[1])
     if n == 0:
         names, rest = [], lines[1:]
     else:

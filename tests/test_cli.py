@@ -167,6 +167,9 @@ class TestCommands:
     def test_invalid_input_exit_code(self, workdir):
         (workdir / "junk.txt").write_text("not a graph\n")
         assert main(["normal-form", "--graph", "junk.txt", "--word", "w.txt"]) == EXIT_INVALID
+        # a header with no vertex count
+        (workdir / "header.txt").write_text("vertices\n")
+        assert main(["double", "--graph", "header.txt"]) == EXIT_INVALID
         # polydisk rejects these before it writes anything
         assert main(["polydisk", "--N", "1", "--out", "pd"]) == EXIT_INVALID
         assert main(["polydisk", "--eps", "-1", "--out", "pd"]) == EXIT_INVALID

@@ -91,18 +91,6 @@ def test_chart_height_jet_is_t_of_r(index, rs):
 
 
 @FEW
-@given(translate_points(), plane_points)
-def test_corrected_jet_is_value_and_gradient(on, free):
-    pts = with_edges(np.concatenate([on, free]))
-    z = pts[:, 0] + 1j * pts[:, 1]
-    for piece in PIECES[:5] + PIECES[-3:]:
-        val, grad = piece.jet(pts)
-        assert same(val, piece.value(pts)) and same(grad, piece.gradient(pts))
-        val, grad = piece.jet_complex(z)
-        assert same(val, piece.value_complex(z)) and same(grad, piece.gradient_complex(z))
-
-
-@FEW
 @given(st.integers(0, 3), translate_points(), plane_points)
 def test_assembled_jet_is_value_and_gradient(depth, on, free):
     asm, pts = ASSEMBLED[depth], with_edges(np.concatenate([on, free]))
@@ -146,13 +134,12 @@ def test_polydisk_jet_matches_the_factorwise_oracle(n, on, free, off):
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: PIECES[7].jet(np.zeros((0, 2))),
         lambda: ASSEMBLED[3].jet(np.zeros((0, 2))),
         lambda: Mollifier(0.1).jet(np.zeros((0, 2))),
         lambda: smooth_Hv(ASSEMBLED[1], 0.1).jet(np.zeros((0, 2))),
         lambda: polydisk_extend(smooth_Hv(ASSEMBLED[1], 0.1), 3).jet(np.zeros((0, 6))),
     ],
-    ids=["corrected", "assembled", "mollifier", "smoothed", "polydisk"],
+    ids=["assembled", "mollifier", "smoothed", "polydisk"],
 )
 def test_jets_of_empty_arrays(evaluate):
     val, grad = evaluate()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagham import lift
-from raagham.flows import flow_map
+from raagham.flows import HamiltonianField, flow_map
 from raagham.lift import (
     AssembledHamiltonian,
     CorrectedHamiltonian,
@@ -24,7 +24,6 @@ from raagham.lift import (
     default_study_annulus,
     enumerate_group,
     lambda_scale,
-    schottky_interior_radius,
     schottky_pair,
     smooth_Hv,
     _deriv_sq_polar,
@@ -34,6 +33,12 @@ from lift_reference import free_group_count, piece_loop
 from test_jets import same
 
 IDENT = GroupElement((), MobiusMap.identity())
+
+
+def _tracked_points(piece, n):
+    """Plane points on the piece's tracked circle."""
+    z = piece.element.map(piece._tracked_preimages(n))
+    return np.stack([z.real, z.imag], -1)
 
 
 class TestMobius:
@@ -297,27 +302,25 @@ class TestCorrected:
         assert ch.sup_abs() >= ch.scale * sup_h
 
     def test_gradient_matches_finite_differences(self):
-        A = default_study_annulus()
-        el = enumerate_group(schottky_pair(0.98), 1)[1]
-        ch = CorrectedHamiltonian(el, A)
+        H = assemble_Hv("v", enumerate_group(schottky_pair(0.98), 1), default_study_annulus())
+        el = H.pieces[1].element
         rng = np.random.default_rng(1)
         wpts = np.sqrt(rng.uniform(0.36**2, 0.54**2, 30)) * np.exp(
             1j * rng.uniform(0, 2 * math.pi, 30)
         )
         z = el.map(wpts)
         pts = np.stack([z.real, z.imag], -1)
-        g = ch.gradient(pts)
+        g = H.gradient(pts)
         h = 1e-8
-        gx = (ch.value(pts + [h, 0]) - ch.value(pts - [h, 0])) / (2 * h)
-        gy = (ch.value(pts + [0, h]) - ch.value(pts - [0, h])) / (2 * h)
+        gx = (H.value(pts + [h, 0]) - H.value(pts - [h, 0])) / (2 * h)
+        gy = (H.value(pts + [0, h]) - H.value(pts - [0, h])) / (2 * h)
         assert np.abs(np.stack([gx, gy], -1) - g).max() < 1e-6 * np.abs(g).max()
 
     def test_flow_rotates_translated_circle_once(self):
-        A = default_study_annulus()
-        el = enumerate_group(schottky_pair(0.98), 1)[1]
-        ch = CorrectedHamiltonian(el, A)
-        pts = ch.tracked_circle_points(8)
-        res = flow_map(ch.field(), pts, T=1.0, steps=2000)
+        # the tracked circles of all four length-1 translates, flowed in one batch
+        H = assemble_Hv("v", enumerate_group(schottky_pair(0.98), 1), default_study_annulus())
+        pts = np.concatenate([_tracked_points(p, 8) for p in H.pieces if p.element.length == 1])
+        res = flow_map(HamiltonianField(H.value, jet=H.jet), pts, T=1.0, steps=2000)
         assert np.hypot(*(res.final - pts).T).max() < 1e-4
 
 
@@ -344,7 +347,9 @@ class TestAssembled:
         assert assembled_depth6.boundary_ring_sup() < 1e-5
 
     def test_translate_diameters_shrink(self, assembled_depth6):
-        diam = assembled_depth6.diameters_by_length()
+        diam = {}
+        for p in assembled_depth6.pieces:
+            diam[p.element.length] = max(diam.get(p.element.length, 0.0), 2.0 * p.outer_radius)
         Ls = sorted(diam)
         assert all(diam[b] < diam[a] for a, b in zip(Ls, Ls[1:]))
 
@@ -403,20 +408,6 @@ class TestAssembled:
                 with pytest.raises(RegionOverlapError, match=f"regions {first[0]} and {first[1]} "):
                     lift._check_disjoint(*_circles(pieces))
 
-    def test_matches_piece_on_its_region(self, assembled_depth6):
-        H = assembled_depth6
-        piece = H.pieces[3]
-        pts = piece.tracked_circle_points(6)
-        z = pts[:, 0] + 1j * pts[:, 1]
-        assert np.abs(H.value_complex(z) - piece.value_complex(z)).max() == 0.0
-
-    def test_gradient_matches_piece_on_its_region(self, assembled_depth6):
-        H = assembled_depth6
-        for piece in H.pieces[:: len(H.pieces) // 7]:
-            pts = piece.tracked_circle_points(6)
-            z = pts[:, 0] + 1j * pts[:, 1]
-            assert np.array_equal(H.gradient_complex(z), piece.gradient_complex(z))
-
 
 # an annulus reaching close to the isometric disks, r_outer 0.8 < 0.817: its
 # first translates come within |z| = 0.833 of the origin
@@ -443,8 +434,7 @@ def _point_set(H, name):
     if name == "random":
         rng = np.random.default_rng(17)
         return rng.uniform(-1.05, 1.05, 50_000) + 1j * rng.uniform(-1.05, 1.05, 50_000)
-    pts = np.concatenate([p.tracked_circle_points(lift.SAMPLES_PER_PIECE) for p in H.pieces])
-    return pts[:, 0] + 1j * pts[:, 1]
+    return np.concatenate([p.element.map(p._tracked_preimages(lift.SAMPLES_PER_PIECE)) for p in H.pieces])
 
 
 def _isometric_circle_points(n=64):
@@ -712,7 +702,7 @@ class TestSmoothing:
     def test_smoothed_gradient(self, assembled_depth6):
         f = smooth_Hv(assembled_depth6, 0.05)
         piece = assembled_depth6.pieces[1]
-        pts = piece.tracked_circle_points(6)
+        pts = _tracked_points(piece, 6)
         h = 1e-8
         gx = (f.value(pts + [h, 0]) - f.value(pts - [h, 0])) / (2 * h)
         gy = (f.value(pts + [0, h]) - f.value(pts - [0, h])) / (2 * h)
@@ -751,8 +741,8 @@ class TestReport:
             for e in (h, 1j * h):
                 quotients = {
                     1: (f(e) - f(-e)) / (2 * h),
-                    2: (f(e) - 2 * f(0.0) + f(-e)) / h**2,
-                    3: (f(2 * e) - 2 * f(e) + 2 * f(-e) - f(-2 * e)) / (2 * h**3),
+                    2: (f(e) - 2 * f(0.0) + f(-e)) / (h * h),
+                    3: (f(2 * e) - 2 * f(e) + 2 * f(-e) - f(-2 * e)) / (2 * h * h * h),
                 }
                 for n, q in quotients.items():
                     want[n] = max(want[n], float(np.abs(q).max()))
