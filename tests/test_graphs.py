@@ -3,6 +3,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagham import graphs
 from raagham.graphs import (
@@ -116,6 +118,18 @@ def test_planarity_k33_witness():
     w = planarity(g)
     assert isinstance(w, NonplanarWitness)
     assert w.kind == "kuratowski"
+    assert w.detail == "K3,3 subdivision on 6 vertices"
+
+
+def test_planarity_subdivided_k5_witness():
+    """The subdivision vertex has degree 2; the branch vertices name it K5."""
+    edges = [e for e in itertools.combinations("abcde", 2) if e != ("a", "b")]
+    g = SimplicialGraph(list("abcdex"), edges + [("a", "x"), ("x", "b")])
+    w = planarity(g)
+    assert isinstance(w, NonplanarWitness)
+    assert w.kind == "kuratowski"
+    assert w.detail == "K5 subdivision on 6 vertices"
+    assert w.subgraph_edges == g.edges
 
 
 def test_planarity_four_cycle():
@@ -279,9 +293,112 @@ def counting(monkeypatch, owner, name):
     SimplicialGraph([], []),
 ])
 def test_planarity_tests_once(monkeypatch, g):
-    calls = counting(monkeypatch, graphs.nx, "check_planarity")
+    calls = counting(monkeypatch, nx, "check_planarity")
     planarity(g)
     assert len(calls) == 1
+
+
+def test_k6_search_tests_six_candidates(monkeypatch):
+    """The Euler count leaves 6 of the 236 connected 2-sheet covers of K6 to
+    the library test; the first planar one has lexicographic rank 237."""
+    calls = counting(monkeypatch, nx, "check_planarity")
+    drawn = counting(monkeypatch, graphs, "planarity")
+    res = find_planar_emulator(complete_graph(list("abcdef")), 2)
+    assert isinstance(res, EmulatorResult)
+    assert res.voltage.group_order == 2
+    assert res.voltage.voltages == (0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0)
+    assert int("".join(map(str, res.voltage.voltages)), 2) + 1 == 237
+    assert res.cover == res.voltage.derived_graph()
+    # six yes/no tests, then the one inside planarity() that draws the cover
+    assert drawn == [(res.cover,)] and len(calls) == 7
+    assert res.embedding.positions == planarity(res.cover).positions
+
+
+def tree_reduced_covers(g, max_sheets):
+    """Every connected derived graph of g with at most max_sheets sheets, up
+    to isomorphism.
+
+    Adding c to the sheet index over one vertex (switching) relabels a
+    derived graph, so voltage 0 on the edges of a spanning tree reaches
+    every Z/k cover (Gross & Tucker, Topological Graph Theory, 1987).
+    """
+    edges, tree = g.sorted_edges(), set()
+    seen, stack = {g.vertices[0]}, [g.vertices[0]]
+    while stack:
+        u = stack.pop()
+        for w in sorted(g.neighbors(u), key=g.index):
+            if w not in seen:
+                seen.add(w)
+                tree.add(frozenset((u, w)))
+                stack.append(w)
+    free = [i for i, e in enumerate(edges) if frozenset(e) not in tree]
+    for k in range(1, max_sheets + 1):
+        for values in itertools.product(range(k), repeat=len(free)):
+            voltages = [0] * len(edges)
+            for i, a in zip(free, values):
+                voltages[i] = a
+            cover = VoltageAssignment(g, k, tuple(voltages)).derived_graph()
+            if cover.is_connected():
+                yield cover
+
+
+PRECHECK_BASES = {
+    "K5": complete_graph(list("abcde")),
+    "K6": complete_graph(list("abcdef")),
+    "K3,3": SimplicialGraph(list("abcxyz"), [(u, v) for u in "abc" for v in "xyz"]),
+    "C4": cycle_graph(list("wxyz")),
+}
+
+
+@pytest.mark.parametrize("name", PRECHECK_BASES)
+def test_euler_precheck_sound_on_small_covers(name):
+    covers = list(tree_reduced_covers(PRECHECK_BASES[name], 2))
+    assert covers
+    for cover in covers:
+        if graphs._euler_refutes(cover):
+            assert not nx.check_planarity(cover.to_networkx())[0]
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=10):
+    """A random spanning tree plus each other pair with probability about
+    1/2: near 3v - 6 edges, where the Euler count starts to refute."""
+    n = draw(st.integers(1, max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    tree = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    extra = [p for p in itertools.combinations(names, 2) if draw(st.booleans())]
+    return SimplicialGraph(names, tree + extra)
+
+
+@st.composite
+def planar_connected_graphs(draw, max_vertices=12):
+    """A stacked triangulation (each new vertex joins the corners of one
+    triangular face) with edges off its spanning tree removed at random."""
+    n = draw(st.integers(3, max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    faces = [(0, 1, 2), (0, 2, 1)]
+    tree, others = [(0, 1), (1, 2)], [(0, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(draw(st.integers(0, len(faces) - 1)))
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+        tree.append((a, v))
+        others += [(b, v), (c, v)]
+    kept = [e for e in others if draw(st.booleans())]
+    return SimplicialGraph(names, [(names[u], names[v]) for u, v in tree + kept])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_euler_precheck_never_refutes_a_planar_graph(g):
+    if graphs._euler_refutes(g):
+        assert not nx.check_planarity(g.to_networkx())[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planar_connected_graphs())
+def test_euler_precheck_accepts_subgraphs_of_triangulations(g):
+    assert g.is_connected() and nx.check_planarity(g.to_networkx())[0]
+    assert not graphs._euler_refutes(g)
 
 
 def test_emulator_search_draws_only_the_returned_cover(monkeypatch):

@@ -34,3 +34,16 @@ def test_import_leaves_scipy_optimize_out():
     code = "import sys, raagham, raagham.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_lift_verbs_leave_networkx_unloaded(tmp_path):
+    """networkx loads only when a graph is tested: importing the package and
+    its command line, then running a lift verb, never imports it."""
+    code = (
+        "import sys, raagham, raagham.cli\n"
+        f"code = raagham.cli.main(['lambda-decay', '--depth', '4', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'networkx' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "lambda_decay.csv").is_file()
