@@ -6,8 +6,9 @@ working directory), except ``normal-form`` and ``double``, which print their
 result and write it to a file only when ``--out`` is given.
 
 Exit codes: 0 success / all checks passed, 1 a verification failed,
-2 invalid input, 3 a resource cap was hit.  Given the same flags every
-CSV/JSON artifact is byte-identical between runs.
+2 invalid input, 3 a resource cap was hit, 4 a numerical solver did not
+converge.  Given the same flags every CSV/JSON artifact is byte-identical
+between runs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_SOLVER = 4
 
 
 def _read_graph(path) -> graphs.SimplicialGraph:
@@ -402,6 +404,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except flows.IntegrationError as e:
+        print(f"solver did not converge: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

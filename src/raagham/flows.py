@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,33 +37,30 @@ FD_STEP = 1e-7
 
 
 class HamiltonianField:
-    """Scalar Hamiltonian with gradient; the flow field is J grad H.
+    """Scalar Hamiltonian H on R^(2m), given by ``value`` and a one-pass
+    ``jet`` returning (H, grad H); the flow field is J grad H.
 
-    With the area form dx^dy the sign convention is
-    X_H = (dH/dy, -dH/dx), so H = pi*(x^2+y^2) rotates clockwise at angular
-    speed 2*pi.  The derivative comes either as ``gradient`` or as a fused
-    ``jet`` returning (value, gradient) from one pass; each gives the other.
+    With the area form dx^dy on each coordinate pair the sign convention is
+    X_H = (dH/dy, -dH/dx) pair by pair, so H = pi*(x^2+y^2) rotates
+    clockwise at angular speed 2*pi.
     """
 
-    def __init__(self, value, gradient=None, jet=None):
-        if (gradient is None) == (jet is None):
-            raise ValueError("give exactly one of gradient and jet")
+    def __init__(self, value, jet):
         self._value = value
-        self._gradient = gradient if jet is None else (lambda pts: jet(pts)[1])
-        self._jet = jet if gradient is None else (lambda pts: (value(pts), gradient(pts)))
+        self._jet = jet
 
     def value(self, pts):
         return self._value(np.atleast_2d(np.asarray(pts, float)))
 
-    def gradient(self, pts):
-        return self._gradient(np.atleast_2d(np.asarray(pts, float)))
-
     def jet(self, pts):
         return self._jet(np.atleast_2d(np.asarray(pts, float)))
 
+    def gradient(self, pts):
+        return self.jet(pts)[1]
+
     def vector_field(self, pts):
         g = self.gradient(pts)
-        return np.stack([g[:, 1], -g[:, 0]], -1)
+        return np.stack([g[:, 1::2], -g[:, 0::2]], -1).reshape(g.shape)
 
 
 @dataclass
@@ -127,7 +123,7 @@ def flow_map(
     field,
     z0,
     T: float,
-    steps: Optional[int] = None,
+    steps: int = 1000,
     tol: float = 1e-12,
 ) -> FlowResult:
     """Implicit-midpoint integration of z' = X_H(z) for time T.
@@ -141,18 +137,14 @@ def flow_map(
     """
     z = np.atleast_2d(np.asarray(z0, float)).copy()
     single = np.asarray(z0).ndim == 1
-    if steps is None:
-        steps = 1000  # default step 1e-3 * T
     h = T / steps
-    H0 = field.value(z) if hasattr(field, "value") else None
+    H0 = field.value(z)
     iterations = max_iterations = 0
     for _ in range(steps):
         z, calls = _midpoint_step(field, z, h, tol)
         iterations += calls
         max_iterations = max(max_iterations, calls)
-    drift = 0.0
-    if H0 is not None:
-        drift = float(np.abs(field.value(z) - H0).max())
+    drift = float(np.abs(field.value(z) - H0).max())
     final = z[0] if single else z
     return FlowResult(
         final=final,
@@ -291,7 +283,7 @@ def verify_relations(rep, samples: int = 200, seed: int = 0) -> VerificationRepo
         fv = rep.generator_map(v, rep.N)
         worst = max(worst, float(np.abs(fv.apply(punct) - punct).max()))
     jac = jacobian_probe(
-        rep.generator_map(rep.config.graph.vertices[0], rep.N),
+        rep.generator_map(rep.config.graph.vertices[0], rep.N).apply,
         _sample_points(rep, 64, rng),
         1e-6,
     )
@@ -322,8 +314,8 @@ def _edge_probes(rep, u, v):
     return np.concatenate(probes, 0)
 
 
-def jacobian_probe(plane_map, pts, step: float = 1e-6) -> dict:
-    """Central-difference Jacobian determinants of a plane map at points.
+def jacobian_probe(apply, pts, step: float = 1e-6) -> dict:
+    """Central-difference Jacobian determinants of a plane map ``apply`` at points.
 
     The stencils at step and step/2 are Richardson-extrapolated, clearing
     the h^2 truncation term; twist bumps have enormous high derivatives near
@@ -331,7 +323,6 @@ def jacobian_probe(plane_map, pts, step: float = 1e-6) -> dict:
     offset batches (2 steps x +-x, +-y) go through one ``apply`` call, which
     gives the same stats as one call per batch for any pointwise map.
     """
-    apply = plane_map.apply if hasattr(plane_map, "apply") else plane_map
     pts = np.atleast_2d(np.asarray(pts, float))
     ex, ey = np.eye(2)
     widths = (step, step, step / 2, step / 2)
@@ -406,23 +397,21 @@ def faithfulness_probe(rep, max_len: int, seed: int = 0):
 POLYDISK_EPS = 1.0
 
 
-class PolydiskField:
-    """Product Hamiltonian on D^n: h(z) = k(z_1) * eta(z_2) * ... * eta(z_n).
+class PolydiskField(HamiltonianField):
+    """Product Hamiltonian on D^n: h(z) = k(z_1) * eta(z_2) * ... * eta(z_n),
+    with the standard area form on every factor.
 
-    The symplectic form is c*w0 on the first factor and w0 on the others, so
-    the flow velocity of the first block carries a 1/c.  At slice points
-    (z_1, 0, ..., 0) the mollifier factors are exactly 1 with zero gradient,
-    and the slice is invariant under the flow.
+    At slice points (z_1, 0, ..., 0) the mollifier factors are exactly 1
+    with zero gradient, and the slice is invariant under the flow.
     """
 
-    def __init__(self, k_field: HamiltonianField, n: int, c: float = 1.0):
+    def __init__(self, k_field: HamiltonianField, n: int):
         from .lift import Mollifier
 
         if n < 2:
             raise ValueError("polydisk dimension n must be at least 2")
         self.k = k_field
         self.n = n
-        self.c = float(c)
         self.eta = Mollifier(POLYDISK_EPS)
 
     def _blocks(self, pts):
@@ -455,19 +444,6 @@ class PolydiskField:
             grads[:, 2 * i : 2 * i + 2] = egrads[i - 1] * others[:, None]
         return self._product(kvals, evals), grads
 
-    def gradient(self, pts):
-        return self.jet(pts)[1]
-
-    def vector_field(self, pts):
-        g = self.gradient(pts)
-        out = np.empty_like(g)
-        for i in range(self.n):
-            gx, gy = g[:, 2 * i], g[:, 2 * i + 1]
-            scale = 1.0 / self.c if i == 0 else 1.0
-            out[:, 2 * i] = scale * gy
-            out[:, 2 * i + 1] = -scale * gx
-        return out
-
     def embed_slice(self, pts2d):
         pts2d = np.atleast_2d(np.asarray(pts2d, float))
         out = np.zeros((len(pts2d), 2 * self.n))
@@ -483,6 +459,6 @@ class PolydiskField:
         return float(max(first, np.abs(gh[:, 2:]).max()))
 
 
-def polydisk_extend(k_field: HamiltonianField, n: int, c: float = 1.0) -> PolydiskField:
+def polydisk_extend(k_field: HamiltonianField, n: int) -> PolydiskField:
     """Extend a disk Hamiltonian to the polydisk by mollifier factors."""
-    return PolydiskField(k_field, n, c=c)
+    return PolydiskField(k_field, n)

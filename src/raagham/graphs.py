@@ -428,12 +428,11 @@ class NotFound:
     reason: str
 
 
-def find_planar_emulator(
-    g: SimplicialGraph,
-    max_sheets: int,
-    allow_trivial: bool = True,
-    max_assignments: int = 500_000,
-):
+# find_planar_emulator: the most voltage assignments it tries before giving up
+EMULATOR_ASSIGNMENT_CAP = 500_000
+
+
+def find_planar_emulator(g: SimplicialGraph, max_sheets: int, allow_trivial: bool = True):
     """Search cyclic voltage covers for a planar one.
 
     Enumerates Z/k voltage assignments, k = 1..max_sheets, in lexicographic
@@ -445,8 +444,8 @@ def find_planar_emulator(
     ``nx.check_planarity``; only the returned cover is drawn, by
     ``planarity``.  A derived graph whose projection fails the orbi-cover
     check raises RuntimeError.  Returns NotFound when the search space is
-    exhausted or the assignment cap is hit; neither outcome proves
-    nonexistence.
+    exhausted or EMULATOR_ASSIGNMENT_CAP assignments have been tried;
+    neither outcome proves nonexistence.
     """
     if max_sheets < 2:
         raise ValueError("max_sheets must be at least 2")
@@ -461,7 +460,7 @@ def find_planar_emulator(
             continue
         for voltages in itertools.product(range(k), repeat=ne):
             tried += 1
-            if tried > max_assignments:
+            if tried > EMULATOR_ASSIGNMENT_CAP:
                 return NotFound(exhausted=False, tried=tried - 1, reason="assignment cap")
             va = VoltageAssignment(g, k, voltages)
             cover = va.derived_graph()

@@ -181,31 +181,35 @@ def _deriv_sq_polar(sigma: MobiusMap, center: complex, radii, thetas):
     return (d * np.conj(d)).real
 
 
-def lambda_scale(
-    sigma,
-    annulus: RoundAnnulus,
-    tol: float = 1e-8,
-    max_level: int = 6,
-) -> float:
+# lambda_scale: relative agreement of successive quadratures to stop at, and
+# the most resolution doublings
+LAMBDA_QUAD_TOL = 1e-8
+LAMBDA_QUAD_LEVELS = 6
+
+
+def lambda_scale(sigma, annulus: RoundAnnulus) -> float:
     """Mass of the pulled-back area form: integral of |sigma'|^2 over the annulus.
 
     Adaptive polar quadrature (Gauss-Legendre radially, trapezoid in angle,
-    both spectrally accurate for this smooth integrand); resolution doubles
-    until successive values agree to the relative tolerance.  The charts use
-    the closed form (``TransportChart.mass``); this is its numerical oracle.
+    both spectrally accurate for this smooth integrand); resolution doubles,
+    at most LAMBDA_QUAD_LEVELS times, until successive values agree to the
+    relative tolerance LAMBDA_QUAD_TOL.  The charts use the closed form
+    (``TransportChart.mass``); this is its numerical oracle.
     """
     smap = sigma.map if isinstance(sigma, GroupElement) else sigma
     c = complex(annulus.center[0], annulus.center[1])
     prev = None
     nr, nt = 24, 48
-    for _ in range(max_level):
+    for _ in range(LAMBDA_QUAD_LEVELS):
         x, wgt = np.polynomial.legendre.leggauss(nr)
         r = 0.5 * (annulus.r_outer - annulus.r_inner) * (x + 1.0) + annulus.r_inner
         wr = 0.5 * (annulus.r_outer - annulus.r_inner) * wgt
         th = np.arange(nt) * TWO_PI / nt
         vals = _deriv_sq_polar(smap, c, r, th)
         integral = float((vals.sum(1) * (TWO_PI / nt) * r * wr).sum())
-        if prev is not None and abs(integral - prev) <= tol * max(abs(integral), 1e-300):
+        if prev is not None and abs(integral - prev) <= LAMBDA_QUAD_TOL * max(
+            abs(integral), 1e-300
+        ):
             return integral
         prev = integral
         nr *= 2
@@ -710,7 +714,7 @@ def smooth_Hv(assembled: AssembledHamiltonian, eps: float) -> HamiltonianField:
         hv, hg = assembled.jet(pts)
         return ev * hv, ev[:, None] * hg + hv[:, None] * eg
 
-    return HamiltonianField(value, jet=jet)
+    return HamiltonianField(value, jet)
 
 
 # ----------------------------- boundary estimates ----------------------------

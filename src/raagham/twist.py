@@ -219,10 +219,13 @@ def half_twists(annulus: RoundAnnulus, profile: TwistProfile, tau: float):
 
 
 def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):
-    """The twist's generating function and gradient in plane coordinates.
+    """The twist's generating function H and its jet (H, grad H) in plane
+    coordinates; ``HamiltonianField(*twist_hamiltonian(A, profile))`` is
+    its field.
 
     H(z) = h(t(z)) with t the area coordinate; grad t is simply the vector
-    from the annulus center, so grad H = h'(t) * (z - c).
+    from the annulus center, so grad H = h'(t) * (z - c).  The jet takes
+    r^2 once and h, h' from one ``TwistProfile.jet``.
     """
     c, mid = np.asarray(annulus.center), annulus.mid
     lo, hi = annulus.r_inner**2, annulus.r_outer**2
@@ -239,13 +242,14 @@ def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):
         vals[mask] = profile.h(t[mask])
         return vals
 
-    def grad(pts):
+    def jet(pts):
         rel, t, mask = rel_t_mask(pts)
-        g = np.zeros_like(rel)
-        g[mask] = profile.dh(t[mask])[:, None] * rel[mask]
-        return g
+        vals, g = np.zeros(len(rel)), np.zeros_like(rel)
+        vals[mask], dh = profile.jet(t[mask])
+        g[mask] = dh[:, None] * rel[mask]
+        return vals, g
 
-    return H, grad
+    return H, jet
 
 
 # ------------------------- configuration building --------------------------
@@ -803,7 +807,7 @@ def build_representation(
         if isinstance(emb, NonplanarWitness):
             raise ValueError(
                 "graph is nonplanar and no emulator was supplied; "
-                "find a planar emulator or use the universal-cover route"
+                "find one with find_planar_emulator, the only route for nonplanar graphs"
             )
     else:
         emb = emulator.embedding

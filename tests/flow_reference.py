@@ -47,9 +47,8 @@ def _central_jacobian(apply, pts, step):
     return ax, ay
 
 
-def reference_jacobian_probe(plane_map, pts, step=1e-6):
+def reference_jacobian_probe(apply, pts, step=1e-6):
     """Richardson central-difference determinant stats, one call per offset."""
-    apply = plane_map.apply if hasattr(plane_map, "apply") else plane_map
     pts = np.atleast_2d(np.asarray(pts, float))
     ax, ay = _central_jacobian(apply, pts, step)
     ax2, ay2 = _central_jacobian(apply, pts, step / 2)
@@ -64,7 +63,7 @@ def reference_jacobian_probe(plane_map, pts, step=1e-6):
     }
 
 
-def integrated_rep_apply(rep, w, pts, steps=None):
+def integrated_rep_apply(rep, w, pts, steps):
     """The image of a word, each cover letter's Hamiltonian flowed for time
     N*e, right to left."""
     if rep.pullback is not None:
@@ -72,6 +71,6 @@ def integrated_rep_apply(rep, w, pts, steps=None):
     pts = np.asarray(pts, float)
     out = np.atleast_2d(pts).copy()
     for v, e in reversed(w.letters):
-        H, grad = twist_hamiltonian(rep.config.annuli[v], rep.profiles[v])
-        out = flow_map(HamiltonianField(H, grad), out, T=rep.N * e, steps=steps).final
+        field = HamiltonianField(*twist_hamiltonian(rep.config.annuli[v], rep.profiles[v]))
+        out = flow_map(field, out, T=rep.N * e, steps=steps).final
     return out[0] if pts.ndim == 1 else out

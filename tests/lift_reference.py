@@ -10,6 +10,10 @@ here as oracles: the fused evaluations must match them bit for bit.
 a loop over its pieces, each point taken by the first piece containing it.
 Located values and jets must match it bit for bit.
 
+``polydisk_vector_field`` and ``plane_vector_field`` are the per-block
+and the two-dimensional symplectic rules that the one rule of
+``HamiltonianField.vector_field`` replaced; it must match both bit for bit.
+
 ``free_group_count`` is the number of reduced words of length <= L in a
 free group of rank m, the size ``enumerate_group`` must reach.
 """
@@ -30,10 +34,11 @@ def smoothed_gradient(assembled, eta, pts):
 def smoothed_field(assembled, eps):
     """The smoothed Hamiltonian with the oracle gradient."""
     eta = Mollifier(eps)
-    return HamiltonianField(
-        lambda pts: eta.value(pts) * assembled.value(pts),
-        lambda pts: smoothed_gradient(assembled, eta, pts),
-    )
+
+    def value(pts):
+        return eta.value(pts) * assembled.value(pts)
+
+    return HamiltonianField(value, lambda pts: (value(pts), smoothed_gradient(assembled, eta, pts)))
 
 
 def polydisk_gradient(pd, pts):
@@ -56,6 +61,23 @@ def polydisk_gradient(pd, pts):
                 others = others * e
         grads[:, 2 * i : 2 * i + 2] = pd.eta.gradient(blocks[i]) * others[:, None]
     return grads
+
+
+def polydisk_vector_field(pd, pts):
+    """X_h block by block, (dh/dy_i, -dh/dx_i) on each factor's coordinates:
+    the polydisk's own rule before every field shared one."""
+    g = pd.gradient(pts)
+    out = np.empty_like(g)
+    for i in range(pd.n):
+        out[:, 2 * i] = g[:, 2 * i + 1]
+        out[:, 2 * i + 1] = -g[:, 2 * i]
+    return out
+
+
+def plane_vector_field(field, pts):
+    """X_H = (dH/dy, -dH/dx) of a Hamiltonian on the plane."""
+    g = field.gradient(pts)
+    return np.stack([g[:, 1], -g[:, 0]], -1)
 
 
 def free_group_count(m: int, L: int) -> int:

@@ -5,7 +5,15 @@ import pathlib
 import pytest
 
 from raagham import cli, graphs
-from raagham.cli import EXIT_INVALID, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main, make_parser
+from raagham.cli import (
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_SOLVER,
+    EXIT_VERIFICATION,
+    main,
+    make_parser,
+)
 from raagham.graphs import SimplicialGraph, complete_graph, double, path_graph
 from raagham.textio import (
     dump_csv,
@@ -190,6 +198,24 @@ class TestCommands:
             argv = ["simulate", "--graph", "k5.txt", "--word", "k5w.txt", "--out", "o"]
             assert main(argv) == build_code
         assert not (workdir / "o").exists()
+
+    def test_emulator_assignment_cap(self, workdir, monkeypatch):
+        # the real search on K5 stops after the capped number of assignments
+        monkeypatch.setattr(graphs, "EMULATOR_ASSIGNMENT_CAP", 3)
+        k5 = complete_graph(list("abcde"))
+        found = graphs.find_planar_emulator(k5, 2)
+        assert found == graphs.NotFound(exhausted=False, tried=3, reason="assignment cap")
+        (workdir / "k5.txt").write_text(format_graph(k5))
+        assert main(["emulator", "--graph", "k5.txt", "--out", "e"]) == EXIT_RESOURCE
+        assert not (workdir / "e").exists()
+
+    def test_integration_failure_exits_4(self, workdir, capsys):
+        # 5 steps of length 0.4: the implicit midpoint stage does not converge
+        assert main(["polydisk", "--steps", "5", "--out", "pd"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver did not converge: implicit midpoint stage")
+        assert err.count("\n") == 1
+        assert not (workdir / "pd").exists()
 
     def test_build_config_artifacts(self, workdir):
         code = main(["build-config", "--graph", "p3.txt", "--out", "cfg"])

@@ -1,6 +1,8 @@
 """One-pass jets: every fused (value, gradient) equals its separate
 projections bit for bit, on drawn points and on the edge cases (off the
-disk, the origin, the boundary circles of the translates, empty arrays)."""
+disk, the origin, the boundary circles of the translates, empty arrays);
+the one symplectic rule on those gradients equals the per-block and planar
+rules it replaced."""
 
 import math
 
@@ -19,7 +21,13 @@ from raagham.lift import (
     smooth_Hv,
 )
 from raagham.twist import make_profile
-from lift_reference import polydisk_gradient, smoothed_field, smoothed_gradient
+from lift_reference import (
+    plane_vector_field,
+    polydisk_gradient,
+    polydisk_vector_field,
+    smoothed_field,
+    smoothed_gradient,
+)
 
 TWO_PI = 2 * math.pi
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -129,6 +137,19 @@ def test_polydisk_jet_matches_the_factorwise_oracle(n, on, free, off):
     val, grad = pd.jet(pts)
     assert same(val, pd.value(pts)) and same(grad, pd.gradient(pts))
     assert same(grad, polydisk_gradient(pd, pts))
+
+
+@FEW
+@given(st.integers(2, 4), translate_points(), plane_points, plane_points)
+def test_vector_field_matches_the_blockwise_and_planar_rules(n, on, free, off):
+    k = smooth_Hv(ASSEMBLED[2], 0.01)
+    pd = polydisk_extend(k, n)
+    first = with_edges(np.concatenate([on, free]))
+    rest = np.resize(with_edges(off), (len(first), 2 * (n - 1)))
+    pts = np.concatenate([first, rest], 1)
+    pts[:3, 2:] = 0.0  # slice points
+    assert np.array_equal(pd.vector_field(pts), polydisk_vector_field(pd, pts))
+    assert np.array_equal(k.vector_field(first), plane_vector_field(k, first))
 
 
 @pytest.mark.parametrize(

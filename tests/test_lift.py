@@ -320,7 +320,7 @@ class TestCorrected:
         # the tracked circles of all four length-1 translates, flowed in one batch
         H = assemble_Hv("v", enumerate_group(schottky_pair(0.98), 1), default_study_annulus())
         pts = np.concatenate([_tracked_points(p, 8) for p in H.pieces if p.element.length == 1])
-        res = flow_map(HamiltonianField(H.value, jet=H.jet), pts, T=1.0, steps=2000)
+        res = flow_map(HamiltonianField(H.value, H.jet), pts, T=1.0, steps=2000)
         assert np.hypot(*(res.final - pts).T).max() < 1e-4
 
 

@@ -225,12 +225,12 @@ class TestDoubleDehnTwist:
         assert np.abs(det - 1.0).max() < 1e-6
 
     def test_hamiltonian_gradient(self):
-        H, grad = twist_hamiltonian(self.A, self.prof)
+        H, jet = twist_hamiltonian(self.A, self.prof)
         pts = self.A.sample_points(60, self.rng, r2_range=(1.1**2, 1.65**2))
         h = 1e-7
         gx = (H(pts + [h, 0]) - H(pts - [h, 0])) / (2 * h)
         gy = (H(pts + [0, h]) - H(pts - [0, h])) / (2 * h)
-        g = grad(pts)
+        g = jet(pts)[1]
         assert np.abs(np.stack([gx, gy], -1) - g).max() < 1e-5 * max(1, np.abs(g).max())
 
 
@@ -293,6 +293,9 @@ class FlatProfile:
     def dh(self, t):
         return np.ones_like(t)
 
+    def jet(self, t):
+        return self.h(t), self.dh(t)
+
 
 @pytest.mark.parametrize("A", [
     RoundAnnulus((0.0, 0.0), 1.0, math.sqrt(3)),
@@ -328,10 +331,12 @@ class TestTwistHamiltonianMask:
         inside = A.contains(pts)
         # on and one ulp off both circles: the closed mask must take both values
         assert inside.any() and not inside.all()
-        H, grad = twist_hamiltonian(A, FlatProfile())
+        H, jet = twist_hamiltonian(A, FlatProfile())
+        val, grad = jet(pts)
         assert np.array_equal(H(pts), inside.astype(float))
+        assert np.array_equal(val, inside.astype(float))
         rel = pts - np.asarray(A.center)
-        assert np.array_equal(grad(pts), np.where(inside[:, None], rel, 0.0))
+        assert np.array_equal(grad, np.where(inside[:, None], rel, 0.0))
 
     @pytest.mark.parametrize("A", ANNULI)
     @pytest.mark.parametrize("b_frac", [0.0, 0.4])
@@ -340,10 +345,11 @@ class TestTwistHamiltonianMask:
         rng = np.random.default_rng(3)
         pts = np.concatenate([boundary_points(A), A.sample_points(200, rng),
                               np.asarray(A.center) + rng.uniform(-2, 2, (50, 2))])
-        H, grad = twist_hamiltonian(A, prof)
+        H, jet = twist_hamiltonian(A, prof)
         H_ref, grad_ref = reference_twist_hamiltonian(A, prof)
-        assert np.array_equal(H(pts), H_ref(pts))
-        assert np.array_equal(grad(pts), grad_ref(pts))
+        val, grad = jet(pts)
+        assert np.array_equal(H(pts), H_ref(pts)) and np.array_equal(val, H_ref(pts))
+        assert np.array_equal(grad, grad_ref(pts))
 
 
 def check_packing_records(cfg):
@@ -674,7 +680,8 @@ class TestRepresentation:
             build_representation(path_graph(["u", "v", "w"]), N=1)
 
     def test_nonplanar_needs_emulator(self):
-        with pytest.raises(ValueError):
+        # the message names the one route a nonplanar graph has
+        with pytest.raises(ValueError, match="nonplanar .* find one with find_planar_emulator"):
             build_representation(complete_graph(list("abcde")), N=2)
 
     def test_disjoint_supports_commute_exactly(self, p3_rep):
