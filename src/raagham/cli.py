@@ -62,7 +62,7 @@ def cmd_word_eq(args):
     g = _read_graph(args.graph)
     w1 = _read_word(args.word, g)
     w2 = _read_word(args.word2, g)
-    print("equal" if words.oracle_equal(w1, w2) else "different")
+    print("equal" if words.normal_form(w1) == words.normal_form(w2) else "different")
     return EXIT_OK
 
 

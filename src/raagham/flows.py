@@ -70,28 +70,34 @@ class FlowResult:
     steps: int
     iterations: int  # Newton vector-field calls, all steps
     max_iterations: int  # the most in any one step
+    points: int  # rows the field evaluated, all calls: (d + 1) per active row
 
 
-def _midpoint_step(field, z, h, tol):
-    """Solve y = z + h X((z + y)/2) row by row; return (image, field calls).
+def _midpoint_step(field, z, h, tol, start):
+    """Solve y = z + h X((z + y)/2) row by row from y = z + start; return
+    (image, next start, field calls, points evaluated).
 
-    Newton on F(y) = y - z - h X(m), m = (z + y)/2, from y = z.  Each
-    iteration makes one field call on the stack [m; m + FD_STEP e_1; ...;
-    m + FD_STEP e_d], which gives X(m) and a forward-difference DX, and the
-    active rows solve (I - h DX / 2) dy = F.  A row is accepted once
-    max|F| < tol and returns z + h X(m); it then leaves the active set, so
-    its result depends on its own coordinates alone.
+    Newton on F(y) = y - z - h X(m), m = (z + y)/2.  Each iteration makes
+    one field call on the stack [m; m + FD_STEP e_1; ...; m + FD_STEP e_d],
+    which gives X(m) and a forward-difference DX, and the active rows solve
+    (I - h DX / 2) dy = F.  A row is accepted once max|F| < tol and returns
+    z + h X(m); it then leaves the active set, so its result depends on its
+    own coordinates alone.  Its next start, h (X + h DX X) from the accepted
+    iteration's X(m) and DX, costs no field call: the next midpoint lies
+    about h X further on, where the field is about X + h DX X.
     """
     n, d = z.shape
     eye, scale = np.eye(d), 0.5 * h / FD_STEP
     shifts = FD_STEP * eye[:, None, :]
-    rows = out = None  # active row indices and the result, once a row converges
-    zr, y = z, z
+    rows = out = nxt = None  # active row indices and the results, once a row converges
+    zr, y = z, z + start
+    points = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
         m = 0.5 * (zr + y)
         stack = np.empty((d + 1,) + m.shape)
         stack[:] = m
         stack[1:] += shifts
+        points += stack.shape[0] * stack.shape[1]
         X = field.vector_field(stack.reshape(-1, d)).reshape(stack.shape)
         image = zr + h * X[0]
         F = y - image
@@ -99,15 +105,15 @@ def _midpoint_step(field, z, h, tol):
         done = res < tol
         if done.all():
             if rows is None:
-                return image, it
-            out[rows] = image
-            return out, it
+                return image, _next_start(X, h), it, points
+            out[rows], nxt[rows] = image, _next_start(X, h)
+            return out, nxt, it, points
         if not np.isfinite(res).all():
             raise IntegrationError("implicit midpoint stage: non-finite residual")
         if done.any():
             if rows is None:
-                rows, out = np.arange(n), np.empty_like(z)
-            out[rows[done]] = image[done]
+                rows, out, nxt = np.arange(n), np.empty_like(z), np.empty_like(z)
+            out[rows[done]], nxt[rows[done]] = image[done], _next_start(X[:, done], h)
             keep = ~done
             rows, zr, y, X, F = rows[keep], zr[keep], y[keep], X[:, keep], F[keep]
         # I - h DX / 2, with DX[i, :, j] = (X(m + FD_STEP e_j) - X(m))[i] / FD_STEP
@@ -117,6 +123,13 @@ def _midpoint_step(field, z, h, tol):
         f"implicit midpoint stage did not converge in {NEWTON_MAX_ITER} Newton "
         f"iterations (worst residual {res.max():.2e})"
     )
+
+
+def _next_start(X, h):
+    """h (X + h DX X) per row of a field-call stack; the sum over the stack
+    is elementwise, so a row's start does not depend on its batch mates."""
+    dxx = ((X[1:] - X[0]) * X[0].T[:, :, None]).sum(0) / FD_STEP
+    return h * (X[0] + h * dxx)
 
 
 def flow_map(
@@ -132,18 +145,23 @@ def flow_map(
     row's implicit stage is solved by Newton with a forward-difference
     Jacobian until its residual is below tol, at most NEWTON_MAX_ITER
     iterations (see ``_midpoint_step``); a row's result does not depend on
-    its batch mates.  Failure to converge, or a non-finite residual, raises
-    IntegrationError rather than returning a bad point.
+    its batch mates.  The first step's Newton starts at y = z, every later
+    one at the increment the previous step extrapolated from its own X and
+    DX, which saves about a third of the field calls on the lift's flows;
+    acceptance is still on the exact residual.  Failure to converge, or a non-finite residual,
+    raises IntegrationError rather than returning a bad point.
     """
     z = np.atleast_2d(np.asarray(z0, float)).copy()
     single = np.asarray(z0).ndim == 1
     h = T / steps
     H0 = field.value(z)
-    iterations = max_iterations = 0
+    start = np.zeros_like(z)
+    iterations = max_iterations = points = 0
     for _ in range(steps):
-        z, calls = _midpoint_step(field, z, h, tol)
+        z, start, calls, evaluated = _midpoint_step(field, z, h, tol, start)
         iterations += calls
         max_iterations = max(max_iterations, calls)
+        points += evaluated
     drift = float(np.abs(field.value(z) - H0).max())
     final = z[0] if single else z
     return FlowResult(
@@ -152,6 +170,7 @@ def flow_map(
         steps=steps,
         iterations=iterations,
         max_iterations=max_iterations,
+        points=points,
     )
 
 

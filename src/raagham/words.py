@@ -5,13 +5,12 @@ vertices are NOT adjacent in the Artin graph.  An edge therefore records an
 obstruction to commuting, the reverse of the common convention for
 right-angled Artin groups.
 
-Two independent routes decide the word problem:
-
-* ``normal_form`` - a linear-time piling pass producing the canonical
-  (shortlex-least geodesic) representative;
-* ``oracle_equal`` - exhaustive search over the shuffle/cancellation closure,
-  slow but transparently complete, used as the oracle the fast path is
-  checked against.
+``normal_form``, a linear-time piling pass producing the canonical
+(shortlex-least geodesic) representative, decides the word problem: two
+words are equal exactly when their normal forms are.  ``oracle_equal``, an
+exhaustive search over the shuffle/cancellation closure, slow but
+transparently complete, is kept as the test oracle the normal form is
+checked against; nothing in the package decides equality with it.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ from typing import Mapping, Sequence
 
 from .graphs import GraphMorphism, SimplicialGraph, Violation, check_orbicover, double
 
+# the most words the test oracle's closure search may visit
 DEFAULT_CLOSURE_CAP = 1_000_000
 
 
 class ResourceCapExceeded(RuntimeError):
-    """The shuffle-closure search hit its size cap; the answer is unknown."""
+    """A search hit its size cap; the answer is unknown."""
 
 
 class Word:
@@ -250,7 +250,12 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
 
 
 def oracle_equal(w1: Word, w2: Word) -> bool:
-    """Decide w1 = w2 in the group by closure search on w1 * w2^-1."""
+    """Decide w1 = w2 in the group by closure search on w1 * w2^-1.
+
+    The test oracle for ``normal_form``: slow past a few letters, and it
+    raises ResourceCapExceeded past DEFAULT_CLOSURE_CAP words.  Compare
+    normal forms to decide equality.
+    """
     if w1.graph != w2.graph:
         raise ValueError("words over different graphs")
     return is_trivial(w1 * w2.inverse())
@@ -292,11 +297,12 @@ def hom_apply(h: Homomorphism, w: Word) -> Word:
 
 
 def check_well_defined(h: Homomorphism) -> bool:
-    """Images of commuting generators must commute in the target."""
+    """Images of commuting generators must commute in the target (by normal form)."""
     verts = h.source.vertices
     for u, v in itertools.combinations(verts, 2):
         if not h.source.has_edge(u, v):
-            if not oracle_equal(h.images[u] * h.images[v], h.images[v] * h.images[u]):
+            a, b = h.images[u], h.images[v]
+            if normal_form(a * b) != normal_form(b * a):
                 return False
     return True
 
@@ -325,7 +331,7 @@ def hom_pullback(p: GraphMorphism) -> Homomorphism:
 
     Requires p to be a certified orbi-cover; fibers over a vertex are never
     joined by an edge upstairs, so the product order does not change the
-    element (checked through the oracle).
+    element (checked below).
     """
     cert = check_orbicover(p)
     if isinstance(cert, Violation):

@@ -137,6 +137,18 @@ class TestCommands:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "different"
 
+    def test_word_eq_by_normal_form(self, workdir, capsys):
+        # unequal words whose shuffle closure outgrows the oracle's cap
+        (workdir / "g6.txt").write_text("vertices 6\na b c d e f\nedge a b\n")
+        (workdir / "w6.txt").write_text("a c d e f c d e\n")
+        (workdir / "w6b.txt").write_text("a c d e f c d e f\n")
+        code = main(["word-eq", "--graph", "g6.txt", "--word", "w6.txt", "--word2", "w6b.txt"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "different"
+        code = main(["word-eq", "--graph", "g6.txt", "--word", "w6.txt", "--word2", "w6.txt"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "equal"
+
     def test_double(self, workdir, capsys):
         assert main(["double", "--graph", "p3.txt"]) == EXIT_OK
         out = capsys.readouterr().out

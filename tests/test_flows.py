@@ -77,15 +77,33 @@ class TestFlowMap:
     def test_newton_counters_on_rotation(self):
         # a linear field: one Newton update solves the stage up to the FD
         # Jacobian's rounding (~1e-9 relative), so at small steps a second
-        # call confirms it, and at h = 0.05 a second update is needed
+        # call confirms it.  At h = 0.05 the first step starts at y = z
+        # (residual 0.31) and needs a second update, 3 calls; the later ones
+        # start from the extrapolated increment (residual ~1.5e-2) and take 2,
+        # but for one that takes 3
         res = flow_map(rotation_field(), np.array([1.0, 0.0]), T=0.25, steps=1000)
-        assert (res.iterations, res.max_iterations) == (2000, 2)
+        assert (res.iterations, res.max_iterations, res.points) == (2000, 2, 6000)
         res = flow_map(rotation_field(), np.array([1.0, 0.0]), T=0.5, steps=10)
-        assert (res.iterations, res.max_iterations) == (30, 3)
+        assert (res.iterations, res.max_iterations, res.points) == (22, 3, 66)
 
     def test_zero_field_counters(self):
         res = flow_map(zero_field(), np.zeros((4, 2)), T=1.0, steps=5)
-        assert (res.iterations, res.max_iterations) == (5, 1)
+        assert (res.iterations, res.max_iterations, res.points) == (5, 1, 60)
+
+    def test_first_step_starts_at_z(self):
+        seen = []
+        rot = rotation_field()
+        field = HamiltonianField(rot.value, lambda p: seen.append(p.copy()) or rot.jet(p))
+        z0 = np.array([[1.0, 0.0], [0.0, 0.5]])
+        first = flow_map(field, z0, T=0.05, steps=1)
+        # the first midpoint is z itself; each Newton iteration is one jet call
+        assert np.array_equal(seen[0][:2], z0)
+        assert (first.iterations, len(seen)) == (3, 3)
+        seen.clear()
+        flow_map(field, z0, T=0.1, steps=2)
+        # the second stage starts about h X / 2 ahead of its point
+        assert np.array_equal(seen[0][:2], z0)
+        assert np.abs(seen[3][:2] - first.final).min() > 0.01
 
 
 def nan_field(radius):
@@ -405,6 +423,20 @@ class TestNewtonAgainstFixedPoint:
         tight = flow_map(field, pts, T=steps * h, steps=steps, tol=1e-14).final
         ref_tight = fixed_point_flow(field, pts, steps * h, steps, tol=1e-14, max_iter=500)
         assert np.abs(tight - ref_tight).max() <= 1e-12
+
+    def test_ring_batch_counters(self, smoothed_field):
+        # the benchmark's 50-point batch: area-stratified radii, seeded angles;
+        # the field is rotation invariant there, so the counts are the radii's:
+        # 6 calls on the first step, from y = z, and 4 on each later one, from
+        # the extrapolated increment
+        ring = default_study_annulus()
+        r2 = ring.r_inner**2 + (ring.r_outer**2 - ring.r_inner**2) * (np.arange(50) + 0.5) / 50
+        ang = np.random.default_rng(61).uniform(0.0, 2.0 * np.pi, 50)
+        pts = np.sqrt(r2)[:, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+        res = flow_map(smoothed_field, pts, T=1.0, steps=50)
+        assert (res.iterations, res.max_iterations) == (202, 6)
+        # converged rows leave the active set, so fewer rows than 3 per row and call
+        assert res.points < 3 * 50 * res.iterations
 
     @pytest.mark.parametrize("name", ["lift", "polydisk"])
     def test_batch_equals_separate_flows(self, smoothed_field, name):
