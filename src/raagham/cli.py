@@ -326,6 +326,8 @@ def cmd_polydisk(args):
         "slice_gradient_residual": resid,
         "off_slice_after_flow": off_slice,
         "slice_flow_agreement": agree,
+        "polydisk_flow_calls": res_n.iterations,
+        "slice_flow_calls": res_2.iterations,
     }
     _emit(args, "polydisk.json", textio.dump_json(payload))
     print(f"n={pd.n}: slice gradient residual {resid:.2e}, "

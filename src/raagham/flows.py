@@ -75,21 +75,19 @@ class FlowResult:
 
 def _midpoint_step(field, z, h, tol, start):
     """Solve y = z + h X((z + y)/2) row by row from y = z + start; return
-    (image, next start, field calls, points evaluated).
+    (image, field calls, points evaluated).
 
     Newton on F(y) = y - z - h X(m), m = (z + y)/2.  Each iteration makes
     one field call on the stack [m; m + FD_STEP e_1; ...; m + FD_STEP e_d],
     which gives X(m) and a forward-difference DX, and the active rows solve
     (I - h DX / 2) dy = F.  A row is accepted once max|F| < tol and returns
     z + h X(m); it then leaves the active set, so its result depends on its
-    own coordinates alone.  Its next start, h (X + h DX X) from the accepted
-    iteration's X(m) and DX, costs no field call: the next midpoint lies
-    about h X further on, where the field is about X + h DX X.
+    own coordinates alone.
     """
     n, d = z.shape
     eye, scale = np.eye(d), 0.5 * h / FD_STEP
     shifts = FD_STEP * eye[:, None, :]
-    rows = out = nxt = None  # active row indices and the results, once a row converges
+    rows = out = None  # active row indices and the results, once a row converges
     zr, y = z, z + start
     points = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -105,15 +103,15 @@ def _midpoint_step(field, z, h, tol, start):
         done = res < tol
         if done.all():
             if rows is None:
-                return image, _next_start(X, h), it, points
-            out[rows], nxt[rows] = image, _next_start(X, h)
-            return out, nxt, it, points
+                return image, it, points
+            out[rows] = image
+            return out, it, points
         if not np.isfinite(res).all():
             raise IntegrationError("implicit midpoint stage: non-finite residual")
         if done.any():
             if rows is None:
-                rows, out, nxt = np.arange(n), np.empty_like(z), np.empty_like(z)
-            out[rows[done]], nxt[rows[done]] = image[done], _next_start(X[:, done], h)
+                rows, out = np.arange(n), np.empty_like(z)
+            out[rows[done]] = image[done]
             keep = ~done
             rows, zr, y, X, F = rows[keep], zr[keep], y[keep], X[:, keep], F[keep]
         # I - h DX / 2, with DX[i, :, j] = (X(m + FD_STEP e_j) - X(m))[i] / FD_STEP
@@ -125,11 +123,25 @@ def _midpoint_step(field, z, h, tol, start):
     )
 
 
-def _next_start(X, h):
-    """h (X + h DX X) per row of a field-call stack; the sum over the stack
-    is elementwise, so a row's start does not depend on its batch mates."""
-    dxx = ((X[1:] - X[0]) * X[0].T[:, :, None]).sum(0) / FD_STEP
-    return h * (X[0] + h * dxx)
+def _turned(inc, prev):
+    """The increment inc turned once more by the turn from prev to inc, per
+    row and coordinate pair: inc * rho with rho = inc / prev as complex
+    numbers (x + iy), and rho = 1 where prev is 0 or |rho - 1| >= 1/2.
+
+    Implicit midpoint maps a circle orbit of a rotation-invariant field by
+    an exact rotation, so there rho is the same every step and inc * rho is
+    the next increment.  Every operation is elementwise, so a row's start
+    depends on its own history alone.
+    """
+    c = inc[:, 0::2] + 1j * inc[:, 1::2]
+    p = prev[:, 0::2] + 1j * prev[:, 1::2]
+    # |rho - 1| < 1/2 needs |inc| < 3/2 |prev|; dividing only there cannot
+    # overflow, and a row at rest (prev = inc = 0) never divides
+    rho = np.ones_like(c)
+    np.divide(c, p, out=rho, where=np.abs(c) < 1.5 * np.abs(p))
+    rho[np.abs(rho - 1) >= 0.5] = 1
+    c = c * rho
+    return np.stack([c.real, c.imag], -1).reshape(inc.shape)
 
 
 def flow_map(
@@ -145,20 +157,26 @@ def flow_map(
     row's implicit stage is solved by Newton with a forward-difference
     Jacobian until its residual is below tol, at most NEWTON_MAX_ITER
     iterations (see ``_midpoint_step``); a row's result does not depend on
-    its batch mates.  The first step's Newton starts at y = z, every later
-    one at the increment the previous step extrapolated from its own X and
-    DX, which saves about a third of the field calls on the lift's flows;
-    acceptance is still on the exact residual.  Failure to converge, or a non-finite residual,
-    raises IntegrationError rather than returning a bad point.
+    its batch mates.  Newton starts the first step at y = z, the second at
+    the first step's increment, and every later one at the last increment
+    turned by the last turn (``_turned``): the twists' flows move points on
+    circles, along which implicit midpoint turns the increment by a nearly
+    constant angle in each coordinate pair.  Acceptance is still on the
+    exact residual.  Failure to converge, or a non-finite residual, raises
+    IntegrationError rather than returning a bad point.
     """
     z = np.atleast_2d(np.asarray(z0, float)).copy()
     single = np.asarray(z0).ndim == 1
     h = T / steps
     H0 = field.value(z)
     start = np.zeros_like(z)
+    inc = None
     iterations = max_iterations = points = 0
     for _ in range(steps):
-        z, start, calls, evaluated = _midpoint_step(field, z, h, tol, start)
+        image, calls, evaluated = _midpoint_step(field, z, h, tol, start)
+        prev, inc = inc, image - z
+        start = inc if prev is None else _turned(inc, prev)
+        z = image
         iterations += calls
         max_iterations = max(max_iterations, calls)
         points += evaluated

@@ -229,6 +229,14 @@ class TestCommands:
         assert err.count("\n") == 1
         assert not (workdir / "pd").exists()
 
+    def test_polydisk_records_flow_calls(self, workdir):
+        # the benchmark's polydisk flows: 60 steps of 1/30 on 8 slice points;
+        # the slice is invariant, so the D^3 flow makes the disk flow's calls
+        assert main(["polydisk", "--n", "3", "--steps", "60", "--out", "pd"]) == EXIT_OK
+        data = json.loads((workdir / "pd" / "polydisk.json").read_text())
+        assert (data["polydisk_flow_calls"], data["slice_flow_calls"]) == (83, 83)
+        assert data["off_slice_after_flow"] == data["slice_flow_agreement"] == 0.0
+
     def test_build_config_artifacts(self, workdir):
         code = main(["build-config", "--graph", "p3.txt", "--out", "cfg"])
         assert code == EXIT_OK
