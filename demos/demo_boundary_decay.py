@@ -43,5 +43,5 @@ for n in sorted(report.slopes):
           f"{report.slope_verdicts[n]})")
 
 with open(os.path.join(here, "translates.svg"), "w") as f:
-    f.write(svg_disk_translates(H.pieces))
+    f.write(svg_disk_translates(H))
 print("\nwrote translates.svg")

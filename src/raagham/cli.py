@@ -255,18 +255,14 @@ def cmd_lambda_decay(args):
     _, assembled = _study_Hv(args.depth, 64)
     report = lift.analytic_report(assembled)
     rows = []
-    sup_by_len = {}
-    for p in assembled.pieces:
-        sup_by_len[p.element.length] = max(
-            sup_by_len.get(p.element.length, 0.0), p.sup_abs()
-        )
+    sups, lengths = assembled.all_pieces.sup_abs(), assembled.lengths
     for L, count, lmax in report.lambda_table:
         rows.append(
             {
                 "word_length": L,
                 "count": count,
                 "max_lambda2": lmax,
-                "sup_H": sup_by_len[L],
+                "sup_H": float(sups[lengths == L].max()),
                 "slope_d1": report.slopes.get(1),
                 "slope_d2": report.slopes.get(2),
                 "slope_d3": report.slopes.get(3),
@@ -275,7 +271,7 @@ def cmd_lambda_decay(args):
     _emit(args, "lambda_decay.csv", textio.dump_csv(
         rows, ["word_length", "count", "max_lambda2", "sup_H",
                "slope_d1", "slope_d2", "slope_d3"]))
-    _emit(args, "translates.svg", textio.svg_disk_translates(assembled.pieces))
+    _emit(args, "translates.svg", textio.svg_disk_translates(assembled))
     print(f"depth {args.depth}: lambda^2 monotone beyond length 2: {report.lambda_monotone}; "
           f"slopes {['%.3f' % report.slopes[n] for n in sorted(report.slopes)]}; "
           f"verdicts {report.slope_verdicts}; truncation tail <= {assembled.tail_estimate:.3e}")

@@ -163,8 +163,11 @@ def flow_map(
     circles, along which implicit midpoint turns the increment by a nearly
     constant angle in each coordinate pair.  Acceptance is still on the
     exact residual.  Failure to converge, or a non-finite residual, raises
-    IntegrationError rather than returning a bad point.
+    IntegrationError rather than returning a bad point; fewer than one step
+    is a ValueError.
     """
+    if steps < 1:
+        raise ValueError(f"steps={steps} must be at least 1")
     z = np.atleast_2d(np.asarray(z0, float)).copy()
     single = np.asarray(z0).ndim == 1
     h = T / steps

@@ -16,6 +16,13 @@ the one translate that can hold it.
 Group elements are SU(1,1) pairs (alpha, beta) for z -> (alpha z + beta) /
 (conj(beta) z + conj(alpha)): products, scales, image circles and charts
 stay free of cancellation at every word length.
+
+An assembly's constants (inverse map, image circles, chart, profile and
+scale of every translate) are one table built in array passes over the
+pairs' columns (``constant_table``); a translate or chart built alone is a
+one-column call of it, and the assembly's translates are views of its
+columns.  Its disjointness check sweeps the translates sorted by their
+x-extents and tests only the pairs whose extents meet.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
 
 from .flows import HamiltonianField
-from .twist import RoundAnnulus, TwistProfile, make_profile
+from .twist import RoundAnnulus, TwistProfile
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,15 +107,6 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap._pair(self.alpha.conjugate(), -self.beta)
 
-    def image_circle(self, c: complex, r: float):
-        """Center and radius of the image of |z - c| = r inside the disk:
-        with g = conj(beta) c + conj(alpha) and den = |g|^2 - |beta|^2 r^2,
-        ((alpha c + beta) conj(g) - alpha beta r^2) / den and r / den."""
-        g = self.beta.conjugate() * c + self.alpha.conjugate()
-        den = abs(g) ** 2 - abs(self.beta) ** 2 * r * r
-        center = (self.alpha * c + self.beta) * g.conjugate() - self.alpha * self.beta * r * r
-        return complex(center / den), float(r / den)
-
     def __repr__(self):
         return f"MobiusMap(alpha={self.alpha:.6f}, beta={self.beta:.6f})"
 
@@ -154,6 +153,8 @@ def _extensions(frontier, letters):
 
 def enumerate_group(generators: Sequence[MobiusMap], L: int):
     """All freely reduced words of length <= L with their Mobius products."""
+    if L < 0:
+        raise ValueError(f"word length L={L} must be at least 0")
     letters = _letters(generators)
     out = [GroupElement(word=(), map=MobiusMap.identity())]
     frontier = out[:]
@@ -245,25 +246,26 @@ class TransportChart:
     K(phi) = phi + e sin phi.  ``inverse`` solves Kepler's equation by Newton
     and maps back with -rho.  Quadrature of ``_deriv_sq_polar`` is the oracle
     of both legs (``lambda_scale`` for the mass).
+
+    The radial constants are one column of ``constant_table``; the angular
+    leg's two are computed where the leg runs.
     """
 
     def __init__(self, annulus: RoundAnnulus, sigma):
-        self.annulus = annulus
-        self.sigma = sigma.map if isinstance(sigma, GroupElement) else sigma
-        self.c = complex(annulus.center[0], annulus.center[1])
-        # the tracked circle: area height 0, the middle of the annulus by area
-        self.circle_radius = math.sqrt(annulus.mid)
+        sigma = sigma.map if isinstance(sigma, GroupElement) else sigma
+        self._unpack(*(table[:, 0].tolist() for table in constant_table([sigma], annulus)))
+        self.annulus, self.sigma = annulus, sigma
+
+    def _unpack(self, cplx, real):
+        """The chart's constants from its rows of a constant table."""
+        self.c = cplx[2]
+        self._q, self._D, self._R2_inner, self.mass, self.circle_radius, self.b = real[:6]
+
+    def _angular(self):
+        """rho / r = |beta| / |g| and the phase of -beta g."""
         beta = self.sigma.beta
         g = beta.conjugate() * self.c + self.sigma.alpha.conjugate()
-        # the pole lies off the disk, so D > q r^2 on the annulus
-        self._q = abs(beta) ** 2
-        self._D = abs(g) ** 2
-        self._rho_per_r = abs(beta) / abs(g)
-        self._phase = cmath.phase(-beta * g)
-        R_in, R_out = self._image_radius(np.array([annulus.r_inner, annulus.r_outer]))[0]
-        self._R2_inner = R_in**2
-        self.mass = float(math.pi * (R_out**2 - self._R2_inner))
-        self.b = float(self.t_of_r(self.circle_radius))
+        return abs(beta) / abs(g), cmath.phase(-beta * g)
 
     # radial leg -------------------------------------------------------------
 
@@ -295,9 +297,10 @@ class TransportChart:
 
     def _anomaly(self, theta, r):
         """Kepler's K(phi) at arg(w - c) = theta on |w - c| = r, with rho and e."""
-        rho = self._rho_per_r * r
+        rho_per_r, phase = self._angular()
+        rho = rho_per_r * r
         e = 2.0 * rho / (1.0 + rho * rho)
-        psi = theta - self._phase
+        psi = theta - phase
         phi = psi + 2.0 * np.arctan2(rho * np.sin(psi), 1.0 - rho * np.cos(psi))
         return phi + e * np.sin(phi), rho, e
 
@@ -317,7 +320,7 @@ class TransportChart:
         # K(phi) = K0 - s, i.e. E - e sin E = K0 - s + pi with E = phi + pi
         phi = _solve_kepler(K0 - st[:, 0] + math.pi, e) - math.pi
         psi = phi - 2.0 * np.arctan2(rho * np.sin(phi), 1.0 + rho * np.cos(phi))
-        return self.c + r * np.exp(1j * (psi + self._phase))
+        return self.c + r * np.exp(1j * (psi + self._angular()[1]))
 
 
 def _solve_kepler(M, e):
@@ -337,6 +340,76 @@ def _solve_kepler(M, e):
         f"Kepler's equation unsolved after {KEPLER_MAX_ITER} Newton steps "
         f"(last step {np.abs(step).max():.2e})"
     )
+
+
+# ------------------------------ constant table -------------------------------
+
+
+def _product(ar, ai, br, bi):
+    """CPython's complex product (ar + i ai)(br + i bi), in its order."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _squares(x):
+    """x ** 2 the way Python squares a float, by the C library's pow: NumPy
+    squares an array by one multiplication, which rounds differently about
+    once in a thousand times."""
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def constant_table(maps: Sequence[MobiusMap], annulus: RoundAnnulus):
+    """The constants of the translates sigma(A), one column per sigma in maps.
+
+    Complex rows: sigma^{-1}, the centre c of A and the centres of the images
+    of its outer and inner circles.  Real rows: the chart's q, D, R(r_in)^2,
+    mass and tracked radius, the profile's b and width, the scale lambda^2 /
+    2 pi and the two image radii.  ``CorrectedHamiltonian._unpack`` reads
+    this layout.  With g = conj(beta) c + conj(alpha) and den = D - q r^2,
+    the image of |w - c| = r has radius R(r) = r / den and centre
+    ((alpha c + beta) conj(g) - alpha beta r^2) / den.
+
+    Array passes over the SU(1,1) columns (alpha, beta), each step the one a
+    Python complex number would take: products in CPython's real order, a
+    float factor or divisor promoted to x + 0i as CPython promotes it,
+    moduli by hypot and squares by pow.  A column's bits therefore do not
+    depend on the other columns: a translate built alone
+    (``CorrectedHamiltonian``, ``TransportChart``) has its assembly's column.
+    """
+    alpha, beta = (np.array([getattr(m, k) for m in maps], complex) for k in ("alpha", "beta"))
+    ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
+    c = complex(annulus.center[0], annulus.center[1])
+    gr, gi = _product(br, -bi, c.real, c.imag)
+    gr, gi = gr + ar, gi - ai
+    q, D = _squares(np.hypot([br, gr], [bi, gi]))
+    # the pole lies off the disk, so den > 0 on the annulus
+    r = np.array([[annulus.r_outer], [annulus.r_inner]])
+    den = D - q * r * r
+    R = r / den
+    R2_out, R2_in = _squares(R)
+    mass = math.pi * (R2_out - R2_in)
+    # the tracked circle: area height 0, the middle of the annulus by area
+    circle_radius = math.sqrt(annulus.mid)
+    Rc = circle_radius / (D - q * circle_radius * circle_radius)
+    b = math.pi * (Rc * Rc - R2_in) / mass - 0.5
+    outside = ~((-0.5 < b) & (b < 0.5))
+    if outside.any():
+        raise ValueError(f"rotation height b={float(b[outside][0])} outside (-0.5, 0.5)")
+    xr, xi = _product(ar, ai, c.real, c.imag)
+    xr, xi = _product(xr + br, xi + bi, gr, -gi)
+    pr, pi_ = _product(ar, ai, br, bi)
+    for _ in range(2):
+        pr, pi_ = _product(pr, pi_, r, 0.0)
+    xr, xi = xr - pr, xi - pi_
+    # CPython's quotient by den + 0i: ratio = 0 / den, and den + 0 ratio is den
+    ratio = 0.0 / den
+    centres = np.stack([(xr + xi * ratio) / den, (xi - xr * ratio) / den], -1).view(complex)[..., 0]
+    n = len(alpha)
+    cplx = np.stack([alpha.conj(), -beta, np.full(n, c), centres[0], centres[1]])
+    real = np.stack([
+        q, D, R2_in, mass, np.full(n, circle_radius), b, np.minimum(0.5 - b, 0.5 + b),
+        mass / TWO_PI, R[0], R[1],
+    ])
+    return cplx, real
 
 
 # --------------------------- corrected Hamiltonians --------------------------
@@ -359,21 +432,39 @@ class CorrectedHamiltonian:
     height b of the translated circle; the scale makes the time-1 flow with
     respect to the Euclidean form rotate that circle exactly once.
     lambda^2 is the chart's closed-form mass, the image-disk area difference
-    (``lambda_scale`` is the quadrature oracle).  A translate is evaluated
-    only through its ``AssembledHamiltonian``, on its row of stacked constants.
+    (``lambda_scale`` is the quadrature oracle).  A piece is one column of
+    ``constant_table``, built alone or viewed in its assembly's table
+    (``AssembledHamiltonian.pieces``); a translate is evaluated only through
+    its ``AssembledHamiltonian``, on its column of that table.
     """
 
     def __init__(self, element: GroupElement, annulus: RoundAnnulus):
-        self.element = element
-        self.annulus = annulus
-        self.chart = TransportChart(annulus, element.map)
-        self.lambda2 = self.chart.mass
-        self.b = self.chart.b
-        self.profile = make_profile(0.5, self.b)
-        self.scale = self.lambda2 / TWO_PI
-        self.inv = element.map.inverse()
-        self.outer_center, self.outer_radius = element.map.image_circle(self.chart.c, annulus.r_outer)
-        self.inner_center, self.inner_radius = element.map.image_circle(self.chart.c, annulus.r_inner)
+        self._unpack(*(table[:, 0].tolist() for table in constant_table([element.map], annulus)))
+        self._name(element, annulus)
+
+    def _unpack(self, cplx, real):
+        """The constants from the rows of a constant table: one column's
+        Python scalars, or stacked columns (one per point, or broadcasting
+        against the points), on which ``contains``, ``_value_on``,
+        ``_jet_on``, ``_value_near`` and ``_tracked_preimages`` run unchanged
+        and give each point the bits of its own piece."""
+        ia, ib, _, self.outer_center, self.inner_center = cplx
+        *_, b, width, self.scale, self.outer_radius, self.inner_radius = real
+        self.inv, self.chart = MobiusMap._pair(ia, ib), object.__new__(TransportChart)
+        self.chart._unpack(cplx, real)
+        self.lambda2, self.b = self.chart.mass, b
+        self.profile = TwistProfile(0.5, b, width)
+
+    def _name(self, element, annulus):
+        self.element, self.annulus = element, annulus
+        self.chart.annulus, self.chart.sigma = annulus, element.map
+
+    @classmethod
+    def _stacked(cls, cplx, real):
+        """Many pieces' arithmetic in one object (``_unpack``)."""
+        piece = object.__new__(cls)
+        piece._unpack(cplx, real)
+        return piece
 
     def sup_abs(self) -> float:
         return self.scale * self.profile.sup_abs()
@@ -422,62 +513,75 @@ class CorrectedHamiltonian:
         ang = np.arange(n) * TWO_PI / n + 0.05
         return self.chart.c + self.chart.circle_radius * np.exp(1j * ang)
 
-    def _constants(self):
-        """The piece's complex and real constants, in the order ``_stacked``
-        reads them back."""
-        ch = self.chart
-        return (
-            (self.inv.alpha, self.inv.beta, ch.c, self.outer_center, self.inner_center),
-            (ch._q, ch._D, ch._R2_inner, ch.mass, ch.circle_radius, self.profile.b,
-             self.profile.width, self.scale, self.outer_radius, self.inner_radius),
-        )
 
-    @classmethod
-    def _stacked(cls, cplx, real):
-        """Many pieces' arithmetic in one object: rows of the stacked
-        ``_constants`` (one column per point, or broadcasting against the
-        points) become its constants, so ``contains``, ``_value_on``,
-        ``_jet_on``, ``_value_near`` and ``_tracked_preimages`` run on it
-        unchanged and give each point the bits of its own piece."""
-        piece, chart = object.__new__(cls), object.__new__(TransportChart)
-        ia, ib, chart.c, piece.outer_center, piece.inner_center = cplx
-        (chart._q, chart._D, chart._R2_inner, chart.mass, chart.circle_radius, b, width,
-         piece.scale, piece.outer_radius, piece.inner_radius) = real
-        piece.inv, piece.chart = MobiusMap._pair(ia, ib), chart
-        piece.profile = TwistProfile(0.5, b, width)
-        return piece
-
-
-# pairs per block of the disjointness check, points per chunk of point location
-PAIR_BLOCK = 1 << 16
+# points per chunk of point location
 LOCATE_CHUNK = 4096
 
 
 def _check_disjoint(oc, orad, ic, irad):
     """Translates pairwise apart or nested, from the columns of their outer and
-    inner circles.  Pairs (i, j > i) run in triangular blocks of rows, in
-    order, so the first overlapping pair is the one reported."""
+    inner circles.
+
+    A sweep over the outer disks sorted by x - r takes as candidates only the
+    pairs whose x-extents [x - r, x + r] meet within the 1e-13 slack, widened
+    by the extents' rounding (8 ulps of the largest |x| + r): every pair it
+    leaves out is farther apart in x, and so in the plane, than the apart
+    test asks.  The candidates run the apart and the nested test, and the
+    lexicographically first failing pair (i < j) is the one reported, as a
+    test of every pair in order would report it.  A circle with a non-finite
+    extent is a candidate with every other and fails both tests.  Returns
+    the number of candidate pairs.
+    """
     n = len(oc)
-    rows = max(1, PAIR_BLOCK // n)
-    for i0 in range(0, n - 1, rows):
-        # rows i0.. against columns i0 + 1..: a rectangle covering the block's triangle
-        i, j = slice(i0, min(i0 + rows, n - 1)), slice(i0 + 1, None)
-        apart = np.abs(oc[i, None] - oc[None, j]) > orad[i, None] + orad[None, j] - 1e-13
-        ii, jj = np.nonzero(~apart)
-        i, j = i0 + ii, i0 + 1 + jj
-        i, j = i[j > i], j[j > i]
-        # nested: one translate sits entirely inside the other's hole
-        j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
-        i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
-        bad = np.flatnonzero(~(j_in_i | i_in_j))
-        if bad.size:
-            raise RegionOverlapError(f"translate regions {i[bad[0]]} and {j[bad[0]]} overlap")
+    lo, hi = oc.real - orad, oc.real + orad
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    largest = np.maximum(np.abs(lo), np.abs(hi))[finite].max(initial=0.0)
+    rounding = 8.0 * np.finfo(float).eps * largest
+    lo, reach = np.where(finite, lo, -np.inf), np.where(finite, hi + (1e-13 + rounding), np.inf)
+    order = np.argsort(lo, kind="stable")
+    # the disks after each one in the sweep whose extents start before its reach
+    ends = np.searchsorted(lo[order], reach[order], side="right")
+    counts = np.maximum(ends - np.arange(1, n + 1), 0)
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[first], order[second]
+    near = np.flatnonzero(~(np.abs(oc[i] - oc[j]) > orad[i] + orad[j] - 1e-13))
+    i, j = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
+    # nested: one translate sits entirely inside the other's hole
+    j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
+    i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
+    bad = np.flatnonzero(~(j_in_i | i_in_j))
+    if bad.size:
+        k = bad[np.lexsort((j[bad], i[bad]))[0]]
+        raise RegionOverlapError(f"translate regions {i[k]} and {j[k]} overlap")
+    return len(first)
 
 
 def _isometric_disk(alpha, beta):
     """Centre and radius of {|conj(beta) z + conj(alpha)| < 1}, where the map
     (alpha, beta) expands: -conj(alpha / beta) and 1 / |beta|."""
     return -(alpha / beta).conjugate(), 1.0 / abs(beta)
+
+
+class _Pieces(Sequence):
+    """An assembly's pieces, each made on access as the view of its column of
+    the assembly's table, its scalars Python numbers as a piece built alone
+    has them.  It holds the table, not the assembly, so the two form no
+    reference cycle and an assembly is freed as soon as it is dropped."""
+
+    def __init__(self, elements, annulus, cplx, real):
+        self._elements, self._annulus, self._complex, self._real = elements, annulus, cplx, real
+
+    def __len__(self):
+        return len(self._elements)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        piece = object.__new__(CorrectedHamiltonian)
+        piece._unpack(self._complex[:, k].tolist(), self._real[:, k].tolist())
+        piece._name(self._elements[k], self._annulus)
+        return piece
 
 
 class AssembledHamiltonian:
@@ -490,21 +594,27 @@ class AssembledHamiltonian:
     it returns to A by applying, at most L times, the inverse letter whose
     disk holds it, and the letters that reduction takes spell sigma (Mumford,
     Series & Wright, *Indra's Pearls*, 2002).  Each point is evaluated on the
-    one piece its reduction names, from a table of every piece's constants
-    built once: no loop over pieces.
+    one piece its reduction names, from the ``constant_table`` of every
+    piece built once in array passes: no loop over pieces.
+
+    ``all_pieces`` carries that table's rows as the constants of every piece
+    at once and ``lengths`` the word lengths, one entry per piece; each of
+    ``pieces`` is a view of its column, made when it is asked for.
+    ``tail_estimate`` is the truncation bound ``assemble_Hv`` sets.
     """
 
-    def __init__(self, vertex, pieces: Sequence[CorrectedHamiltonian], tail_estimate=None):
+    def __init__(self, vertex, elements: Sequence[GroupElement], annulus: RoundAnnulus):
         self.vertex = vertex
-        self.pieces = list(pieces)
-        self.tail_estimate = tail_estimate
-        if not self.pieces:
+        self.elements = list(elements)
+        self.annulus = annulus
+        self.tail_estimate = None
+        if not self.elements:
             raise ValueError("an assembly needs at least one piece")
-        rows = [p._constants() for p in self.pieces]
         # one row per constant and one column per piece: a gather is one take per dtype
-        self._complex = np.array([c for c, _ in rows], complex).T.copy()
-        self._real = np.array([r for _, r in rows], float).T.copy()
-        every = CorrectedHamiltonian._stacked(self._complex, self._real)
+        self._complex, self._real = constant_table([el.map for el in self.elements], annulus)
+        self.all_pieces = every = CorrectedHamiltonian._stacked(self._complex, self._real)
+        self.lengths = np.array([len(el.word) for el in self.elements])
+        self.pieces = _Pieces(self.elements, annulus, self._complex, self._real)
         _check_disjoint(every.outer_center, every.outer_radius, every.inner_center, every.inner_radius)
         self._index_words()
 
@@ -515,9 +625,9 @@ class AssembledHamiltonian:
         the number of letter ids.  Rejects the assemblies point location
         cannot serve: a repeated word, a word whose prefix or last letter is
         not a piece's word, a letter without an isometric circle, and
-        isometric disks that meet each other or a piece's annulus.
+        isometric disks that meet each other or the annulus.
         """
-        words = [p.element.word for p in self.pieces]
+        words = [el.word for el in self.elements]
         first = {}
         for i, w in enumerate(words):
             if first.setdefault(w, i) != i:
@@ -527,7 +637,7 @@ class AssembledHamiltonian:
                 if part not in first:
                     raise ValueError(f"piece {i} has the word {w} but no piece has {part}")
         letters = sorted(w[0] for w in words if len(w) == 1)
-        maps = [self.pieces[first[(lid,)]].element.map for lid in letters]
+        maps = [self.elements[first[(lid,)]].map for lid in letters]
         disks = {}
         for lid, g in zip(letters, maps):
             if g.beta == 0:
@@ -535,14 +645,13 @@ class AssembledHamiltonian:
             # g maps the outside of its own disk onto the disk of its inverse
             disks.setdefault(lid, _isometric_disk(g.alpha, g.beta))
             disks.setdefault(lid ^ 1, _isometric_disk(g.alpha.conjugate(), -g.beta))
-        annuli = {id(p.annulus): p.annulus for p in self.pieces}.values()
+        A = self.annulus
         for ka, (ca, ra) in sorted(disks.items()):
             for kb, (cb, rb) in sorted(disks.items()):
                 if ka < kb and abs(ca - cb) <= ra + rb:
                     raise ValueError(f"the isometric disks of letters {ka} and {kb} meet")
-            for A in annuli:
-                if abs(complex(*A.center) - ca) <= A.r_outer + ra:
-                    raise ValueError(f"the isometric disk of letter {ka} meets the annulus {A}")
+            if abs(complex(*A.center) - ca) <= A.r_outer + ra:
+                raise ValueError(f"the isometric disk of letter {ka} meets the annulus {A}")
         # the disk about 0 inside the unit disk that meets no isometric disk:
         # its points need no reduction
         self._clear = min([abs(c) - r for c, r in disks.values()] + [1.0])
@@ -646,13 +755,12 @@ def assemble_Hv(
     the reported truncation bound: the dropped tail is below
     max lambda^2(L+1) * sup|h| / 2 pi.
     """
-    pieces = [CorrectedHamiltonian(el, annulus) for el in elements]
-    tail = None
+    assembled = AssembledHamiltonian(vertex, elements, annulus)
     if tail_elements:
-        lam_max = max(TransportChart(annulus, el).mass for el in tail_elements)
-        sup_h = pieces[0].profile.sup_abs() if pieces else 0.0
-        tail = float(lam_max * sup_h / TWO_PI)
-    return AssembledHamiltonian(vertex, pieces, tail_estimate=tail)
+        lam_max = constant_table([el.map for el in tail_elements], annulus)[1][3].max()
+        sup_h = assembled.pieces[0].profile.sup_abs()
+        assembled.tail_estimate = float(lam_max * sup_h / TWO_PI)
+    return assembled
 
 
 # -------------------------------- mollifier ---------------------------------
@@ -773,18 +881,16 @@ def analytic_report(assembled: AssembledHamiltonian) -> EstimateReport:
     derivative sup falling toward the boundary and the second staying
     bounded.
     """
-    lengths = sorted({p.element.length for p in assembled.pieces})
+    length, lam = assembled.lengths, assembled.all_pieces.lambda2
+    lengths = sorted(set(length.tolist()))
     if len(lengths) < 5:
         raise ValueError("need enumeration depth at least 4 for the regression")
-    lam = {}
-    for p in assembled.pieces:
-        lam.setdefault(p.element.length, []).append(p.lambda2)
-    lambda_table = [(L, len(lam[L]), max(lam[L])) for L in lengths]
-    lam_max = {L: max(lam[L]) for L in lengths}
+    lam_max = {L: float(lam[length == L].max()) for L in lengths}
+    lambda_table = [(L, int((length == L).sum()), lam_max[L]) for L in lengths]
     mono = all(lam_max[b] < lam_max[a] for a, b in zip(lengths, lengths[1:]) if a >= 2)
 
-    rows = []
-    for start in range(0, len(assembled.pieces), REPORT_BLOCK):
+    r, fd = [], {f"d{n}": [] for n in ORDERS}
+    for start in range(0, len(length), REPORT_BLOCK):
         # a block of pieces in one carrier, its constants a (piece, 1, 1) column
         block = slice(start, start + REPORT_BLOCK)
         cplx, real = assembled._complex[:, block, None, None], assembled._real[:, block, None, None]
@@ -793,17 +899,19 @@ def analytic_report(assembled: AssembledHamiltonian) -> EstimateReport:
         # r = min 1 - |sigma(w0)| without cancellation near the circle:
         # 1 - |z|^2 = (1 - |w0|^2) / |G|^2, G = conj(beta) w0 + conj(alpha)
         G = sigma.beta.conjugate() * w0 + sigma.alpha.conjugate()
-        r = ((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min((1, 2))
-        fd = _fd_derivatives(p._value_near, w0, 1e-3 * r)
-        for k, piece in enumerate(assembled.pieces[block]):
-            entry = {"length": piece.element.length, "r": float(r[k]), "lambda2": piece.lambda2}
-            entry.update({key: float(v[k]) for key, v in fd.items()})
-            rows.append(entry)
+        r.append(((1.0 - np.abs(w0) ** 2) / (np.abs(G) ** 2 * (1.0 + np.abs(sigma(w0))))).min((1, 2)))
+        for key, v in _fd_derivatives(p._value_near, w0, 1e-3 * r[-1]).items():
+            fd[key].append(v)
+    r, fd = np.concatenate(r), {key: np.concatenate(v) for key, v in fd.items()}
+    rows = [
+        dict(zip(("length", "r", "lambda2", *fd), entry))
+        for entry in zip(length.tolist(), r.tolist(), lam.tolist(), *(v.tolist() for v in fd.values()))
+    ]
 
+    xs = np.array([math.log(1.0 / x) for x in r.tolist()])
     slopes, verdicts, kept = {}, {}, {}
     for n in ORDERS:
-        xs = np.array([math.log(1.0 / e["r"]) for e in rows])
-        ys = np.array([e[f"d{n}"] for e in rows])
+        ys = fd[f"d{n}"]
         keep = ys > 0
         kept[n] = int(keep.sum())
         if kept[n] < 4:
@@ -812,14 +920,11 @@ def analytic_report(assembled: AssembledHamiltonian) -> EstimateReport:
         slopes[n] = slope
         verdicts[n] = slope <= max(0, n - 2) + SLOPE_SLACK
 
-    d1_by_length = []
-    for L in lengths:
-        vals = [e["d1"] for e in rows if e["length"] == L]
-        d1_by_length.append((L, max(vals)))
+    d1_by_length = [(L, float(fd["d1"][length == L].max())) for L in lengths]
     d1_trend = all(
         b_ < a_ for (La, a_), (Lb, b_) in zip(d1_by_length, d1_by_length[1:]) if La >= 2
     )
-    d2_max = max(e["d2"] for e in rows)
+    d2_max = float(fd["d2"].max())
 
     return EstimateReport(
         lambda_table=lambda_table,

@@ -241,15 +241,18 @@ def svg_configuration(cfg) -> str:
     return "".join(out)
 
 
-def svg_disk_translates(pieces) -> str:
-    """The unit disk with the translated annulus regions drawn inside."""
+def svg_disk_translates(assembled) -> str:
+    """The unit disk with the translated annulus regions of an assembly drawn
+    inside, coloured by word length."""
     out = [_svg_header(-1.05, -1.05, 1.05, 1.05)]
     out.append(
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#000" stroke-width="0.004"/>\n'
     )
-    for i, p in enumerate(pieces):
-        color = _PALETTE[p.element.length % len(_PALETTE)]
-        for c, r in ((p.outer_center, p.outer_radius), (p.inner_center, p.inner_radius)):
+    every = assembled.all_pieces
+    circles = (every.outer_center, every.outer_radius, every.inner_center, every.inner_radius)
+    for length, oc, orad, ic, irad in zip(assembled.lengths.tolist(), *(col.tolist() for col in circles)):
+        color = _PALETTE[length % len(_PALETTE)]
+        for c, r in ((oc, orad), (ic, irad)):
             out.append(
                 f'<circle cx="{c.real:.6f}" cy="{c.imag:.6f}" r="{r:.6f}" fill="none" '
                 f'stroke="{color}" stroke-width="0.0025"/>\n'

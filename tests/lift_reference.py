@@ -16,12 +16,20 @@ and the two-dimensional symplectic rules that the one rule of
 
 ``free_group_count`` is the number of reduced words of length <= L in a
 free group of rank m, the size ``enumerate_group`` must reach.
+
+``piece_constants`` is the scalar arithmetic each translate once ran in its
+own constructors (``TransportChart``, ``CorrectedHamiltonian`` and the
+Mobius map's ``image_circle``), one Python complex number at a time.  The
+array passes of ``lift.constant_table`` must match it bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from raagham.flows import HamiltonianField
-from raagham.lift import Mollifier
+from raagham.lift import TWO_PI, Mollifier
+from raagham.twist import make_profile
 
 
 def smoothed_gradient(assembled, eta, pts):
@@ -103,3 +111,50 @@ def piece_loop(assembled, z, jet=False):
                 out[mask] = v
             todo &= ~mask
     return outs if jet else outs[0]
+
+
+def image_circle(sigma, c, r):
+    """Centre and radius of the image of |z - c| = r inside the disk:
+    with g = conj(beta) c + conj(alpha) and den = |g|^2 - |beta|^2 r^2,
+    ((alpha c + beta) conj(g) - alpha beta r^2) / den and r / den."""
+    g = sigma.beta.conjugate() * c + sigma.alpha.conjugate()
+    den = abs(g) ** 2 - abs(sigma.beta) ** 2 * r * r
+    center = (sigma.alpha * c + sigma.beta) * g.conjugate() - sigma.alpha * sigma.beta * r * r
+    return complex(center / den), float(r / den)
+
+
+def _image_radius(q, D, r):
+    qr2 = q * r * r
+    return r / (D - qr2)
+
+
+def piece_constants(sigma, annulus):
+    """The table column (complex constants, real constants) of the translate
+    sigma(A), one scalar operation at a time."""
+    c = complex(annulus.center[0], annulus.center[1])
+    circle_radius = math.sqrt(annulus.mid)
+    beta = sigma.beta
+    g = beta.conjugate() * c + sigma.alpha.conjugate()
+    q, D = abs(beta) ** 2, abs(g) ** 2
+    R_in, R_out = _image_radius(q, D, np.array([annulus.r_inner, annulus.r_outer]))
+    R2_inner = R_in**2
+    mass = float(math.pi * (R_out**2 - R2_inner))
+    R = _image_radius(q, D, np.asarray(circle_radius, float))
+    profile = make_profile(0.5, float(math.pi * (R * R - R2_inner) / mass - 0.5))
+    inv = sigma.inverse()
+    outer_center, outer_radius = image_circle(sigma, c, annulus.r_outer)
+    inner_center, inner_radius = image_circle(sigma, c, annulus.r_inner)
+    return (
+        (inv.alpha, inv.beta, c, outer_center, inner_center),
+        (q, D, R2_inner, mass, circle_radius, profile.b, profile.width, mass / TWO_PI,
+         outer_radius, inner_radius),
+    )
+
+
+def constant_table(maps, annulus):
+    """``piece_constants`` of each map, stacked one column per map."""
+    columns = [piece_constants(m, annulus) for m in maps]
+    return (
+        np.array([cplx for cplx, _ in columns], complex).reshape(-1, 5).T.copy(),
+        np.array([real for _, real in columns], float).reshape(-1, 10).T.copy(),
+    )

@@ -195,6 +195,19 @@ class TestCommands:
         assert main(["polydisk", "--eps", "-1", "--out", "pd"]) == EXIT_INVALID
         assert not (workdir / "pd").exists()
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_polydisk_needs_a_step(self, workdir, capsys, steps):
+        assert main(["polydisk", "--steps", steps, "--out", "pd"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"invalid input: steps={steps} must be at least 1\n"
+        assert not (workdir / "pd").exists()
+
+    @pytest.mark.parametrize("verb", ["smooth-study", "lambda-decay"])
+    def test_negative_depth_is_invalid(self, workdir, capsys, verb):
+        assert main([verb, "--depth", "-2", "--out", "neg"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "invalid input: word length L=-2 must be at least 0\n"
+        assert not (workdir / "neg").exists()
+
     def test_emulator_search_cap_exits_3(self, workdir, monkeypatch):
         (workdir / "k5.txt").write_text(format_graph(complete_graph(list("abcde"))))
         (workdir / "k5w.txt").write_text("a b^-1\n")

@@ -53,6 +53,11 @@ def zero_field():
 
 
 class TestFlowMap:
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_needs_a_step(self, steps):
+        with pytest.raises(ValueError, match=f"steps={steps} must be at least 1"):
+            flow_map(rotation_field(), np.array([1.0, 0.0]), T=1.0, steps=steps)
+
     def test_zero_field_identity(self):
         res = flow_map(zero_field(), np.array([[0.3, 0.4], [1.0, 2.0]]), T=3.0, steps=7)
         assert np.abs(res.final - [[0.3, 0.4], [1.0, 2.0]]).max() == 0.0

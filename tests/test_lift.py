@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,7 @@ from raagham.lift import (
     _deriv_sq_polar,
 )
 from raagham.twist import RoundAnnulus
+import lift_reference
 from lift_reference import free_group_count, piece_loop
 from test_jets import same
 
@@ -68,11 +71,13 @@ class TestMobius:
         assert np.abs(a.inverse()(a(zs)) - zs).max() < 1e-13
 
     def test_image_circle(self):
+        # a translate's outer and inner image circles, from its table column
         m = MobiusMap(0.9, 0.4 - 0.1j)
-        c, r = 0.1 + 0.05j, 0.3
-        zc = c + r * np.exp(1j * np.linspace(0, 2 * math.pi, 100))
-        ic, ir = m.image_circle(c, r)
-        assert np.abs(np.abs(m(zc) - ic) - ir).max() < 1e-12
+        c = 0.1 + 0.05j
+        p = CorrectedHamiltonian(GroupElement((), m), RoundAnnulus((c.real, c.imag), 0.2, 0.3))
+        for ic, ir, r in [(p.outer_center, p.outer_radius, 0.3), (p.inner_center, p.inner_radius, 0.2)]:
+            zc = c + r * np.exp(1j * np.linspace(0, 2 * math.pi, 100))
+            assert np.abs(np.abs(m(zc) - ic) - ir).max() < 1e-12
 
 
 class TestEnumeration:
@@ -126,8 +131,8 @@ class TestLambda:
         A = default_study_annulus()
         el = enumerate_group(schottky_pair(0.98), 1)[2]
         lam = lambda_scale(el, A)
-        _, ro = el.map.image_circle(0j, A.r_outer)
-        _, ri = el.map.image_circle(0j, A.r_inner)
+        piece = CorrectedHamiltonian(el, A)
+        ro, ri = piece.outer_radius, piece.inner_radius
         assert abs(lam - math.pi * (ro**2 - ri**2)) < 1e-8 * lam
 
     def test_decay_with_length(self):
@@ -374,7 +379,7 @@ class TestAssembled:
         for pieces in ([outer, inner], [inner, outer]):
             lift._check_disjoint(*_circles(pieces))
 
-    def test_overlap_check_matches_pairwise_loop(self, monkeypatch):
+    def test_overlap_check_matches_pairwise_loop(self):
         def disjoint(a, b):
             if abs(a.outer_center - b.outer_center) > a.outer_radius + b.outer_radius - 1e-13:
                 return True
@@ -382,36 +387,126 @@ class TestAssembled:
                 return True
             return abs(b.inner_center - a.outer_center) + a.outer_radius <= b.inner_radius + 1e-13
 
+        def ring(c, ro, ri, ic=None):
+            return SimpleNamespace(outer_center=complex(c), outer_radius=float(ro),
+                                   inner_center=complex(c if ic is None else ic), inner_radius=float(ri))
+
+        def check(pieces):
+            first = next(
+                ((i, j) for i in range(len(pieces)) for j in range(i + 1, len(pieces))
+                 if not disjoint(pieces[i], pieces[j])),
+                None,
+            )
+            if first is None:
+                lift._check_disjoint(*_circles(pieces))
+            else:
+                with pytest.raises(RegionOverlapError, match=f"regions {first[0]} and {first[1]} "):
+                    lift._check_disjoint(*_circles(pieces))
+            return first
+
         rng = np.random.default_rng(5)
         for trial in range(40):
             n = 12
             centres = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
             outer = rng.uniform(0.2, 1.0, n)
             inner = outer * rng.uniform(0.1, 0.9, n)
-            pieces = [
-                SimpleNamespace(outer_center=c, outer_radius=ro, inner_center=c, inner_radius=ri)
-                for c, ro, ri in zip(centres, outer, inner)
-            ]
+            pieces = [ring(c, ro, ri) for c, ro, ri in zip(centres, outer, inner)]
             if trial % 2:  # a small disk inside one hole
-                pieces.append(SimpleNamespace(outer_center=centres[3], outer_radius=0.5 * inner[3],
-                                              inner_center=centres[3], inner_radius=0.1 * inner[3]))
-            first = next(
-                ((i, j) for i in range(len(pieces)) for j in range(i + 1, len(pieces))
-                 if not disjoint(pieces[i], pieces[j])),
-                None,
-            )
-            # one row per block, a few rows, and the whole triangle at once
-            monkeypatch.setattr(lift, "PAIR_BLOCK", (1, 40, 1 << 16)[trial % 3])
-            if first is None:
-                lift._check_disjoint(*_circles(pieces))
-            else:
-                with pytest.raises(RegionOverlapError, match=f"regions {first[0]} and {first[1]} "):
-                    lift._check_disjoint(*_circles(pieces))
+                pieces.append(ring(centres[3], 0.5 * inner[3], 0.1 * inner[3]))
+            check(pieces)
+
+        # many tiny disks on one vertical line: every x-extent coincides, so
+        # every pair is a candidate; apart, then with one pair made to overlap
+        ys = np.arange(200) * 1e-3
+        column = [ring(0.25 + 1j * y, 4e-4, 1e-4) for y in ys]
+        assert check(column) is None
+        between = ring(0.25 + 1j * (ys[40] + 5e-4), 4e-4, 1e-4)
+        assert check(column[:150] + [between] + column[150:]) == (40, 150)
+
+        # touching within the slack, overlapping by more than it, and just apart
+        for gap, overlaps in [(0.0, False), (-0.5e-13, False), (-3e-13, True), (1e-12, False)]:
+            for dx, dy in [(1.0, 0.0), (0.6, 0.8)]:
+                d = 0.7 + gap
+                pair = [ring(0.1 - 0.2j, 0.3, 0.1), ring(0.1 - 0.2j + d * dx + 1j * d * dy, 0.4, 0.2)]
+                assert (check(pair) is not None) == overlaps
+
+        # nested pairs: inside the hole, touching its circle, poking out of it
+        host = ring(0.0, 0.9, 0.5, ic=0.01)
+        for c, r in [(0.02, 0.3), (0.01 + 0.2, 0.3), (0.01 + 0.25, 0.3), (-0.3j, 0.25)]:
+            for pieces in ([host, ring(c, r, 0.5 * r)], [ring(c, r, 0.5 * r), host]):
+                want_nested = abs(0.01 - c) + r <= 0.5 + 1e-13
+                assert (check(pieces) is None) == want_nested
+
+        # a circle with a non-finite extent fails against every other
+        assert check([ring(0.0, 0.1, 0.05), ring(5.0, 0.1, 0.05), ring(np.nan, 0.1, 0.05)]) == (0, 2)
+        assert check([ring(0.0, 0.1, 0.05), ring(5.0, np.inf, 0.05)]) == (0, 1)
+
+    def test_assembly_is_freed_when_dropped(self):
+        # its piece views hold the table, not the assembly: no reference cycle
+        gc.disable()
+        try:
+            H = assemble_Hv("v", enumerate_group(schottky_pair(0.98), 1), default_study_annulus())
+            assert H.pieces[1].element.word == (0,)
+            dropped = weakref.ref(H)
+            del H
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_sweep_tests_few_pairs(self, assembled_depth6):
+        p, n = assembled_depth6.all_pieces, len(assembled_depth6.pieces)
+        pairs = lift._check_disjoint(p.outer_center, p.outer_radius, p.inner_center, p.inner_radius)
+        assert n == 1457 and 0 < pairs < n * (n - 1) // 2 // 50
 
 
 # an annulus reaching close to the isometric disks, r_outer 0.8 < 0.817: its
 # first translates come within |z| = 0.833 of the origin
 WIDE = RoundAnnulus((0.0, 0.0), 0.7, 0.8)
+
+
+class TestConstantTable:
+    """The array-built table against the scalar arithmetic of one piece at a
+    time (``lift_reference.piece_constants``), bit for bit."""
+
+    @pytest.mark.parametrize("s", [0.9, 0.98])
+    @pytest.mark.parametrize(
+        "annulus",
+        [default_study_annulus(), WIDE, RoundAnnulus((0.1, -0.05), 0.3, 0.5)],
+        ids=["study", "wide", "off"],
+    )
+    def test_table_matches_per_piece_arithmetic(self, s, annulus):
+        gens = schottky_pair(s)
+        for depth in range(7):
+            maps = [el.map for el in enumerate_group(gens, depth)]
+            got, want = lift.constant_table(maps, annulus), lift_reference.constant_table(maps, annulus)
+            assert all(np.array_equal(g, w) and same(g, w) for g, w in zip(got, want)), depth
+        tail = [el.map for el in lift.next_words(gens, enumerate_group(gens, 6), 64)]
+        assert len(tail) == 64
+        got, want = (t(tail, annulus)[1][3] for t in (lift.constant_table, lift_reference.constant_table))
+        assert np.array_equal(got, want) and same(got, want)
+
+    def test_assembly_views_its_table(self, assembled_depth6):
+        H = assembled_depth6
+        cplx, real = lift_reference.constant_table([el.map for el in H.elements], H.annulus)
+        assert same(H._complex, cplx) and same(H._real, real)
+        # a piece built alone has its assembly's column, as Python scalars
+        for k in (0, 1, 700, -1):
+            alone, view = CorrectedHamiltonian(H.elements[k], H.annulus), H.pieces[k]
+            for p in (alone, view):
+                column = [p.inv.alpha, p.inv.beta, p.chart.c, p.outer_center, p.inner_center]
+                assert column == cplx[:, k].tolist() and all(type(x) is complex for x in column)
+                assert p.b == real[5, k] and type(p.b) is float
+            chart = TransportChart(H.annulus, H.elements[k])
+            assert (chart.mass, chart.b) == (view.lambda2, view.b) == (real[3, k], real[5, k])
+
+    def test_tail_estimate_is_the_largest_tail_mass(self):
+        gens, A = schottky_pair(0.98), default_study_annulus()
+        els = enumerate_group(gens, 4)
+        tail = lift.next_words(gens, els, 64)
+        masses = lift_reference.constant_table([el.map for el in tail], A)[1][3]
+        sup_h = CorrectedHamiltonian(IDENT, A).profile.sup_abs()
+        H = assemble_Hv("v", els, A, tail_elements=tail)
+        assert H.tail_estimate == float(max(masses) * sup_h / (2 * math.pi))
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,11 +599,10 @@ class TestPointLocation:
         assert same(got[0], want[0]) and same(got[1], want[1])
 
     def test_rejects_a_repeated_word(self):
-        # nested translates pass the disjointness check (test_nested_translates_accepted)
-        outer = CorrectedHamiltonian(IDENT, default_study_annulus())
-        inner = CorrectedHamiltonian(IDENT, RoundAnnulus((0.02, 0.0), 0.1, 0.2))
+        # the second translate lies apart from A, so it passes the disjointness check
+        far = GroupElement((), MobiusMap(0.0, 0.9))
         with pytest.raises(ValueError, match=r"pieces 0 and 1 have the same word \(\)"):
-            AssembledHamiltonian("v", [outer, inner])
+            AssembledHamiltonian("v", [IDENT, far], default_study_annulus())
 
     def test_rejects_a_missing_prefix_or_letter(self):
         els = enumerate_group(schottky_pair(0.98), 2)
