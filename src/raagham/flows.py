@@ -398,18 +398,16 @@ def faithfulness_probe(rep, max_len: int, seed: int = 0):
     INCONCLUSIVE.
     """
     g = rep.word_graph
-    forms = enumerate_normal_forms(g, max_len)
+    # drawing at most one form past the cap stops the enumeration there
+    forms = list(itertools.islice(enumerate_normal_forms(g, max_len), PROBE_WORD_CAP + 1))
     if len(forms) > PROBE_WORD_CAP:
-        raise ResourceCapExceeded(
-            f"{len(forms)} normal forms exceed the probe cap {PROBE_WORD_CAP}"
-        )
+        raise ResourceCapExceeded(f"more than {PROBE_WORD_CAP} normal forms (the probe cap)")
     rng = np.random.default_rng(seed)
     extra = []
-    alphabet = [(v, e) for v in g.vertices for e in (1, -1)]
     for _ in range(PROBE_EXTRA_WORDS):
         n = int(rng.integers(max_len + 1, max_len + 4))
-        lets = [alphabet[i] for i in rng.integers(0, len(alphabet), n)]
-        w = normal_form(Word(g, lets)).word
+        ids = tuple(int(i) for i in rng.integers(0, 2 * len(g.vertices), n))
+        w = normal_form(Word._trusted(g, ids)).word
         if len(w) and w not in forms:
             extra.append(w)
     marked = rep.config.marked_points()

@@ -5,7 +5,7 @@ vertices are NOT adjacent in the Artin graph.  An edge therefore records an
 obstruction to commuting, the reverse of the common convention for
 right-angled Artin groups.
 
-``normal_form``, a linear-time piling pass producing the canonical
+``normal_form``, an O(L (log n + degree)) piling pass producing the canonical
 (shortlex-least geodesic) representative, decides the word problem: two
 words are equal exactly when their normal forms are.  ``oracle_equal``, an
 exhaustive search over the shuffle/cancellation closure, slow but
@@ -15,10 +15,10 @@ checked against; nothing in the package decides equality with it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .graphs import GraphMorphism, SimplicialGraph, Violation, check_orbicover, double
@@ -44,27 +44,28 @@ class Word:
     __slots__ = ("graph", "_ids")
 
     def __init__(self, graph: SimplicialGraph, letters: Sequence[tuple]):
+        letter_id = _alphabet(graph)[2]
         ids = []
         for v, e in letters:
-            if not graph.has_vertex(v):
-                raise ValueError(f"letter references unknown vertex {v!r}")
-            if e not in (1, -1):
+            i = letter_id.get((v, e))
+            if i is None:
+                if not graph.has_vertex(v):
+                    raise ValueError(f"letter references unknown vertex {v!r}")
                 raise ValueError(f"exponent must be +1 or -1, got {e}")
-            ids.append(2 * graph.index(v) + (0 if e == 1 else 1))
+            ids.append(i)
         self.graph = graph
         self._ids = tuple(ids)
 
     @classmethod
     def _trusted(cls, graph: SimplicialGraph, ids: tuple) -> "Word":
-        """A word from letter ids this module produced itself; no validation."""
+        """A word from letter ids already known to be valid; no validation."""
         w = object.__new__(cls)
         w.graph, w._ids = graph, ids
         return w
 
     @property
     def letters(self) -> tuple:
-        vs = self.graph.vertices
-        return tuple((vs[i >> 1], -1 if i & 1 else 1) for i in self._ids)
+        return tuple(map(_alphabet(self.graph)[3].__getitem__, self._ids))
 
     def __len__(self):
         return len(self._ids)
@@ -125,71 +126,62 @@ def commutator(w1: Word, w2: Word) -> Word:
 
 @lru_cache(maxsize=256)
 def _alphabet(graph: SimplicialGraph):
-    """Neighbour indices per vertex, and commute[a][b] for letter ids a, b."""
-    neighbor_idx = tuple(
+    """Neighbour indices per vertex, commute[a][b] for letter ids a, b, and
+    the (vertex, exponent) -> id map with its inverse, the id -> pair tuple."""
+    neighbors = tuple(
         tuple(sorted(graph.index(u) for u in graph.neighbors(v))) for v in graph.vertices
     )
-    ids = range(2 * len(graph.vertices))
+    letter = tuple((v, e) for v in graph.vertices for e in (1, -1))
+    ids = range(len(letter))
     commute = tuple(
-        tuple(a >> 1 != b >> 1 and b >> 1 not in neighbor_idx[a >> 1] for b in ids) for a in ids
+        tuple(a >> 1 != b >> 1 and b >> 1 not in neighbors[a >> 1] for b in ids) for a in ids
     )
-    return neighbor_idx, commute
+    return neighbors, commute, {x: i for i, x in enumerate(letter)}, letter
 
 
 # -------------------------- fast route: piling -----------------------------
 
 
-def _pile(graph: SimplicialGraph, ids: Sequence[int]):
-    """Stack letters onto per-generator piles with cancellation.
+def _normal_ids(neighbors: tuple, ids: Sequence[int]) -> tuple:
+    """Letter ids of the shortlex-least geodesic of the word ``ids``.
 
-    pile[v] holds, bottom to top, the letter ids of generator v interleaved
-    with -1 markers for letters of non-commuting generators; a letter cancels
-    against the top of its own pile when nothing non-commuting intervened.
+    Cartier-Foata piling: each letter goes on its generator's pile, with a
+    -1 marker on each non-commuting generator's pile, and cancels against
+    its own pile's top when nothing non-commuting intervened.  Reading back
+    off emits the least ready vertex (pile head a letter) and advances its
+    head and its neighbours'.  Ready vertices sit in a heap: adjacent ones
+    are never ready together, so no entry goes stale, and only the emitted
+    vertex and its neighbours can become ready.  O(L (log n + degree)).
     """
-    neighbor_idx, _ = _alphabet(graph)
-    piles = [[] for _ in neighbor_idx]
+    piles = [[] for _ in neighbors]
     for lid in ids:
         v = lid >> 1
         if piles[v] and piles[v][-1] == lid ^ 1:
             piles[v].pop()
-            for u in neighbor_idx[v]:
+            for u in neighbors[v]:
                 piles[u].pop()
         else:
             piles[v].append(lid)
-            for u in neighbor_idx[v]:
+            for u in neighbors[v]:
                 piles[u].append(-1)
-    return piles
-
-
-def _depile(graph: SimplicialGraph, piles) -> tuple:
-    """Read the shortlex-least linearization back off the piles.
-
-    A vertex is ready when the head of its pile is a letter; emitting the
-    least ready vertex advances its head and its neighbours' heads.  The
-    ready vertices sit in a heap: adjacent vertices are never ready
-    together, so a ready vertex stays ready until it is emitted (no entry
-    goes stale), and only the vertex emitted and its neighbours can become
-    ready.  O(L (log n + degree)) for L letters.
-    """
-    neighbor_idx, _ = _alphabet(graph)
     # a -1 sentinel ends every pile, so "head is a letter" is one comparison
     piles = [p + [-1] for p in piles]
     heads = [0] * len(piles)
     heap = [v for v, p in enumerate(piles) if p[0] >= 0]
     out = []
     while heap:
-        v = heapq.heappop(heap)
+        v = heappop(heap)
         k = heads[v]
         out.append(piles[v][k])
         heads[v] = k + 1
         if piles[v][k + 1] >= 0:
-            heapq.heappush(heap, v)
-        for u in neighbor_idx[v]:
+            heappush(heap, v)
+        for u in neighbors[v]:
             k = heads[u] + 1
             heads[u] = k
             if piles[u][k] >= 0:
-                heapq.heappush(heap, u)
-    if any(h != len(p) - 1 for h, p in zip(heads, piles)):  # pragma: no cover
+                heappush(heap, u)
+    if heads != [len(p) - 1 for p in piles]:  # pragma: no cover
         raise AssertionError("inconsistent piling")
     return tuple(out)
 
@@ -204,11 +196,30 @@ class NormalForm:
 
 def normal_form(w: Word) -> NormalForm:
     """Canonical representative: shortlex-least geodesic of w's element."""
-    return NormalForm(word=Word._trusted(w.graph, _depile(w.graph, _pile(w.graph, w._ids))))
+    return NormalForm(word=Word._trusted(w.graph, _normal_ids(_alphabet(w.graph)[0], w._ids)))
 
 
 def geodesic_length(w: Word) -> int:
     return len(normal_form(w).word)
+
+
+def enumerate_normal_forms(graph: SimplicialGraph, max_len: int):
+    """Yield the canonical normal forms of length <= max_len in shortlex order.
+
+    Every prefix of a shortlex-least geodesic is one itself, so the forms
+    of length L are the forms of length L - 1 extended by each letter that
+    leaves them fixed under the piling pass.
+    """
+    if max_len < 0:
+        raise ValueError(f"max_len={max_len} must be at least 0")
+    neighbors = _alphabet(graph)[0]
+    letters = range(2 * len(neighbors))
+    level = [()]
+    for length in range(max_len + 1):
+        if length:
+            extended = (ids + (a,) for ids in level for a in letters)
+            level = [e for e in extended if _normal_ids(neighbors, e) == e]
+        yield from (Word._trusted(graph, ids) for ids in level)
 
 
 # --------------------- slow route: closure search ---------------------------
@@ -221,14 +232,11 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     is finite; w represents the identity iff the empty word is reachable.
     Explores short words first so trivial inputs resolve quickly.
     """
-    _, commute = _alphabet(w.graph)
-    start = w._ids
-    if not start:
-        return True
-    seen = {start}
-    heap = [(len(start), start)]
+    commute = _alphabet(w.graph)[1]
+    seen = {w._ids}
+    heap = [(len(w._ids), w._ids)]
     while heap:
-        _, cur = heapq.heappop(heap)
+        _, cur = heappop(heap)
         if not cur:
             return True
         nexts = []
@@ -245,7 +253,7 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
                 seen.add(nxt)
                 if not nxt:
                     return True
-                heapq.heappush(heap, (len(nxt), nxt))
+                heappush(heap, (len(nxt), nxt))
     return False
 
 
@@ -259,16 +267,6 @@ def oracle_equal(w1: Word, w2: Word) -> bool:
     if w1.graph != w2.graph:
         raise ValueError("words over different graphs")
     return is_trivial(w1 * w2.inverse())
-
-
-def enumerate_normal_forms(graph: SimplicialGraph, max_len: int):
-    """All canonical normal forms of length <= max_len, in shortlex order."""
-    out = []
-    for length in range(max_len + 1):
-        for ids in itertools.product(range(2 * len(graph.vertices)), repeat=length):
-            if _depile(graph, _pile(graph, ids)) == ids:
-                out.append(Word._trusted(graph, ids))
-    return out
 
 
 # ----------------------------- homomorphisms -------------------------------

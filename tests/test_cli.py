@@ -208,6 +208,13 @@ class TestCommands:
         assert capsys.readouterr().err == "invalid input: word length L=-2 must be at least 0\n"
         assert not (workdir / "neg").exists()
 
+    def test_negative_max_len_is_invalid(self, workdir, capsys):
+        (workdir / "p2.txt").write_text(format_graph(path_graph(["a", "b"])))
+        argv = ["probe-faithful", "--graph", "p2.txt", "--N", "2", "--max-len", "-1", "--out", "neg"]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "invalid input: max_len=-1 must be at least 0\n"
+        assert not (workdir / "neg").exists()
+
     def test_emulator_search_cap_exits_3(self, workdir, monkeypatch):
         (workdir / "k5.txt").write_text(format_graph(complete_graph(list("abcde"))))
         (workdir / "k5w.txt").write_text("a b^-1\n")

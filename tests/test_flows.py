@@ -33,7 +33,15 @@ from raagham.twist import (
     make_profile,
     twist_hamiltonian,
 )
-from raagham.words import Word, commutator, empty_word, generator, normal_form, word_from_tokens
+from raagham.words import (
+    ResourceCapExceeded,
+    Word,
+    commutator,
+    empty_word,
+    generator,
+    normal_form,
+    word_from_tokens,
+)
 from flow_reference import fixed_point_flow, integrated_rep_apply, reference_jacobian_probe
 from twist_reference import probe_points, reference_fold, reference_twist
 
@@ -357,6 +365,23 @@ class TestFaithfulnessProbe:
         table = faithfulness_probe(p3_rep, max_len=1, seed=0)
         gens = {row["word"]: row for row in table if row["length"] == 1}
         assert all(row["displacement"] > 1e-6 for row in gens.values())
+
+    def test_cap_stops_the_enumeration(self, p3_rep, monkeypatch):
+        # P3 has far more than 5000 normal forms of length <= 30; the probe
+        # must stop after drawing one form past the cap
+        drawn = 0
+        enumerate_all = flows.enumerate_normal_forms
+
+        def counted(graph, max_len):
+            nonlocal drawn
+            for w in enumerate_all(graph, max_len):
+                drawn += 1
+                yield w
+
+        monkeypatch.setattr(flows, "enumerate_normal_forms", counted)
+        with pytest.raises(ResourceCapExceeded, match="more than 5000 normal forms"):
+            faithfulness_probe(p3_rep, max_len=30, seed=0)
+        assert drawn == flows.PROBE_WORD_CAP + 1
 
 
 @pytest.fixture(scope="module")

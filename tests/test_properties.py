@@ -89,10 +89,10 @@ def simple_graphs(draw, max_vertices):
 
 
 @st.composite
-def graph_words(draw):
+def graph_words(draw, max_letters=7):
     g = draw(simple_graphs(5))
     letters = st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1)))
-    return Word(g, draw(st.lists(letters, max_size=7)))
+    return Word(g, draw(st.lists(letters, max_size=max_letters)))
 
 
 @st.composite
@@ -124,6 +124,17 @@ def test_word_pair_view_round_trips(pair):
 @given(graph_words())
 def test_piling_normal_form_matches_closure(w):
     assert normal_form(w).word == normal_form_closure(w).word
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graph_words(max_letters=24))
+def test_prefixes_of_a_normal_form_are_normal_forms(w):
+    """The law enumeration by extension relies on: every prefix of a
+    shortlex-least geodesic is the shortlex-least geodesic of its element."""
+    letters = normal_form(w).word.letters
+    for k in range(len(letters) + 1):
+        prefix = Word(w.graph, letters[:k])
+        assert normal_form(prefix).word == prefix
 
 
 @FEW

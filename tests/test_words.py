@@ -80,10 +80,30 @@ def test_piling_agrees_with_closure_reference():
             assert normal_form(w).word == normal_form_closure(w).word
 
 
+def _pile_reference(graph, ids):
+    """Reference piling: pile[v] holds, bottom to top, the letter ids of
+    generator v interleaved with -1 markers for letters of non-commuting
+    generators; a letter cancels against the top of its own pile when
+    nothing non-commuting intervened."""
+    neighbor_idx = words._alphabet(graph)[0]
+    piles = [[] for _ in neighbor_idx]
+    for lid in ids:
+        v = lid >> 1
+        if piles[v] and piles[v][-1] == lid ^ 1:
+            piles[v].pop()
+            for u in neighbor_idx[v]:
+                piles[u].pop()
+        else:
+            piles[v].append(lid)
+            for u in neighbor_idx[v]:
+                piles[u].append(-1)
+    return piles
+
+
 def _depile_scan(graph, piles):
     """Reference depiling: rescan the vertices from index 0 for every output
     letter and emit the first whose pile head is a letter (O(L n))."""
-    neighbor_idx, _ = words._alphabet(graph)
+    neighbor_idx = words._alphabet(graph)[0]
     heads = [0] * len(neighbor_idx)
     total = sum(1 for p in piles for x in p if x >= 0)
     out = []
@@ -108,8 +128,8 @@ def test_heap_depiling_matches_scan_reference():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
         g = SimplicialGraph(list(range(n)), edges)
         ids = tuple(int(i) for i in rng.integers(0, 2 * n, int(rng.integers(0, 41))))
-        piles = words._pile(g, ids)
-        assert words._depile(g, piles) == _depile_scan(g, piles)
+        expected = _depile_scan(g, _pile_reference(g, ids))
+        assert words._normal_ids(words._alphabet(g)[0], ids) == expected
 
 
 def test_oracle_relator_examples():
@@ -237,6 +257,21 @@ def test_enumerate_normal_forms_edge_graph():
     assert len(nontrivial) == 16
 
 
+def test_enumerate_normal_forms_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="max_len=-1 must be at least 0"):
+        next(enumerate_normal_forms(FREE2, -1))
+    assert [len(w) for w in enumerate_normal_forms(FREE2, 0)] == [0]
+
+
+def test_unknown_vertex_rejected():
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        Word(FREE2, [("z", 1)])
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        Word(FREE2, [("u", 1), ("z", -1)])
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        Word(FREE2, [("z", 1.5)])
+
+
 def test_non_integral_exponents_rejected():
     with pytest.raises(ValueError, match="exponent must be"):
         Word(FREE2, [("u", 1.7), ("v", -1.2)])
@@ -275,7 +310,7 @@ def test_enumerate_normal_forms_is_the_fixed_point_filter(edges):
     g = SimplicialGraph(list("abcd"), edges)
     alphabet = [(v, e) for v in g.vertices for e in (1, -1)]
     every = [Word(g, lets) for L in range(4) for lets in itertools.product(alphabet, repeat=L)]
-    assert enumerate_normal_forms(g, 3) == [w for w in every if normal_form(w).word == w]
+    assert list(enumerate_normal_forms(g, 3)) == [w for w in every if normal_form(w).word == w]
 
 
 class TestChecksSurviveOptimize:

@@ -2,7 +2,7 @@
 
 ``normal_form_closure`` computes the normal form by explicit search over
 the shuffle closure, and ``shuffle_closure`` lists that closure; the
-package's linear-time piling pass (``raagham.words.normal_form``) must agree
+package's piling pass (``raagham.words.normal_form``) must agree
 with both.
 """
 
@@ -16,7 +16,7 @@ from raagham.words import (
 
 
 def _shuffle_closure_ids(graph, ids):
-    _, commute = _alphabet(graph)
+    commute = _alphabet(graph)[1]
     seen = {ids}
     stack = [ids]
     while stack:
