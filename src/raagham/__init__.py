@@ -55,7 +55,6 @@ from .twist import (
     build_configuration,
     build_representation,
     double_dehn_twist,
-    half_twists,
     make_profile,
     twist_hamiltonian,
 )

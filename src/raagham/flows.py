@@ -29,9 +29,11 @@ class IntegrationError(RuntimeError):
     pass
 
 
-# Newton iterations allowed per implicit-midpoint step, and the step of the
-# forward-difference Jacobian; the Jacobian only sets the convergence rate,
-# acceptance is on the exact residual
+# The residual below which an implicit-midpoint row is accepted, the Newton
+# iterations allowed per step, and the step of the forward-difference
+# Jacobian; the Jacobian only sets the convergence rate, acceptance is on the
+# exact residual
+NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 FD_STEP = 1e-7
 
@@ -73,16 +75,16 @@ class FlowResult:
     points: int  # rows the field evaluated, all calls: (d + 1) per active row
 
 
-def _midpoint_step(field, z, h, tol, start):
+def _midpoint_step(field, z, h, start):
     """Solve y = z + h X((z + y)/2) row by row from y = z + start; return
     (image, field calls, points evaluated).
 
     Newton on F(y) = y - z - h X(m), m = (z + y)/2.  Each iteration makes
     one field call on the stack [m; m + FD_STEP e_1; ...; m + FD_STEP e_d],
     which gives X(m) and a forward-difference DX, and the active rows solve
-    (I - h DX / 2) dy = F.  A row is accepted once max|F| < tol and returns
-    z + h X(m); it then leaves the active set, so its result depends on its
-    own coordinates alone.
+    (I - h DX / 2) dy = F.  A row is accepted once max|F| < NEWTON_TOL and
+    returns z + h X(m); it then leaves the active set, so its result depends
+    on its own coordinates alone.
     """
     n, d = z.shape
     eye, scale = np.eye(d), 0.5 * h / FD_STEP
@@ -100,7 +102,7 @@ def _midpoint_step(field, z, h, tol, start):
         image = zr + h * X[0]
         F = y - image
         res = np.abs(F).max(1)
-        done = res < tol
+        done = res < NEWTON_TOL
         if done.all():
             if rows is None:
                 return image, it, points
@@ -144,18 +146,12 @@ def _turned(inc, prev):
     return np.stack([c.real, c.imag], -1).reshape(inc.shape)
 
 
-def flow_map(
-    field,
-    z0,
-    T: float,
-    steps: int = 1000,
-    tol: float = 1e-12,
-) -> FlowResult:
+def flow_map(field, z0, T: float, steps: int = 1000) -> FlowResult:
     """Implicit-midpoint integration of z' = X_H(z) for time T.
 
     Works on batches: z0 may be a single point or an (n, d) array.  Each
     row's implicit stage is solved by Newton with a forward-difference
-    Jacobian until its residual is below tol, at most NEWTON_MAX_ITER
+    Jacobian until its residual is below NEWTON_TOL, at most NEWTON_MAX_ITER
     iterations (see ``_midpoint_step``); a row's result does not depend on
     its batch mates.  Newton starts the first step at y = z, the second at
     the first step's increment, and every later one at the last increment
@@ -176,7 +172,7 @@ def flow_map(
     inc = None
     iterations = max_iterations = points = 0
     for _ in range(steps):
-        image, calls, evaluated = _midpoint_step(field, z, h, tol, start)
+        image, calls, evaluated = _midpoint_step(field, z, h, start)
         prev, inc = inc, image - z
         start = inc if prev is None else _turned(inc, prev)
         z = image
@@ -298,8 +294,10 @@ def verify_relations(rep, samples: int = 200, seed: int = 0) -> VerificationRepo
     up to roundoff); adjacent ones must visibly fail to commute at some
     overlap probe; every puncture must be fixed by the image of every
     generator of the configuration's graph (the cover's, on the emulator
-    route).
+    route).  Fewer than one sample is a ValueError.
     """
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     g = rep.word_graph
     rng = np.random.default_rng(seed)
     pts = _sample_points(rep, samples, rng)

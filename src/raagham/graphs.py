@@ -36,6 +36,8 @@ class SimplicialGraph:
                 raise ValueError(f"edge ({u!r},{v!r}) references unknown vertex")
             edge_set.add(frozenset((u, v)))
         self._edges = frozenset(edge_set)
+        # immutable, so hashed once: every letter table lookup and word hash uses it
+        self._hash = hash((self._vertices, self._edges))
         self._adj = {v: set() for v in self._vertices}
         for e in self._edges:
             u, v = tuple(e)
@@ -112,7 +114,7 @@ class SimplicialGraph:
         )
 
     def __hash__(self):
-        return hash((self._vertices, self._edges))
+        return self._hash
 
     def __repr__(self):
         return f"SimplicialGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
@@ -407,9 +409,7 @@ class VoltageAssignment:
                 edges.append(((u, i), (v, (i + a) % k)))
         return SimplicialGraph(verts, edges)
 
-    def projection(self, derived: Optional[SimplicialGraph] = None) -> GraphMorphism:
-        if derived is None:
-            derived = self.derived_graph()
+    def projection(self, derived: SimplicialGraph) -> GraphMorphism:
         return GraphMorphism(derived, self.base, {(v, i): v for (v, i) in derived.vertices})
 
 

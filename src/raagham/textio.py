@@ -231,12 +231,10 @@ def svg_configuration(cfg) -> str:
             f'<circle cx="{c[0]:.6f}" cy="{c[1]:.6f}" r="{r:.6f}" fill="none" '
             f'stroke="{color}" stroke-width="{stroke / 2:.6f}" stroke-dasharray="{4 * stroke:.6f}"/>\n'
         )
-    dots = [cfg.all_punctures()]
-    for pts in dots:
-        for p in pts:
-            out.append(
-                f'<circle cx="{p[0]:.6f}" cy="{p[1]:.6f}" r="{2.2 * stroke:.6f}" fill="#000"/>\n'
-            )
+    for p in cfg.all_punctures():
+        out.append(
+            f'<circle cx="{p[0]:.6f}" cy="{p[1]:.6f}" r="{2.2 * stroke:.6f}" fill="#000"/>\n'
+        )
     out.append("</g></svg>\n")
     return "".join(out)
 

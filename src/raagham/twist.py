@@ -126,12 +126,9 @@ class RoundAnnulus:
         r2 = dx * dx + dy * dy
         return (r2 >= self.r_inner**2) & (r2 <= self.r_outer**2)
 
-    def sample_points(self, n, rng, r2_range=None):
-        """n area-uniform points with r^2 in r2_range (squared radii about the
-        center, default [r_inner^2, r_outer^2]), uniform in angle."""
-        lo = self.r_inner**2 if r2_range is None else r2_range[0]
-        hi = self.r_outer**2 if r2_range is None else r2_range[1]
-        r = np.sqrt(rng.uniform(lo, hi, n))
+    def sample_points(self, n, rng):
+        """n area-uniform points of the annulus, uniform in angle."""
+        r = np.sqrt(rng.uniform(self.r_inner**2, self.r_outer**2, n))
         ang = rng.uniform(0.0, TWO_PI, n)
         return np.asarray(self.center) + np.stack([r * np.cos(ang), r * np.sin(ang)], -1)
 
@@ -146,51 +143,43 @@ def annuli_intersect(a: RoundAnnulus, b: RoundAnnulus) -> bool:
 # ------------------------------ plane maps ---------------------------------
 
 
-def _twist_rows(annulus, profile, tau, z, t_lo=-np.inf, t_hi=np.inf):
+def _twist_rows(annulus, profile, tau, z):
     """The twist's one arithmetic, on a complex array z of points of its annulus.
 
     In the area coordinates (s, t) = (-theta, (r^2 - mid)/2) of the annulus
     the twist shifts s by tau*h'(t) and keeps t, so it turns each point about
     the centre c by that angle: z -> c + (z - c) * exp(-i tau h'(t)).
-    Returns the indices of the rows it moves (area height in [t_lo, t_hi)
-    and a nonzero angle tau*h'(t)) and their images.  Rows within rounding
-    of the annulus boundary have h'(t) == 0 exactly, because the bump's
-    exp(-1/(1-u^2)) underflows there, so they never move.
+    Returns the indices of the rows it moves (a nonzero angle tau*h'(t))
+    and their images.  Rows within rounding of the annulus boundary have
+    h'(t) == 0 exactly, because the bump's exp(-1/(1-u^2)) underflows
+    there, so they never move.
     """
     c = complex(*annulus.center)
     rel = z - c
     t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - annulus.mid)
     ds = tau * profile.dh(t)
-    rows = np.flatnonzero((t >= t_lo) & (t < t_hi) & (ds != 0.0))
+    rows = np.flatnonzero(ds != 0.0)
     return rows, c + rel[rows] * np.exp(-1j * ds[rows])
 
 
 @dataclass(frozen=True)
 class PlaneMap:
-    """The time-tau twist of one annulus on the area heights [t_lo, t_hi),
-    extended by the identity: ``_twist_rows`` on the points of the closed
-    annulus, run with tau forward and -tau backward."""
+    """The time-tau twist of one annulus, extended by the identity:
+    ``_twist_rows`` on the points of the closed annulus.  Its inverse is the
+    twist at -tau."""
 
     annulus: RoundAnnulus
     profile: TwistProfile
     tau: float
-    t_lo: float = -np.inf
-    t_hi: float = np.inf
 
-    def _rotate(self, pts, tau):
+    def apply(self, pts):
         pts = np.asarray(pts, float)
         out = np.array(np.atleast_2d(pts), float, order="C")
         z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
         idx = np.flatnonzero(self.annulus.contains(out))
-        rows, moved = _twist_rows(self.annulus, self.profile, tau, z[idx], self.t_lo, self.t_hi)
+        rows, moved = _twist_rows(self.annulus, self.profile, self.tau, z[idx])
         z[idx[rows]] = moved
         return out[0] if pts.ndim == 1 else out
-
-    def apply(self, pts):
-        return self._rotate(pts, self.tau)
-
-    def apply_inverse(self, pts):
-        return self._rotate(pts, -self.tau)
 
 
 def double_dehn_twist(annulus: RoundAnnulus, profile: TwistProfile, tau: float) -> PlaneMap:
@@ -205,17 +194,6 @@ def double_dehn_twist(annulus: RoundAnnulus, profile: TwistProfile, tau: float) 
     if profile.a > annulus.a + 1e-9:
         raise ValueError("profile wider than the annulus")
     return PlaneMap(annulus, profile, tau)
-
-
-def half_twists(annulus: RoundAnnulus, profile: TwistProfile, tau: float):
-    """The two half twists below and above the rotation circle.
-
-    The lower map acts on t < b, the upper on t >= b, so their composition
-    reproduces the full twist exactly for every tau, and their supports are
-    disjoint so they commute.
-    """
-    b = profile.b
-    return PlaneMap(annulus, profile, tau, t_hi=b), PlaneMap(annulus, profile, tau, t_lo=b)
 
 
 def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):

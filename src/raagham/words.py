@@ -225,12 +225,13 @@ def enumerate_normal_forms(graph: SimplicialGraph, max_len: int):
 # --------------------- slow route: closure search ---------------------------
 
 
-def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def is_trivial(w: Word) -> bool:
     """Exhaustive shuffle/cancel search for the empty word.
 
     Shuffles preserve length and cancellations shorten, so the reachable set
     is finite; w represents the identity iff the empty word is reachable.
-    Explores short words first so trivial inputs resolve quickly.
+    Explores short words first so trivial inputs resolve quickly, and raises
+    ResourceCapExceeded past DEFAULT_CLOSURE_CAP words.
     """
     commute = _alphabet(w.graph)[1]
     seen = {w._ids}
@@ -248,8 +249,10 @@ def is_trivial(w: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
                 nexts.append(cur[:i] + (b, a) + cur[i + 2 :])
         for nxt in nexts:
             if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ResourceCapExceeded(f"word-problem search exceeded {cap} words")
+                if len(seen) >= DEFAULT_CLOSURE_CAP:
+                    raise ResourceCapExceeded(
+                        f"word-problem search exceeded {DEFAULT_CLOSURE_CAP} words"
+                    )
                 seen.add(nxt)
                 if not nxt:
                     return True

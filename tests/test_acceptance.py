@@ -67,6 +67,7 @@ from raagham.words import (
     normal_form,
     oracle_equal,
 )
+from twist_reference import band_points
 from words_reference import normal_form_closure
 
 FOUR_VERTEX_GRAPHS = {
@@ -284,7 +285,7 @@ def _band_sample(config, v, n, rng, frac=0.75):
     width = min(ann.a - prof_b, ann.a + prof_b)
     t_lo = prof_b - frac * width
     t_hi = prof_b + frac * width
-    return ann.sample_points(n, rng, r2_range=(mid + 2 * t_lo, mid + 2 * t_hi))
+    return band_points(ann, n, rng, mid + 2 * t_lo, mid + 2 * t_hi)
 
 
 def _mpmath_jacobian_dev(rep, v, pts, dps=50, step="1e-12"):
@@ -348,8 +349,8 @@ def test_criterion_08_area_preservation(p3_rep):
         mid = ann.mid
         prof_b = 0.5 * (p3_rep.config.radii[v] ** 2 - mid)
         width = min(ann.a - prof_b, ann.a + prof_b)
-        tail = ann.sample_points(
-            8, rng, r2_range=(mid + 2 * (prof_b + 0.8 * width), mid + 2 * (prof_b + 0.99 * width))
+        tail = band_points(
+            ann, 8, rng, mid + 2 * (prof_b + 0.8 * width), mid + 2 * (prof_b + 0.99 * width)
         )
         worst_tail = max(worst_tail, _mpmath_jacobian_dev(p3_rep, v, tail))
     assert worst_tail <= 1e-6

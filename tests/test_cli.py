@@ -275,6 +275,13 @@ class TestCommands:
         payload = json.loads((workdir / "vrf" / "verification.json").read_text())
         assert payload["all_passed"] is True
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_needs_a_sample(self, workdir, capsys, samples):
+        code = main(["verify", "--graph", "p3.txt", "--N", "2", "--samples", samples, "--out", "vrf"])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"invalid input: samples={samples} must be at least 1\n"
+        assert not (workdir / "vrf").exists()
+
     def test_simulate(self, workdir):
         code = main([
             "simulate", "--graph", "p3.txt", "--word", "w.txt", "--N", "2",

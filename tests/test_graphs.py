@@ -41,6 +41,14 @@ def test_no_loops_or_duplicate_edges():
     assert len(g.edges) == 1
 
 
+def test_equal_graphs_hash_equal():
+    # the hash is taken once, at construction, from the vertex tuple and the edge set
+    g = SimplicialGraph(list("abcd"), [("a", "b"), ("c", "b"), ("d", "a")])
+    h = SimplicialGraph(list("abcd"), [("a", "d"), ("b", "c"), ("b", "a")])
+    assert g == h and hash(g) == hash(h)
+    assert g != SimplicialGraph(list("abcd"), [("a", "b"), ("c", "b")])
+
+
 def test_double_single_vertex():
     g = SimplicialGraph(["v"], [])
     dg = double(g)

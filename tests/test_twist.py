@@ -23,13 +23,13 @@ from raagham.twist import (
     build_configuration,
     build_representation,
     double_dehn_twist,
-    half_twists,
     make_profile,
     twist_hamiltonian,
 )
 from graphs_reference import graphs_isomorphic
 from twist_reference import (
     AreaChart,
+    band_points,
     bisect_delta,
     boundary_points,
     chart_twist,
@@ -40,6 +40,7 @@ from twist_reference import (
     probe_points,
     product_twist,
     reference_region_points,
+    reference_twist,
     reference_twist_hamiltonian,
     reference_widths,
 )
@@ -201,22 +202,27 @@ class TestDoubleDehnTwist:
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_half_twists_compose_and_commute(self):
-        fm, fp = half_twists(self.A, self.prof, 1.0)
-        full = double_dehn_twist(self.A, self.prof, 1.0)
-        a = fp.apply(fm.apply(self.pts))
-        b = fm.apply(fp.apply(self.pts))
+        # the halves below and above the rotation circle, t < b and t >= b,
+        # composed in both orders
+        A, prof = self.A, self.prof
+        full = double_dehn_twist(A, prof, 1.0)
+        lower = reference_twist(A, prof, 1.0, self.pts, t_hi=prof.b)
+        upper = reference_twist(A, prof, 1.0, self.pts, t_lo=prof.b)
+        a = reference_twist(A, prof, 1.0, lower, t_lo=prof.b)
+        b = reference_twist(A, prof, 1.0, upper, t_hi=prof.b)
         assert np.abs(a - full.apply(self.pts)).max() < 1e-12
         assert np.abs(a - b).max() < 1e-12
 
     def test_inverse(self):
         f = double_dehn_twist(self.A, self.prof, 2.0)
-        assert np.abs(f.apply_inverse(f.apply(self.pts)) - self.pts).max() < 1e-12
+        f_inv = double_dehn_twist(self.A, self.prof, -2.0)
+        assert np.abs(f_inv.apply(f.apply(self.pts)) - self.pts).max() < 1e-12
 
     def test_jacobian_one(self):
         # step 1e-7: the h^2 truncation term carries the bump's third
         # derivatives and can exceed 1e-6 at the shoulder with step 1e-6
         f = double_dehn_twist(self.A, self.prof, 1.0)
-        interior = self.A.sample_points(100, self.rng, r2_range=(1.1**2, 1.65**2))
+        interior = band_points(self.A, 100, self.rng, 1.1**2, 1.65**2)
         h = 1e-7
         ex, ey = np.array([h, 0]), np.array([0, h])
         ax = (f.apply(interior + ex) - f.apply(interior - ex)) / (2 * h)
@@ -226,7 +232,7 @@ class TestDoubleDehnTwist:
 
     def test_hamiltonian_gradient(self):
         H, jet = twist_hamiltonian(self.A, self.prof)
-        pts = self.A.sample_points(60, self.rng, r2_range=(1.1**2, 1.65**2))
+        pts = band_points(self.A, 60, self.rng, 1.1**2, 1.65**2)
         h = 1e-7
         gx = (H(pts + [h, 0]) - H(pts - [h, 0])) / (2 * h)
         gy = (H(pts + [0, h]) - H(pts - [0, h])) / (2 * h)
@@ -245,13 +251,8 @@ class TestRotationAccuracy:
         pts = probe_points(rep, 5)
         for v, ann in rep.config.annuli.items():
             prof = rep.profiles[v]
-            lower, upper = half_twists(ann, prof, tau)
-            for f, bounds in (
-                (double_dehn_twist(ann, prof, tau), {}),
-                (lower, {"t_hi": prof.b}),
-                (upper, {"t_lo": prof.b}),
-            ):
-                assert np.abs(f.apply(pts) - chart_twist(ann, prof, tau, pts, **bounds)).max() <= 1e-13
+            f = double_dehn_twist(ann, prof, tau)
+            assert np.abs(f.apply(pts) - chart_twist(ann, prof, tau, pts)).max() <= 1e-13
 
     def test_as_accurate_as_the_chart_route(self, p3_rep):
         import mpmath
@@ -279,8 +280,9 @@ class TestRotationAccuracy:
         errs = []
         for v, ann in k6_rep.config.annuli.items():
             f = k6_rep.generator_map(v, k6_rep.N)
+            f_inv = k6_rep.generator_map(v, -k6_rep.N)
             pts = ann.sample_points(20_000, rng)
-            errs.append(np.hypot(*(f.apply_inverse(f.apply(pts)) - pts).T))
+            errs.append(np.hypot(*(f_inv.apply(f.apply(pts)) - pts).T))
         assert np.percentile(np.concatenate(errs), 99) <= 2e-11
 
 
@@ -699,7 +701,9 @@ class TestRepresentation:
         ov = rep.config.overlap_points("u", "v")
         fu = rep.generator_map("u", rep.N)
         fv = rep.generator_map("v", rep.N)
-        out = fu.apply(fv.apply(fu.apply_inverse(fv.apply_inverse(ov))))
+        fu_inv = rep.generator_map("u", -rep.N)
+        fv_inv = rep.generator_map("v", -rep.N)
+        out = fu.apply(fv.apply(fu_inv.apply(fv_inv.apply(ov))))
         assert np.hypot(*(out - ov).T).max() > 1e-3
 
     def test_punctures_fixed(self, p3_rep):

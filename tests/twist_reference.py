@@ -77,6 +77,15 @@ def product_twist(profile, tau, p):
     return ((s + tau * profile.dh(t)) % TWO_PI, t)
 
 
+def band_points(annulus, n, rng, r2_lo, r2_hi):
+    """n area-uniform points of the annulus with r^2 in [r2_lo, r2_hi] (squared
+    radii about the centre), uniform in angle: ``RoundAnnulus.sample_points``
+    on a narrower band, by the same two draws in the same order."""
+    r = np.sqrt(rng.uniform(r2_lo, r2_hi, n))
+    ang = rng.uniform(0.0, TWO_PI, n)
+    return np.asarray(annulus.center) + np.stack([r * np.cos(ang), r * np.sin(ang)], -1)
+
+
 def reference_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
     out = np.atleast_2d(np.asarray(pts, float)).copy()
     mask = annulus.contains(out)
