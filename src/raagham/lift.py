@@ -421,7 +421,7 @@ def _complex_points(pts):
 
 
 def _plane_vectors(g):
-    return np.stack([g.real, g.imag], -1)
+    return g.view(float).reshape(g.shape + (2,))
 
 
 class CorrectedHamiltonian:
@@ -475,29 +475,32 @@ class CorrectedHamiltonian:
             np.abs(z - self.inner_center) >= self.inner_radius - 1e-13
         )
 
-    def _pull_back(self, z):
-        """rel = w - c for w = sigma^{-1}(z), r = |rel| and g = conj(beta') z +
-        conj(alpha') for sigma^{-1} = (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
+    def _pull_back(self, z, on):
+        """rel = w - c for w = sigma^{-1}(z), r = |rel| (the tracked circle's radius
+        where on fails) and g = conj(beta') z + conj(alpha') for sigma^{-1} =
+        (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
         alpha, beta = self.inv.alpha, self.inv.beta
         g = beta.conjugate() * z + alpha.conjugate()
         rel = (alpha * z + beta) / g - self.chart.c
-        return rel, np.abs(rel), g
+        return rel, np.where(on, np.abs(rel), self.chart.circle_radius), g
 
-    def _height(self, r):
-        return np.clip(self.chart.t_of_r(r), -0.5, 0.5)
+    @staticmethod
+    def _height(t, on):
+        """t clipped to [-1/2, 1/2] where on holds, else 1: off every bump."""
+        return np.where(on, np.minimum(np.maximum(t, -0.5), 0.5), 1.0)
 
-    def _value_on(self, z):
-        """H at points of the translate (no support test)."""
-        return self.scale * self.profile.h(self._height(self._pull_back(z)[1]))
+    def _value_on(self, z, on):
+        """H at every point, zero where on (the support test) fails."""
+        return self.scale * self.profile.h(self._height(self.chart.t_of_r(self._pull_back(z, on)[1]), on))
 
-    def _jet_on(self, z):
-        """(H, complex gradient H_x + i H_y) at points of the translate, from
-        one pull-back; the gradient is the chain rule through sigma^{-1}."""
-        rel, r, g = self._pull_back(z)
+    def _jet_on(self, z, on):
+        """(H, complex gradient H_x + i H_y) at every point from one pull-back,
+        zero where on fails; the gradient is the chain rule through sigma^{-1}."""
+        rel, r, g = self._pull_back(z, on)
         t, dt_dr = self.chart.t_jet(r)
-        h, dh = self.profile.jet(np.clip(t, -0.5, 0.5))
+        h, dh = self.profile.jet(self._height(t, on))
         gw = self.scale * dh * dt_dr * rel
-        return self.scale * h, gw / (np.where(r == 0, 1.0, r) * np.conj(g * g))
+        return self.scale * h, np.where(on, gw / (r * np.conj(g * g)), 0.0)
 
     def _value_near(self, w, d):
         """H at sigma(w) + d for offsets that keep the point on the translate
@@ -507,7 +510,7 @@ class CorrectedHamiltonian:
         sigma = self.inv.inverse()
         G = sigma.beta.conjugate() * w + sigma.alpha.conjugate()
         pre = w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d)
-        return self.scale * self.profile.h(self._height(np.abs(pre - self.chart.c)))
+        return self.scale * self.profile.h(self._height(self.chart.t_of_r(np.abs(pre - self.chart.c)), True))
 
     def _tracked_preimages(self, n):
         ang = np.arange(n) * TWO_PI / n + 0.05
@@ -655,7 +658,8 @@ class AssembledHamiltonian:
         # the disk about 0 inside the unit disk that meets no isometric disk:
         # its points need no reduction
         self._clear = min([abs(c) - r for c, r in disks.values()] + [1.0])
-        self._identity = self.pieces[first[()]]
+        self._origin = first[()]
+        self._identity = self.pieces[self._origin]
         # reducing by letter l applies l^-1
         self._reduce = np.array([[g.alpha.conjugate() for g in maps], [-g.beta for g in maps]], complex)
         self._digits = np.array(letters, np.intp) + 1
@@ -688,41 +692,35 @@ class AssembledHamiltonian:
             code[live] = code[live] * self._base + self._digits[k]
         return np.where(rho < 1.0, self._pieces_by_code[code], -1)
 
-    def _evaluate(self, z, jet):
-        """H, or (H, H_x + i H_y), at each point of the open disk on the piece
-        located for it when that piece contains it; zero elsewhere.  Points
-        are located in chunks, so temporaries stay a few thousand long."""
+    def _evaluate(self, z, rho, jet):
+        """H, or (H, H_x + i H_y), at each point of the open disk (rho = |z|) on the
+        piece located for it when that piece contains it; zero elsewhere.  Every
+        point of a chunk runs its piece's arithmetic, a point no piece holds that
+        of A itself, and the support test selects the results: no gather or
+        scatter.  Chunks keep temporaries a few thousand long."""
         z = np.atleast_1d(np.asarray(z, complex))
-        flat = z.ravel()
-        outs = (np.zeros(flat.shape, float),) + ((np.zeros(flat.shape, complex),) if jet else ())
-        for start in range(0, flat.size, LOCATE_CHUNK):
-            chunk = slice(start, start + LOCATE_CHUNK)
-            zc = flat[chunk]
-            rho = np.abs(zc)
-            if rho.max(initial=0.0) < self._clear:
-                # nothing to reduce, as on a flow's stencil: only A itself can
-                # hold these points, and it keeps its own scalars
+        flat, rho, parts = z.ravel(), np.ravel(rho), []
+        for k in range(0, max(flat.size, 1), LOCATE_CHUNK):
+            zc, rc = flat[k : k + LOCATE_CHUNK], rho[k : k + LOCATE_CHUNK]
+            if rc.max(initial=0.0) < self._clear:
+                # nothing to reduce, as on a flow's stencil: only A can hold these points
                 piece = self._identity
                 on = piece.contains(zc)
             else:
-                idx = self._locate(zc, rho)
-                on = idx >= 0
-                cplx, real = (table.take(idx[on], 1) for table in (self._complex, self._real))
-                held = CorrectedHamiltonian._stacked(cplx, real).contains(zc[on])
-                piece = CorrectedHamiltonian._stacked(cplx[:, held], real[:, held])
-                on[on] = held
-            zs = zc[on]
-            vals = piece._jet_on(zs) if jet else (piece._value_on(zs),)
-            for out, v in zip(outs, vals):
-                out[chunk][on] = v
+                idx = self._locate(zc, rc)
+                cols = np.where(idx >= 0, idx, self._origin)
+                piece = CorrectedHamiltonian._stacked(self._complex.take(cols, 1), self._real.take(cols, 1))
+                on = (idx >= 0) & piece.contains(zc)
+            parts.append(piece._jet_on(zc, on) if jet else (piece._value_on(zc, on),))
+        outs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         return tuple(out.reshape(z.shape) for out in outs)
 
     def value_complex(self, z):
-        return self._evaluate(z, jet=False)[0]
+        return self._evaluate(z, np.abs(z), jet=False)[0]
 
     def jet_complex(self, z):
         """(H, H_x + i H_y) from one location and one pull-back."""
-        return self._evaluate(z, jet=True)
+        return self._evaluate(z, np.abs(z), jet=True)
 
     def value(self, pts):
         return self.value_complex(_complex_points(pts))
@@ -767,7 +765,7 @@ def assemble_Hv(
 
 
 class Mollifier:
-    """Radial cutoff exp(-eps * tan(pi |z| / 2)^2), zero outside the disk."""
+    """Radial cutoff exp(-eps * tan(pi |z| / 2)^2), zero outside the disk (run there at rho = 0)."""
 
     def __init__(self, eps: float):
         if eps <= 0:
@@ -775,35 +773,29 @@ class Mollifier:
         self.eps = float(eps)
 
     def _radial(self, rho):
-        """The mask rho < 1, y = tan(pi rho / 2) and eta on it."""
+        """The mask rho < 1, y = tan(pi rho / 2) and eta (0 off the mask)."""
         inside = rho < 1.0
-        y = np.tan(0.5 * math.pi * rho[inside])
-        return inside, y, np.exp(-self.eps * y * y)
+        y = np.tan(0.5 * math.pi * np.where(inside, rho, 0.0))
+        return inside, y, np.where(inside, np.exp(-self.eps * y * y), 0.0)
 
     def value_radial(self, rho):
-        rho = np.asarray(rho, float)
-        out = np.zeros(rho.shape)
-        inside, _, eta = self._radial(rho)
-        out[inside] = eta
-        return out
+        return self._radial(np.asarray(rho, float))[2]
 
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
-        return self.value_radial(np.hypot(pts[:, 0], pts[:, 1]))
+        return self.value_radial(np.hypot(pts[..., 0], pts[..., 1]))
 
     def jet(self, pts):
-        """(eta, grad eta) from one tan; the gradient is zero at the origin."""
+        """(eta, grad eta) at points (..., 2) from one tan; zero gradient at 0."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        val, grad = np.zeros(rho.shape), np.zeros_like(pts)
+        return self._jet(pts, np.hypot(pts[..., 0], pts[..., 1]))
+
+    def _jet(self, pts, rho):
+        """``jet`` at points of known radius rho = hypot(x, y)."""
         inside, y, eta = self._radial(rho)
-        val[inside] = eta
-        off = rho[inside] > 0.0
-        rows = np.flatnonzero(inside)[off]
-        y, eta = y[off], eta[off]
         drad = eta * (-self.eps) * 2.0 * y * (1.0 + y * y) * (0.5 * math.pi)
-        grad[rows] = drad[:, None] * (pts[rows] / rho[rows][:, None])
-        return val, grad
+        off = inside & (rho > 0.0)
+        return eta, np.where(off[..., None], drad[..., None] * (pts / np.where(off, rho, 1.0)[..., None]), 0.0)
 
     def gradient(self, pts):
         return self.jet(pts)[1]
@@ -811,16 +803,19 @@ class Mollifier:
 
 def smooth_Hv(assembled: AssembledHamiltonian, eps: float) -> HamiltonianField:
     """Pointwise product with the mollifier; its jet applies the product rule
-    to the jets of both factors."""
+    to the jets of both factors, which share one radius rho = hypot(x, y):
+    the mollifier's, and the one the assembly's point location tests."""
     eta = Mollifier(eps)
 
     def value(pts):
         return eta.value(pts) * assembled.value(pts)
 
     def jet(pts):
-        ev, eg = eta.jet(pts)
-        hv, hg = assembled.jet(pts)
-        return ev * hv, ev[:, None] * hg + hv[:, None] * eg
+        x, y = pts[:, 0], pts[:, 1]
+        rho = np.hypot(x, y)
+        ev, eg = eta._jet(pts, rho)
+        hv, hg = assembled._evaluate(x + 1j * y, rho, jet=True)
+        return ev * hv, ev[:, None] * _plane_vectors(hg) + hv[:, None] * eg
 
     return HamiltonianField(value, jet)
 

@@ -74,9 +74,13 @@ class TwistProfile:
         return self._masked(u, inside, self._dh(ui, phi))
 
     def jet(self, t):
-        """(h(t), h'(t)) from one exp."""
-        u, inside, wi, ui, phi = self._bump(t)
-        return self._masked(u, inside, self._h(wi, ui, phi)), self._masked(u, inside, self._dh(ui, phi))
+        """(h(t), h'(t)) from one exp, at every t: off the bump u is fed 0, so no
+        t raises, h is +0 there as the mask would set it, and h' is set to 0."""
+        u = (np.asarray(t, float) - self.b) / self.width
+        inside = np.abs(u) < 1.0
+        u = np.where(inside, u, 0.0)
+        phi = np.exp(-1.0 / (1.0 - u * u))
+        return self._h(self.width, u, phi), np.where(inside, self._dh(u, phi), 0.0)
 
     def sup_abs(self) -> float:
         """max |h|, at |u| = (sqrt 6 - sqrt 2)/2 where dh vanishes: (1 - u^2)^2 = 2 u^2."""

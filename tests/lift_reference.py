@@ -106,7 +106,7 @@ def piece_loop(assembled, z, jet=False):
             break
         mask = todo & piece.contains(z)
         if mask.any():
-            vals = piece._jet_on(z[mask]) if jet else (piece._value_on(z[mask]),)
+            vals = piece._jet_on(z[mask], True) if jet else (piece._value_on(z[mask], True),)
             for out, v in zip(outs, vals):
                 out[mask] = v
             todo &= ~mask

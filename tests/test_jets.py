@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raagham.flows import flow_map, polydisk_extend
+from raagham.flows import HamiltonianField, flow_map, polydisk_extend
 from raagham.lift import (
     Mollifier,
     assemble_Hv,
@@ -185,3 +185,46 @@ def test_fused_ring_flow_matches_oracle_flow():
     assert same(fused.final, oracle.final)
     assert (fused.iterations, fused.max_iterations) == (oracle.iterations, oracle.max_iterations)
     assert fused.energy_drift == oracle.energy_drift
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_maskless_jets_raise_nothing_at_the_edges(depth):
+    """Every row runs the mollifier and piece arithmetic, and the rows off the
+    disk, off a translate or off its bump run it on harmless inputs: on the
+    edge points (the origin, |z| >= 1, far points, translate boundary
+    circles, a subnormal and a huge point) and on their slice points no
+    division by zero, overflow or invalid operation occurs, and the jets
+    equal the oracles bit for bit.  Underflow stays allowed: exp(-eps tan^2)
+    and the bump's exp underflow to their exact limit 0 near the disk's and
+    the bumps' edges, as they did when only the rows on them were computed."""
+    asm, edges = ASSEMBLED[depth], np.concatenate([EDGES, [[0.0, 5e-324], [1e300, -1e300]]])
+    for eps in (1e-3, 1e-2, 0.1, 1.0):
+        f, oracle = smooth_Hv(asm, eps), smoothed_field(asm, eps)
+        with np.errstate(all="raise", under="ignore"):
+            val, grad = f.jet(edges)
+        assert same(val, oracle.value(edges)) and same(grad, oracle.gradient(edges))
+        for n in (2, 3, 4):
+            pd = polydisk_extend(f, n)
+            pts = pd.embed_slice(edges)
+            with np.errstate(all="raise", under="ignore"):
+                val, grad = pd.jet(pts)
+            assert same(val, oracle.value(edges)) and same(grad, polydisk_gradient(pd, pts))
+
+
+def polydisk_slice_points():
+    """The polydisk verb's 8 slice points at its default seed 0."""
+    return ANNULUS.sample_points(100, np.random.default_rng(0))[:8]
+
+
+def test_fused_polydisk_flow_matches_oracle_flow():
+    """The polydisk verb's 6-D flow (n = 3, N = 2, 60 steps, its default eps
+    0.1 and 8 seed-0 slice points) flows to the same bits, with the same
+    Newton counts, under the fused field and under the factorwise oracle
+    field over the oracle smoothed field."""
+    fused = polydisk_extend(smooth_Hv(ASSEMBLED[2], 0.1), 3)
+    pd = polydisk_extend(smoothed_field(ASSEMBLED[2], 0.1), 3)
+    oracle = HamiltonianField(pd.value, lambda pts: (pd.value(pts), polydisk_gradient(pd, pts)))
+    pts = fused.embed_slice(polydisk_slice_points())
+    got, want = flow_map(fused, pts, T=2.0, steps=60), flow_map(oracle, pts, T=2.0, steps=60)
+    assert same(got.final, want.final)
+    assert (got.iterations, got.max_iterations, got.points) == (want.iterations, want.max_iterations, want.points)
