@@ -62,7 +62,7 @@ class HamiltonianField:
         return self.jet(pts)[1]
 
     def vector_field(self, pts):
-        g = self.gradient(pts)
+        g = self.jet(pts)[1]
         out = np.empty_like(g)
         out[:, 0::2], out[:, 1::2] = g[:, 1::2], -g[:, 0::2]
         return out
@@ -82,13 +82,13 @@ def _midpoint_step(field, z, h, start, eye, shifts):
     """Solve y = z + h X((z + y)/2) row by row from y = z + start; return
     (image, field calls, points evaluated).
 
-    Newton on F(y) = y - z - h X(m), m = (z + y)/2.  Each iteration makes
-    one field call on the stack [m; m + FD_STEP e_1; ...; m + FD_STEP e_d]
-    (eye is I and shifts the (d, 1, d) array of FD_STEP e_j, both made once
-    per flow), which gives X(m) and a forward-difference DX, and the active
-    rows solve (I - h DX / 2) dy = F.  A row is accepted once max|F| <
-    NEWTON_TOL and returns z + h X(m); it then leaves the active set, so its
-    result depends on its own coordinates alone.
+    Newton on F(y) = y - z - h X(m), m = (z + y)/2.  One field call per
+    iteration on m + shifts = [m; m + FD_STEP e_1; ...], one broadcast sum
+    (shifts is (d + 1, 1, d) with first row 0; it and eye = I are made once
+    per flow), gives X(m) and a forward-difference DX, and the active rows
+    solve (I - h DX / 2) dy = F.  A row is accepted once max|F| < NEWTON_TOL
+    and returns z + h X(m); it then leaves the active set, so its result
+    depends on its own coordinates alone.
     """
     n, d = z.shape
     scale = 0.5 * h / FD_STEP
@@ -96,10 +96,7 @@ def _midpoint_step(field, z, h, start, eye, shifts):
     zr, y = z, z + start
     points = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        m = 0.5 * (zr + y)
-        stack = np.empty((d + 1,) + m.shape)
-        stack[:] = m
-        stack[1:] += shifts
+        stack = 0.5 * (zr + y) + shifts
         points += stack.shape[0] * stack.shape[1]
         X = field.vector_field(stack.reshape(-1, d)).reshape(stack.shape)
         image = zr + h * X[0]
@@ -122,31 +119,27 @@ def _midpoint_step(field, z, h, start, eye, shifts):
         # I - h DX / 2, with DX[i, :, j] = (X(m + FD_STEP e_j) - X(m))[i] / FD_STEP
         A = eye - scale * (X[1:] - X[0]).transpose(1, 2, 0)
         y = y - np.linalg.solve(A, F[..., None])[..., 0]
-    raise IntegrationError(
-        f"implicit midpoint stage did not converge in {NEWTON_MAX_ITER} Newton "
-        f"iterations (worst residual {res.max():.2e})"
-    )
+    raise IntegrationError(f"implicit midpoint stage did not converge in {NEWTON_MAX_ITER} Newton "
+                           f"iterations (worst residual {res.max():.2e})")
 
 
 def _turned(inc, prev):
     """The increment inc turned once more by the turn from prev to inc, per
-    row and coordinate pair: inc * rho with rho = inc / prev as complex
-    numbers (x + iy), and rho = 1 where prev is 0 or |rho - 1| >= 1/2.
+    row and coordinate pair: inc * rho with rho = inc / prev on the complex
+    views x + iy of both, and rho = 1 where prev is 0 or |rho - 1| >= 1/2.
 
     Implicit midpoint maps a circle orbit of a rotation-invariant field by
     an exact rotation, so there rho is the same every step and inc * rho is
     the next increment.  Every operation is elementwise, so a row's start
     depends on its own history alone.
     """
-    c = inc[:, 0::2] + 1j * inc[:, 1::2]
-    p = prev[:, 0::2] + 1j * prev[:, 1::2]
+    c, p = inc.view(complex), prev.view(complex)
     # |rho - 1| < 1/2 needs |inc| < 3/2 |prev|; dividing only there cannot
     # overflow, and a row at rest (prev = inc = 0) never divides
     rho = np.ones_like(c)
     np.divide(c, p, out=rho, where=np.abs(c) < 1.5 * np.abs(p))
     rho[np.abs(rho - 1) >= 0.5] = 1
-    c = c * rho
-    return np.stack([c.real, c.imag], -1).reshape(inc.shape)
+    return (c * rho).view(float)
 
 
 def flow_map(field, z0, T: float, steps: int = 1000) -> FlowResult:
@@ -173,7 +166,7 @@ def flow_map(field, z0, T: float, steps: int = 1000) -> FlowResult:
     H0 = field.value(z)
     start = np.zeros_like(z)
     eye = np.eye(z.shape[1])
-    shifts = FD_STEP * eye[:, None, :]
+    shifts = FD_STEP * np.eye(z.shape[1] + 1, z.shape[1], -1)[:, None, :]
     inc = None
     iterations = max_iterations = points = 0
     for _ in range(steps):
@@ -185,15 +178,7 @@ def flow_map(field, z0, T: float, steps: int = 1000) -> FlowResult:
         max_iterations = max(max_iterations, calls)
         points += evaluated
     drift = float(np.abs(field.value(z) - H0).max())
-    final = z[0] if single else z
-    return FlowResult(
-        final=final,
-        energy_drift=drift,
-        steps=steps,
-        iterations=iterations,
-        max_iterations=max_iterations,
-        points=points,
-    )
+    return FlowResult(z[0] if single else z, drift, steps, iterations, max_iterations, points)
 
 
 # ------------------------- applying representations -------------------------

@@ -269,22 +269,20 @@ class TransportChart:
 
     # radial leg -------------------------------------------------------------
 
-    def _image_radius(self, r):
-        """R(r), the radius of the image of |w - c| = r, and dR/dr."""
-        qr2 = self._q * r * r
-        den = self._D - qr2
-        return r / den, (self._D + qr2) / den**2
-
-    def _t_of_R(self, R):
-        return math.pi * (R * R - self._R2_inner) / self.mass - 0.5
+    @staticmethod
+    def _t_jet(r, q, D, R2_inner, mass):
+        """(t(r), dt/dr) from R(r) = r / (D - q r^2), the radius of the image
+        of |w - c| = r; the constants may be arrays broadcasting against r."""
+        qr2 = q * r * r
+        den = D - qr2
+        R = r / den
+        return math.pi * (R * R - R2_inner) / mass - 0.5, TWO_PI * R * ((D + qr2) / den**2) / mass
 
     def t_of_r(self, r):
-        return self._t_of_R(self._image_radius(np.asarray(r, float))[0])
+        return self.t_jet(r)[0]
 
     def t_jet(self, r):
-        """(t(r), dt/dr) from one image radius."""
-        R, dR = self._image_radius(np.asarray(r, float))
-        return self._t_of_R(R), TWO_PI * R * dR / self.mass
+        return self._t_jet(np.asarray(r, float), self._q, self._D, self._R2_inner, self.mass)
 
     def r_of_t(self, t):
         t = np.clip(np.atleast_1d(np.asarray(t, float)), -0.5, 0.5)
@@ -434,8 +432,8 @@ class CorrectedHamiltonian:
     lambda^2 is the chart's closed-form mass, the image-disk area difference
     (``lambda_scale`` is the quadrature oracle).  A piece is one column of
     ``constant_table``, built alone or viewed in its assembly's table
-    (``AssembledHamiltonian.pieces``); a translate is evaluated only through
-    its ``AssembledHamiltonian``, on its column of that table.
+    (``AssembledHamiltonian.pieces``); its assembly evaluates it, by
+    ``_jet_on`` and the functions beside it on the piece's ``_record``.
     """
 
     def __init__(self, element: GroupElement, annulus: RoundAnnulus):
@@ -445,15 +443,22 @@ class CorrectedHamiltonian:
     def _unpack(self, cplx, real):
         """The constants from the rows of a constant table: one column's
         Python scalars, or stacked columns (one per point, or broadcasting
-        against the points), on which ``contains``, ``_value_on``,
-        ``_jet_on``, ``_value_near`` and ``_tracked_preimages`` run unchanged
-        and give each point the bits of its own piece."""
-        ia, ib, _, self.outer_center, self.inner_center = cplx
-        *_, b, width, self.scale, self.outer_radius, self.inner_radius = real
+        against the points).  ``_record`` (a complex and a real tuple) is
+        every constant the arithmetic reads, with conj(alpha'), conj(beta') of
+        sigma^{-1} = (alpha', beta'), the image radii with their 1e-13 slack
+        and 2 pi e w derived once.  An assembly's identity piece holds it as
+        0-d arrays (cheaper NumPy operands than Python numbers, same bits)
+        and its located branch as the columns taken for its points."""
+        ia, ib, c, oc, ic = cplx
+        q, D, R2_inner, mass, circle_radius, b, width, scale, orad, irad = real
+        self.outer_center, self.inner_center, self.outer_radius, self.inner_radius = oc, ic, orad, irad
         self.inv, self.chart = MobiusMap._pair(ia, ib), object.__new__(TransportChart)
         self.chart._unpack(cplx, real)
-        self.lambda2, self.b = self.chart.mass, b
+        self.lambda2, self.b, self.scale = mass, b, scale
         self.profile = TwistProfile(0.5, b, width)
+        hw = TWO_PI * math.e * width
+        self._record = (oc, ic, ia, ib, ia.conjugate(), ib.conjugate(), c), (
+            orad + 1e-13, irad - 1e-13, circle_radius, q, D, R2_inner, mass, b, width, hw, scale)
 
     def _name(self, element, annulus):
         self.element, self.annulus = element, annulus
@@ -470,37 +475,7 @@ class CorrectedHamiltonian:
         return self.scale * self.profile.sup_abs()
 
     def contains(self, z):
-        z = np.asarray(z, complex)
-        return (np.abs(z - self.outer_center) <= self.outer_radius + 1e-13) & (
-            np.abs(z - self.inner_center) >= self.inner_radius - 1e-13
-        )
-
-    def _pull_back(self, z, on):
-        """rel = w - c for w = sigma^{-1}(z), r = |rel| (the tracked circle's radius
-        where on fails) and g = conj(beta') z + conj(alpha') for sigma^{-1} =
-        (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
-        alpha, beta = self.inv.alpha, self.inv.beta
-        g = beta.conjugate() * z + alpha.conjugate()
-        rel = (alpha * z + beta) / g - self.chart.c
-        return rel, np.where(on, np.abs(rel), self.chart.circle_radius), g
-
-    @staticmethod
-    def _height(t, on):
-        """t clipped to [-1/2, 1/2] where on holds, else 1: off every bump."""
-        return np.where(on, np.minimum(np.maximum(t, -0.5), 0.5), 1.0)
-
-    def _value_on(self, z, on):
-        """H at every point, zero where on (the support test) fails."""
-        return self.scale * self.profile.h(self._height(self.chart.t_of_r(self._pull_back(z, on)[1]), on))
-
-    def _jet_on(self, z, on):
-        """(H, complex gradient H_x + i H_y) at every point from one pull-back,
-        zero where on fails; the gradient is the chain rule through sigma^{-1}."""
-        rel, r, g = self._pull_back(z, on)
-        t, dt_dr = self.chart.t_jet(r)
-        h, dh = self.profile.jet(self._height(t, on))
-        gw = self.scale * dh * dt_dr * rel
-        return self.scale * h, np.where(on, gw / (r * np.conj(g * g)), 0.0)
+        return _contains(self._record, np.asarray(z, complex))
 
     def _value_near(self, w, d):
         """H at sigma(w) + d for offsets that keep the point on the translate
@@ -510,11 +485,46 @@ class CorrectedHamiltonian:
         sigma = self.inv.inverse()
         G = sigma.beta.conjugate() * w + sigma.alpha.conjugate()
         pre = w + d * G * G / (1.0 - sigma.beta.conjugate() * G * d)
-        return self.scale * self.profile.h(self._height(self.chart.t_of_r(np.abs(pre - self.chart.c)), True))
+        return _value_at(self._record, np.abs(pre - self.chart.c), True)
 
     def _tracked_preimages(self, n):
         ang = np.arange(n) * TWO_PI / n + 0.05
         return self.chart.c + self.chart.circle_radius * np.exp(1j * ang)
+
+
+def _contains(rec, z):
+    """The support test: z in the closed translate, 1e-13 slack on both circles."""
+    cplx, real = rec
+    return (np.abs(z - cplx[0]) <= real[0]) & (np.abs(z - cplx[1]) >= real[1])
+
+
+def _pull_back(rec, z, on):
+    """rel = w - c for w = sigma^{-1}(z), r = |rel| (the tracked circle's radius
+    where on fails) and g = conj(beta') z + conj(alpha') for sigma^{-1} =
+    (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
+    (_, _, alpha, beta, alpha_c, beta_c, c), (_, _, circle_radius, *_) = rec
+    g = beta_c * z + alpha_c
+    rel = (alpha * z + beta) / g - c
+    return rel, np.where(on, np.abs(rel), circle_radius), g
+
+
+def _value_at(rec, r, on):
+    """H at pull-backs at radius r about c: at height t clipped to [-1/2, 1/2], 1 (no bump) where on fails."""
+    *_, q, D, R2_inner, mass, b, width, _, scale = rec[1]
+    t = TransportChart._t_jet(r, q, D, R2_inner, mass)[0]
+    return scale * TwistProfile(0.5, b, width).h(np.where(on, np.minimum(np.maximum(t, -0.5), 0.5), 1.0))
+
+
+def _jet_on(rec, z, on):
+    """(H, complex gradient H_x + i H_y) at every point from one pull-back, zero
+    where on fails, by the kernels of ``TransportChart.t_jet`` and
+    ``TwistProfile.jet``; the gradient is the chain rule through sigma^{-1}."""
+    *_, q, D, R2_inner, mass, b, width, hw, scale = rec[1]
+    rel, r, g = _pull_back(rec, z, on)
+    t, dt_dr = TransportChart._t_jet(r, q, D, R2_inner, mass)
+    h, dh = TwistProfile._jet(np.where(on, np.minimum(np.maximum(t, -0.5), 0.5), 1.0), b, width, hw)
+    gw = scale * dh * dt_dr * rel
+    return scale * h, np.where(on, gw / (r * np.conj(g * g)), 0.0)
 
 
 # points per chunk of point location
@@ -581,8 +591,7 @@ class _Pieces(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        piece = object.__new__(CorrectedHamiltonian)
-        piece._unpack(self._complex[:, k].tolist(), self._real[:, k].tolist())
+        piece = CorrectedHamiltonian._stacked(self._complex[:, k].tolist(), self._real[:, k].tolist())
         piece._name(self._elements[k], self._annulus)
         return piece
 
@@ -616,6 +625,7 @@ class AssembledHamiltonian:
         # one row per constant and one column per piece: a gather is one take per dtype
         self._complex, self._real = constant_table([el.map for el in self.elements], annulus)
         self.all_pieces = every = CorrectedHamiltonian._stacked(self._complex, self._real)
+        self._records = [np.array(part) for part in every._record]
         self.lengths = np.array([len(el.word) for el in self.elements])
         self.pieces = _Pieces(self.elements, annulus, self._complex, self._real)
         _check_disjoint(every.outer_center, every.outer_radius, every.inner_center, every.inner_radius)
@@ -659,7 +669,7 @@ class AssembledHamiltonian:
         # its points need no reduction
         self._clear = min([abs(c) - r for c, r in disks.values()] + [1.0])
         self._origin = first[()]
-        self._identity = self.pieces[self._origin]
+        self._identity = tuple(tuple(map(np.asarray, t[:, self._origin].tolist())) for t in self._records)
         # reducing by letter l applies l^-1
         self._reduce = np.array([[g.alpha.conjugate() for g in maps], [-g.beta for g in maps]], complex)
         self._digits = np.array(letters, np.intp) + 1
@@ -697,30 +707,28 @@ class AssembledHamiltonian:
         piece located for it when that piece contains it; zero elsewhere.  Every
         point of a chunk runs its piece's arithmetic, a point no piece holds that
         of A itself, and the support test selects the results: no gather or
-        scatter.  Chunks keep temporaries a few thousand long."""
-        z = np.atleast_1d(np.asarray(z, complex))
-        flat, rho, parts = z.ravel(), np.ravel(rho), []
-        for k in range(0, max(flat.size, 1), LOCATE_CHUNK):
-            zc, rc = flat[k : k + LOCATE_CHUNK], rho[k : k + LOCATE_CHUNK]
-            if rc.max(initial=0.0) < self._clear:
-                # nothing to reduce, as on a flow's stencil: only A can hold these points
-                piece = self._identity
-                on = piece.contains(zc)
-            else:
-                idx = self._locate(zc, rc)
-                cols = np.where(idx >= 0, idx, self._origin)
-                piece = CorrectedHamiltonian._stacked(self._complex.take(cols, 1), self._real.take(cols, 1))
-                on = (idx >= 0) & piece.contains(zc)
-            parts.append(piece._jet_on(zc, on) if jet else (piece._value_on(zc, on),))
-        outs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        return tuple(out.reshape(z.shape) for out in outs)
+        scatter.  A chunk is 1-D, of at most LOCATE_CHUNK points."""
+        if z.ndim != 1 or z.size > LOCATE_CHUNK:
+            flat, rho, n = z.ravel(), np.ravel(rho), LOCATE_CHUNK
+            parts = [self._evaluate(flat[k : k + n], rho[k : k + n], jet) for k in range(0, max(z.size, 1), n)]
+            return tuple(np.concatenate(out).reshape(z.shape) for out in zip(*parts))
+        if rho.max(initial=0.0) < self._clear:
+            # nothing to reduce, as on a flow's stencil: only A can hold these points
+            rec = self._identity
+            on = _contains(rec, z)
+        else:
+            idx = self._locate(z, rho)
+            cols = np.where(idx >= 0, idx, self._origin)
+            rec = tuple(tuple(t.take(cols, 1)) for t in self._records)
+            on = (idx >= 0) & _contains(rec, z)
+        return _jet_on(rec, z, on) if jet else (_value_at(rec, _pull_back(rec, z, on)[1], on),)
 
     def value_complex(self, z):
-        return self._evaluate(z, np.abs(z), jet=False)[0]
+        return self._evaluate(np.asarray(z, complex), np.abs(z), jet=False)[0]
 
     def jet_complex(self, z):
         """(H, H_x + i H_y) from one location and one pull-back."""
-        return self._evaluate(z, np.abs(z), jet=True)
+        return self._evaluate(np.asarray(z, complex), np.abs(z), jet=True)
 
     def value(self, pts):
         return self.value_complex(_complex_points(pts))
@@ -765,18 +773,19 @@ def assemble_Hv(
 
 
 class Mollifier:
-    """Radial cutoff exp(-eps * tan(pi |z| / 2)^2), zero outside the disk (run there at rho = 0)."""
+    """Radial cutoff exp(-eps * tan(pi |z| / 2)^2), zero outside the disk (run there at rho = 0).
+    eps must be finite and positive (a ValueError otherwise); -eps is kept as a 0-d array."""
 
     def __init__(self, eps: float):
-        if eps <= 0:
-            raise ValueError("mollifier parameter eps must be positive")
-        self.eps = float(eps)
+        if not 0.0 < float(eps) < math.inf:
+            raise ValueError(f"mollifier parameter eps={eps} must be finite and positive")
+        self.eps, self._neg_eps = float(eps), np.array(-float(eps))
 
     def _radial(self, rho):
         """The mask rho < 1, y = tan(pi rho / 2) and eta (0 off the mask)."""
         inside = rho < 1.0
         y = np.tan(0.5 * math.pi * np.where(inside, rho, 0.0))
-        return inside, y, np.where(inside, np.exp(-self.eps * y * y), 0.0)
+        return inside, y, np.where(inside, np.exp(self._neg_eps * y * y), 0.0)
 
     def value_radial(self, rho):
         return self._radial(np.asarray(rho, float))[2]
@@ -793,7 +802,7 @@ class Mollifier:
     def _jet(self, pts, rho):
         """``jet`` at points of known radius rho = hypot(x, y)."""
         inside, y, eta = self._radial(rho)
-        drad = eta * (-self.eps) * 2.0 * y * (1.0 + y * y) * (0.5 * math.pi)
+        drad = eta * self._neg_eps * 2.0 * y * (1.0 + y * y) * (0.5 * math.pi)
         off = inside & (rho > 0.0)
         return eta, np.where(off[..., None], drad[..., None] * (pts / np.where(off, rho, 1.0)[..., None]), 0.0)
 

@@ -41,23 +41,21 @@ class TwistProfile:
     width: float
 
     def _bump(self, t):
-        """u = (t - b)/w, the mask |u| < 1, w and u on it and exp(-1/(1 - u^2))
-        there.  b and w may be arrays broadcasting against t: one profile per
-        point, as an assembly evaluates its pieces."""
+        """u = (t - b)/w, the mask |u| < 1, and on it w, u, u^2, 1 - u^2 and
+        exp(-1/(1 - u^2)).  b and w may be arrays broadcasting against t: one
+        profile per point, as an assembly evaluates its pieces."""
         t = np.asarray(t, float)
         u = (t - self.b) / self.width
         inside = np.abs(u) < 1.0
         ui = u[inside]
         wi = np.broadcast_to(self.width, u.shape)[inside] if np.ndim(self.width) else self.width
-        return u, inside, wi, ui, np.exp(-1.0 / (1.0 - ui * ui))
+        uu = ui * ui
+        one_m = 1.0 - uu
+        return u, inside, wi, ui, uu, one_m, np.exp(-1.0 / one_m)
 
     @staticmethod
-    def _h(wi, ui, phi):
-        return TWO_PI * math.e * wi * ui * phi
-
-    @staticmethod
-    def _dh(ui, phi):
-        return TWO_PI * math.e * phi * (1.0 - 2.0 * ui * ui / (1.0 - ui * ui) ** 2)
+    def _dh(uu, one_m, phi):
+        return TWO_PI * math.e * phi * (1.0 - 2.0 * uu / one_m**2)
 
     @staticmethod
     def _masked(u, inside, vals):
@@ -66,21 +64,28 @@ class TwistProfile:
         return out if out.ndim else float(out)
 
     def h(self, t):
-        u, inside, wi, ui, phi = self._bump(t)
-        return self._masked(u, inside, self._h(wi, ui, phi))
+        u, inside, wi, ui, _, _, phi = self._bump(t)
+        return self._masked(u, inside, TWO_PI * math.e * wi * ui * phi)
 
     def dh(self, t):
-        u, inside, _, ui, phi = self._bump(t)
-        return self._masked(u, inside, self._dh(ui, phi))
+        u, inside, _, _, uu, one_m, phi = self._bump(t)
+        return self._masked(u, inside, self._dh(uu, one_m, phi))
 
     def jet(self, t):
-        """(h(t), h'(t)) from one exp, at every t: off the bump u is fed 0, so no
-        t raises, h is +0 there as the mask would set it, and h' is set to 0."""
-        u = (np.asarray(t, float) - self.b) / self.width
+        return self._jet(np.asarray(t, float), self.b, self.width, TWO_PI * math.e * self.width)
+
+    @staticmethod
+    def _jet(t, b, width, hw):
+        """(h(t), h'(t)) of the bump at b of width w, hw = 2 pi e w (numbers or
+        arrays broadcasting against t), from one exp at every t: off the bump u
+        is fed 0, so no t raises, h is +0 there as the mask sets it, h' is 0."""
+        u = (t - b) / width
         inside = np.abs(u) < 1.0
         u = np.where(inside, u, 0.0)
-        phi = np.exp(-1.0 / (1.0 - u * u))
-        return self._h(self.width, u, phi), np.where(inside, self._dh(u, phi), 0.0)
+        uu = u * u
+        one_m = 1.0 - uu
+        phi = np.exp(-1.0 / one_m)
+        return hw * u * phi, np.where(inside, TwistProfile._dh(uu, one_m, phi), 0.0)
 
     def sup_abs(self) -> float:
         """max |h|, at |u| = (sqrt 6 - sqrt 2)/2 where dh vanishes: (1 - u^2)^2 = 2 u^2."""

@@ -6,6 +6,10 @@ change over the whole batch is below tol.  ``reference_jacobian_probe``
 makes one ``apply`` call per offset batch (8 in all).  The package's Newton
 stage and batched probe are checked against these.
 
+``stacked_turned`` is the turned Newton start as ``flows._turned`` built
+it before it read the increments through complex views: each pair
+assembled as x + 1j * y and the turned pairs stacked back.
+
 ``integrated_rep_apply`` is the integrated route of a word: it flows each
 cover letter's generating Hamiltonian ``twist_hamiltonian`` for time N*e,
 so it is only as accurate as the integrator; the closed route
@@ -37,6 +41,18 @@ def fixed_point_flow(field, z0, T, steps, tol=1e-12, max_iter=50):
             )
         z = y
     return z[0] if np.asarray(z0).ndim == 1 else z
+
+
+def stacked_turned(inc, prev):
+    """inc * rho per row and coordinate pair, rho = inc / prev as complex
+    numbers, and rho = 1 where prev is 0 or |rho - 1| >= 1/2."""
+    c = inc[:, 0::2] + 1j * inc[:, 1::2]
+    p = prev[:, 0::2] + 1j * prev[:, 1::2]
+    rho = np.ones_like(c)
+    np.divide(c, p, out=rho, where=np.abs(c) < 1.5 * np.abs(p))
+    rho[np.abs(rho - 1) >= 0.5] = 1
+    c = c * rho
+    return np.stack([c.real, c.imag], -1).reshape(inc.shape)
 
 
 def _central_jacobian(apply, pts, step):

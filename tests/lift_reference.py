@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from raagham.flows import HamiltonianField
-from raagham.lift import TWO_PI, Mollifier
+from raagham.lift import TWO_PI, Mollifier, _jet_on, _pull_back, _value_at
 from raagham.twist import make_profile
 
 
@@ -106,7 +106,8 @@ def piece_loop(assembled, z, jet=False):
             break
         mask = todo & piece.contains(z)
         if mask.any():
-            vals = piece._jet_on(z[mask], True) if jet else (piece._value_on(z[mask], True),)
+            zm, rec = z[mask], piece._record
+            vals = _jet_on(rec, zm, True) if jet else (_value_at(rec, _pull_back(rec, zm, True)[1], True),)
             for out, v in zip(outs, vals):
                 out[mask] = v
             todo &= ~mask

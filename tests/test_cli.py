@@ -202,6 +202,17 @@ class TestCommands:
         assert err == f"invalid input: steps={steps} must be at least 1\n"
         assert not (workdir / "pd").exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize("verb", ["smooth-study", "polydisk"])
+    def test_non_finite_eps_is_invalid(self, workdir, capsys, verb, eps):
+        # a NaN eps is not <= 0: smooth-study wrote a nan row and exited 1, and
+        # polydisk --eps inf failed as a solver error (exit 4)
+        extra = ["--depth", "2", "--eps", eps, "0.1"] if verb == "smooth-study" else ["--eps", eps]
+        assert main([verb, *extra, "--out", "bad"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"invalid input: mollifier parameter eps={eps} must be finite and positive\n"
+        assert not (workdir / "bad").exists()
+
     @pytest.mark.parametrize("verb", ["smooth-study", "lambda-decay"])
     def test_negative_depth_is_invalid(self, workdir, capsys, verb):
         assert main([verb, "--depth", "-2", "--out", "neg"]) == EXIT_INVALID

@@ -41,7 +41,7 @@ from raagham.words import (
     normal_form,
     word_from_tokens,
 )
-from flow_reference import fixed_point_flow, integrated_rep_apply, reference_jacobian_probe
+from flow_reference import fixed_point_flow, integrated_rep_apply, reference_jacobian_probe, stacked_turned
 from twist_reference import probe_points, reference_fold, reference_twist
 
 
@@ -135,6 +135,39 @@ class TestFlowMap:
         assert np.array_equal(batch.final[1, 2:], pts[1, 2:])
         assert np.abs(batch.final[1:, :2] - [[-1.0, 0.0], [-0.5, 0.0]]).max() < 1e-2
         assert np.array_equal(batch.final, np.array(rows))
+
+
+def turn_cases(d, rng):
+    """(inc, prev) pairs of increments in R^d, pair by pair: turns with
+    |rho - 1| < 1/2, turns beyond it, pairs at rest (prev = inc = 0), prev 0
+    beside a moving inc, exact and signed zero coordinates, and magnitudes
+    from 1e-300 to 1e300 (each row one scale)."""
+    n, k = 600, d // 2
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+    p = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) * scale
+    angle = rng.choice([0.05, 0.4, 1.0, 2.5], (n, k)) * rng.uniform(-1.0, 1.0, (n, k))
+    c = p * rng.uniform(0.3, 1.8, (n, k)) * np.exp(1j * angle)
+    rest = rng.random((n, k)) < 0.05
+    c[rest] = p[rest] = 0.0
+    p[:, 0][rng.random(n) < 0.05] = 0.0
+    inc, prev = c.view(float).reshape(n, d).copy(), p.view(float).reshape(n, d).copy()
+    for a in (inc, prev):  # exact zeros of both signs in single coordinates
+        hit = rng.random(a.shape) < 0.08
+        a[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return inc, prev
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_turned_equals_stacked_reference(d):
+    """The turn on complex views equals the stacked oracle as numbers.  The
+    bits may differ only in the sign of an exact zero: x + 1j * y adds a
+    signed 0 to each part and the stacked product rounds through -0 + 0,
+    where the views read and write the coordinates as they are."""
+    inc, prev = turn_cases(d, np.random.default_rng(d))
+    got, want = flows._turned(inc, prev), stacked_turned(inc, prev)
+    assert got.shape == want.shape == inc.shape and np.array_equal(got, want)
+    signs = got.view(np.int64) != want.view(np.int64)
+    assert not got[signs].any()
 
 
 def nan_field(radius):

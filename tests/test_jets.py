@@ -60,6 +60,18 @@ EDGES = np.concatenate(
     ]
 )
 
+# points inside the disk that needs no point location, so an assembly runs them
+# on its identity piece's record of 0-d constants: zero coordinates of both
+# signs, subnormals, and the study annulus's boundary circles r = 0.35 and 0.55
+_CIRCLES = np.exp(1j * np.arange(8) * TWO_PI / 8)[:, None] * [ANNULUS.r_inner, ANNULUS.r_outer]
+INNER = np.concatenate(
+    [
+        [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.45], [0.45, -0.0], [-0.0, -0.45]],
+        [[5e-324, 0.0], [-0.0, -5e-324], [0.45, 5e-324], [0.35, 0.0], [0.0, 0.55], [-0.55, -0.0], [-0.0, -0.35]],
+        np.stack([_CIRCLES.real.ravel(), _CIRCLES.imag.ravel()], -1),
+    ]
+)
+
 plane_points = st.lists(
     st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)), min_size=1, max_size=12
 )
@@ -119,11 +131,11 @@ def test_mollifier_jet_is_value_and_gradient(eps, free):
 @FEW
 @given(st.integers(0, 3), st.floats(1e-3, 1.0), translate_points(), plane_points)
 def test_smoothed_jet_matches_the_product_rule_oracle(depth, eps, on, free):
-    asm, pts = ASSEMBLED[depth], with_edges(np.concatenate([on, free]))
-    f = smooth_Hv(asm, eps)
-    val, grad = f.jet(pts)
-    assert same(val, f.value(pts)) and same(grad, f.gradient(pts))
-    assert same(grad, smoothed_gradient(asm, Mollifier(eps), pts))
+    asm, f = ASSEMBLED[depth], smooth_Hv(ASSEMBLED[depth], eps)
+    for pts in (with_edges(np.concatenate([on, free])), INNER):
+        val, grad = f.jet(pts)
+        assert same(val, f.value(pts)) and same(grad, f.gradient(pts))
+        assert same(grad, smoothed_gradient(asm, Mollifier(eps), pts))
 
 
 @FEW

@@ -33,7 +33,7 @@ from raagham.lift import (
 from raagham.twist import RoundAnnulus
 import lift_reference
 from lift_reference import free_group_count, piece_loop
-from test_jets import same
+from test_jets import INNER, same
 
 IDENT = GroupElement((), MobiusMap.identity())
 
@@ -574,7 +574,10 @@ class TestPointLocation:
     @pytest.mark.parametrize("depth, annulus", [(d, None) for d in range(7)] + [(2, WIDE), (4, WIDE)])
     def test_edges_match_piece_loop(self, depth, annulus):
         H = _schottky_assembly(depth, annulus)
-        _assert_located_is_loop(H, _edge_points(H))
+        # INNER alone runs on the identity piece's 0-d record, with the rest located
+        inner = INNER.view(complex).ravel()
+        _assert_located_is_loop(H, np.concatenate([_edge_points(H), inner]))
+        _assert_located_is_loop(H, inner)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 6), st.data())
