@@ -17,12 +17,16 @@ Group elements are SU(1,1) pairs (alpha, beta) for z -> (alpha z + beta) /
 (conj(beta) z + conj(alpha)): products, scales, image circles and charts
 stay free of cancellation at every word length.
 
-An assembly's constants (inverse map, image circles, chart, profile and
+An assembly's constants (image circles, inverse map, chart, profile and
 scale of every translate) are one table built in array passes over the
-pairs' columns (``constant_table``); a translate or chart built alone is a
-one-column call of it, and the assembly's translates are views of its
-columns.  Its disjointness check sweeps the translates sorted by their
-x-extents and tests only the pairs whose extents meet.
+pairs' columns (``constant_table``).  The table is the record the
+arithmetic reads, in the one layout it reads it: a translate or chart built
+alone is a one-column call of it, the assembly's translates are views of
+its columns, and a point's arithmetic runs on the columns taken for it.
+The chart of a translate is its area height t(r) alone, the one coordinate
+the corrected Hamiltonian reads.  The disjointness check sweeps the
+translates sorted by their x-extents and tests only the pairs whose extents
+meet.
 """
 
 from __future__ import annotations
@@ -48,16 +52,6 @@ class QuadratureError(RuntimeError):
 
 class RegionOverlapError(RuntimeError):
     pass
-
-
-class KeplerError(RuntimeError):
-    pass
-
-
-# Newton on Kepler's equation takes at most 6 steps for e <= 0.85 (every
-# depth-6 Schottky chart) and 12 for e = 0.999; the cap only bounds a failure
-KEPLER_MAX_ITER = 16
-KEPLER_TOL = 1e-14
 
 
 # ------------------------------ Mobius maps ---------------------------------
@@ -222,52 +216,28 @@ def lambda_scale(sigma, annulus: RoundAnnulus) -> float:
 
 
 class TransportChart:
-    """Measure transport from the annulus with the pulled-back form to a
-    product annulus S^1 x [-1/2, 1/2].
+    """The area height t(r) of the annulus under the pulled-back form: t is
+    the pulled-back mass inside |w - c| = r, normalized to [-1/2, 1/2].
 
-    Radius first: the height t matches the radial marginal of the density,
-    so circles about the annulus center go to horizontal circles; the angle
-    s then matches the conditional distribution at each radius (negated so
-    the chart preserves orientation, like the flat area chart).  The
-    pushforward of the normalized pulled-back form is exactly the normalized
-    product form.
-
-    Both legs are closed form in the pair (alpha, beta) of sigma, with
-    g = conj(beta) c + conj(alpha), q = |beta|^2 and D = |g|^2.  Radial: the
-    pulled-back mass inside |w - c| = r is the area pi R(r)^2 of the image
-    disk, R(r) = r / (D - q r^2), so ``mass`` (lambda^2) is the area between
-    the images of the boundary circles.  Angular: on |w - c| = r the density
-    is proportional to (A - B cos psi)^-2, where A = D + q r^2,
-    B = 2 r |beta| |g| and psi = arg(w - c) - arg(-beta g).  The circle
-    Mobius map phi = psi + 2 atan2(rho sin psi, 1 - rho cos psi),
-    rho = B / (A + sqrt(A^2 - B^2)) = r |beta| / |g|, turns it into
-    (1 + e cos phi) / 2 pi with e = B / A < 1 (the pole lies off the disk), so
-    the CDF from arg(w - c) = 0 is [K(phi) - K(phi_0)] / 2 pi with Kepler's
-    K(phi) = phi + e sin phi.  ``inverse`` solves Kepler's equation by Newton
-    and maps back with -rho.  Quadrature of ``_deriv_sq_polar`` is the oracle
-    of both legs (``lambda_scale`` for the mass).
-
-    The radial constants are one column of ``constant_table``; the angular
-    leg's two are computed where the leg runs.
+    A corrected Hamiltonian reads only this height, and its flow turns the
+    level set at height t once in time 2 pi / h'(t), so the chart needs no
+    angle.  It is closed form in the pair (alpha, beta) of sigma, with
+    g = conj(beta) c + conj(alpha), q = |beta|^2 and D = |g|^2: the mass
+    inside |w - c| = r is the area pi R(r)^2 of the image disk,
+    R(r) = r / (D - q r^2), so ``mass`` (lambda^2) is the area between the
+    images of the boundary circles (``lambda_scale`` is its quadrature
+    oracle).  ``b`` is the height of the tracked circle of radius
+    ``circle_radius``.  The constants are one column of ``constant_table``.
     """
 
     def __init__(self, annulus: RoundAnnulus, sigma):
         sigma = sigma.map if isinstance(sigma, GroupElement) else sigma
         self._unpack(*(table[:, 0].tolist() for table in constant_table([sigma], annulus)))
-        self.annulus, self.sigma = annulus, sigma
 
     def _unpack(self, cplx, real):
-        """The chart's constants from its rows of a constant table."""
-        self.c = cplx[2]
-        self._q, self._D, self._R2_inner, self.mass, self.circle_radius, self.b = real[:6]
-
-    def _angular(self):
-        """rho / r = |beta| / |g| and the phase of -beta g."""
-        beta = self.sigma.beta
-        g = beta.conjugate() * self.c + self.sigma.alpha.conjugate()
-        return abs(beta) / abs(g), cmath.phase(-beta * g)
-
-    # radial leg -------------------------------------------------------------
+        """The chart's constants, named from its rows of a constant table."""
+        self.c = cplx[6]
+        self.circle_radius, self._q, self._D, self._R2_inner, self.mass, self.b = real[4:10]
 
     @staticmethod
     def _t_jet(r, q, D, R2_inner, mass):
@@ -291,54 +261,6 @@ class TransportChart:
         disc = np.sqrt(1.0 + 4.0 * self._q * self._D * R * R)
         return 2.0 * self._D * R / (1.0 + disc)
 
-    # angular leg ------------------------------------------------------------
-
-    def _anomaly(self, theta, r):
-        """Kepler's K(phi) at arg(w - c) = theta on |w - c| = r, with rho and e."""
-        rho_per_r, phase = self._angular()
-        rho = rho_per_r * r
-        e = 2.0 * rho / (1.0 + rho * rho)
-        psi = theta - phase
-        phi = psi + 2.0 * np.arctan2(rho * np.sin(psi), 1.0 - rho * np.cos(psi))
-        return phi + e * np.sin(phi), rho, e
-
-    def forward(self, w):
-        """Plane points of the annulus (complex) -> (s, t) product points."""
-        w = np.atleast_1d(np.asarray(w, complex))
-        rel = w - self.c
-        r = np.abs(rel)
-        K, _, _ = self._anomaly(np.angle(rel), r)
-        K0, _, _ = self._anomaly(0.0, r)
-        return np.stack([(K0 - K) % TWO_PI, self.t_of_r(r)], -1)
-
-    def inverse(self, st):
-        st = np.atleast_2d(np.asarray(st, float))
-        r = self.r_of_t(st[:, 1])
-        K0, rho, e = self._anomaly(0.0, r)
-        # K(phi) = K0 - s, i.e. E - e sin E = K0 - s + pi with E = phi + pi
-        phi = _solve_kepler(K0 - st[:, 0] + math.pi, e) - math.pi
-        psi = phi - 2.0 * np.arctan2(rho * np.sin(phi), 1.0 + rho * np.cos(phi))
-        return self.c + r * np.exp(1j * (psi + self._angular()[1]))
-
-
-def _solve_kepler(M, e):
-    """Solve E - e sin(E) = M (mod 2 pi) for e < 1 by Newton from the starter
-    E0 = M + 0.85 e sign(sin M), with M in [-pi, pi) so that the flat stretch
-    of E - e sin E (near 0) has the finest floating point.  Raises KeplerError
-    rather than return an angle whose last step is not below KEPLER_TOL.
-    """
-    M = np.mod(M + math.pi, TWO_PI) - math.pi
-    E = M + 0.85 * e * np.sign(np.sin(M))
-    for _ in range(KEPLER_MAX_ITER):
-        step = (E - e * np.sin(E) - M) / (1.0 - e * np.cos(E))
-        E = E - step
-        if np.all(np.abs(step) < KEPLER_TOL):
-            return E
-    raise KeplerError(
-        f"Kepler's equation unsolved after {KEPLER_MAX_ITER} Newton steps "
-        f"(last step {np.abs(step).max():.2e})"
-    )
-
 
 # ------------------------------ constant table -------------------------------
 
@@ -358,11 +280,14 @@ def _squares(x):
 def constant_table(maps: Sequence[MobiusMap], annulus: RoundAnnulus):
     """The constants of the translates sigma(A), one column per sigma in maps.
 
-    Complex rows: sigma^{-1}, the centre c of A and the centres of the images
-    of its outer and inner circles.  Real rows: the chart's q, D, R(r_in)^2,
-    mass and tracked radius, the profile's b and width, the scale lambda^2 /
-    2 pi and the two image radii.  ``CorrectedHamiltonian._unpack`` reads
-    this layout.  With g = conj(beta) c + conj(alpha) and den = D - q r^2,
+    The table is the record the arithmetic reads, in one layout.  Complex
+    rows: the centres of the images of the outer and inner circles of A,
+    sigma^{-1} = (alpha', beta'), conj(alpha'), conj(beta') and the centre c
+    of A.  Real rows: the outer and inner image radii, the same radii with the
+    support test's 1e-13 slack (outer widened, inner narrowed), the tracked
+    radius, the chart's q, D, R(r_in)^2 and mass, the profile's b, width w
+    and 2 pi e w, and the scale lambda^2 / 2 pi.  With
+    g = conj(beta) c + conj(alpha) and den = D - q r^2,
     the image of |w - c| = r has radius R(r) = r / den and centre
     ((alpha c + beta) conj(g) - alpha beta r^2) / den.
 
@@ -401,11 +326,12 @@ def constant_table(maps: Sequence[MobiusMap], annulus: RoundAnnulus):
     # CPython's quotient by den + 0i: ratio = 0 / den, and den + 0 ratio is den
     ratio = 0.0 / den
     centres = np.stack([(xr + xi * ratio) / den, (xi - xr * ratio) / den], -1).view(complex)[..., 0]
-    n = len(alpha)
-    cplx = np.stack([alpha.conj(), -beta, np.full(n, c), centres[0], centres[1]])
+    n, ia, ib = len(alpha), alpha.conj(), -beta
+    width = np.minimum(0.5 - b, 0.5 + b)
+    cplx = np.stack([centres[0], centres[1], ia, ib, ia.conj(), ib.conj(), np.full(n, c)])
     real = np.stack([
-        q, D, R2_in, mass, np.full(n, circle_radius), b, np.minimum(0.5 - b, 0.5 + b),
-        mass / TWO_PI, R[0], R[1],
+        R[0], R[1], R[0] + 1e-13, R[1] - 1e-13, np.full(n, circle_radius),
+        q, D, R2_in, mass, b, width, TWO_PI * math.e * width, mass / TWO_PI,
     ])
     return cplx, real
 
@@ -441,28 +367,24 @@ class CorrectedHamiltonian:
         self._name(element, annulus)
 
     def _unpack(self, cplx, real):
-        """The constants from the rows of a constant table: one column's
-        Python scalars, or stacked columns (one per point, or broadcasting
-        against the points).  ``_record`` (a complex and a real tuple) is
-        every constant the arithmetic reads, with conj(alpha'), conj(beta') of
-        sigma^{-1} = (alpha', beta'), the image radii with their 1e-13 slack
-        and 2 pi e w derived once.  An assembly's identity piece holds it as
-        0-d arrays (cheaper NumPy operands than Python numbers, same bits)
-        and its located branch as the columns taken for its points."""
-        ia, ib, c, oc, ic = cplx
-        q, D, R2_inner, mass, circle_radius, b, width, scale, orad, irad = real
+        """The constants, named from the rows of a constant table: one
+        column's Python scalars, or stacked columns (one per point, or
+        broadcasting against the points).  ``_record`` is those rows as they
+        come, every constant the arithmetic reads; an assembly holds its
+        identity piece's as 0-d arrays (cheaper NumPy operands than Python
+        numbers, same bits) and its located branch takes the table's
+        columns for its points."""
+        oc, ic, ia, ib, _, _, _ = cplx
+        orad, irad, _, _, _, _, _, _, mass, b, width, _, scale = real
         self.outer_center, self.inner_center, self.outer_radius, self.inner_radius = oc, ic, orad, irad
         self.inv, self.chart = MobiusMap._pair(ia, ib), object.__new__(TransportChart)
         self.chart._unpack(cplx, real)
         self.lambda2, self.b, self.scale = mass, b, scale
         self.profile = TwistProfile(0.5, b, width)
-        hw = TWO_PI * math.e * width
-        self._record = (oc, ic, ia, ib, ia.conjugate(), ib.conjugate(), c), (
-            orad + 1e-13, irad - 1e-13, circle_radius, q, D, R2_inner, mass, b, width, hw, scale)
+        self._record = cplx, real
 
     def _name(self, element, annulus):
         self.element, self.annulus = element, annulus
-        self.chart.annulus, self.chart.sigma = annulus, element.map
 
     @classmethod
     def _stacked(cls, cplx, real):
@@ -495,14 +417,14 @@ class CorrectedHamiltonian:
 def _contains(rec, z):
     """The support test: z in the closed translate, 1e-13 slack on both circles."""
     cplx, real = rec
-    return (np.abs(z - cplx[0]) <= real[0]) & (np.abs(z - cplx[1]) >= real[1])
+    return (np.abs(z - cplx[0]) <= real[2]) & (np.abs(z - cplx[1]) >= real[3])
 
 
 def _pull_back(rec, z, on):
     """rel = w - c for w = sigma^{-1}(z), r = |rel| (the tracked circle's radius
     where on fails) and g = conj(beta') z + conj(alpha') for sigma^{-1} =
     (alpha', beta'), so (sigma^{-1})' = 1/g^2."""
-    (_, _, alpha, beta, alpha_c, beta_c, c), (_, _, circle_radius, *_) = rec
+    (_, _, alpha, beta, alpha_c, beta_c, c), (_, _, _, _, circle_radius, *_) = rec
     g = beta_c * z + alpha_c
     rel = (alpha * z + beta) / g - c
     return rel, np.where(on, np.abs(rel), circle_radius), g
@@ -625,7 +547,6 @@ class AssembledHamiltonian:
         # one row per constant and one column per piece: a gather is one take per dtype
         self._complex, self._real = constant_table([el.map for el in self.elements], annulus)
         self.all_pieces = every = CorrectedHamiltonian._stacked(self._complex, self._real)
-        self._records = [np.array(part) for part in every._record]
         self.lengths = np.array([len(el.word) for el in self.elements])
         self.pieces = _Pieces(self.elements, annulus, self._complex, self._real)
         _check_disjoint(every.outer_center, every.outer_radius, every.inner_center, every.inner_radius)
@@ -669,7 +590,8 @@ class AssembledHamiltonian:
         # its points need no reduction
         self._clear = min([abs(c) - r for c, r in disks.values()] + [1.0])
         self._origin = first[()]
-        self._identity = tuple(tuple(map(np.asarray, t[:, self._origin].tolist())) for t in self._records)
+        tables = self._complex, self._real
+        self._identity = tuple(tuple(map(np.asarray, t[:, self._origin].tolist())) for t in tables)
         # reducing by letter l applies l^-1
         self._reduce = np.array([[g.alpha.conjugate() for g in maps], [-g.beta for g in maps]], complex)
         self._digits = np.array(letters, np.intp) + 1
@@ -719,7 +641,7 @@ class AssembledHamiltonian:
         else:
             idx = self._locate(z, rho)
             cols = np.where(idx >= 0, idx, self._origin)
-            rec = tuple(tuple(t.take(cols, 1)) for t in self._records)
+            rec = self._complex.take(cols, 1), self._real.take(cols, 1)
             on = (idx >= 0) & _contains(rec, z)
         return _jet_on(rec, z, on) if jet else (_value_at(rec, _pull_back(rec, z, on)[1], on),)
 
@@ -763,7 +685,7 @@ def assemble_Hv(
     """
     assembled = AssembledHamiltonian(vertex, elements, annulus)
     if tail_elements:
-        lam_max = constant_table([el.map for el in tail_elements], annulus)[1][3].max()
+        lam_max = constant_table([el.map for el in tail_elements], annulus)[1][8].max()
         sup_h = assembled.pieces[0].profile.sup_abs()
         assembled.tail_estimate = float(lam_max * sup_h / TWO_PI)
     return assembled

@@ -88,6 +88,10 @@ def parse_morphism_lines(text: str, source: SimplicialGraph, target: SimplicialG
             continue
         if len(parts) != 3:
             raise ValueError(f"bad map line: {line}")
+        if not source.has_vertex(parts[1]):
+            raise ValueError(f"map line names no vertex of the cover: {line}")
+        if parts[1] in vmap:
+            raise ValueError(f"map line repeats the source {parts[1]}: {line}")
         vmap[parts[1]] = parts[2]
     missing = [v for v in source.vertices if v not in vmap]
     if missing:

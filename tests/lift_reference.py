@@ -146,9 +146,9 @@ def piece_constants(sigma, annulus):
     outer_center, outer_radius = image_circle(sigma, c, annulus.r_outer)
     inner_center, inner_radius = image_circle(sigma, c, annulus.r_inner)
     return (
-        (inv.alpha, inv.beta, c, outer_center, inner_center),
-        (q, D, R2_inner, mass, circle_radius, profile.b, profile.width, mass / TWO_PI,
-         outer_radius, inner_radius),
+        (outer_center, inner_center, inv.alpha, inv.beta, inv.alpha.conjugate(), inv.beta.conjugate(), c),
+        (outer_radius, inner_radius, outer_radius + 1e-13, inner_radius - 1e-13, circle_radius,
+         q, D, R2_inner, mass, profile.b, profile.width, TWO_PI * math.e * profile.width, mass / TWO_PI),
     )
 
 
@@ -156,6 +156,6 @@ def constant_table(maps, annulus):
     """``piece_constants`` of each map, stacked one column per map."""
     columns = [piece_constants(m, annulus) for m in maps]
     return (
-        np.array([cplx for cplx, _ in columns], complex).reshape(-1, 5).T.copy(),
-        np.array([real for _, real in columns], float).reshape(-1, 10).T.copy(),
+        np.array([cplx for cplx, _ in columns], complex).reshape(-1, 7).T.copy(),
+        np.array([real for _, real in columns], float).reshape(-1, 13).T.copy(),
     )

@@ -168,9 +168,6 @@ class TestCommands:
     def test_check_cover_pass_and_fail(self, workdir, capsys):
         main(["double", "--graph", "p3.txt", "--out", "d"])
         cover_text = (workdir / "d" / "double.txt").read_text()
-        for line in cover_text.splitlines():
-            if line.startswith("vertices") or line.startswith("edge"):
-                pass
         names = cover_text.splitlines()[1].split()
         maps = "".join(f"map {n} {n[:-1]}\n" for n in names)
         (workdir / "cover.txt").write_text(cover_text + maps)
@@ -178,6 +175,21 @@ class TestCommands:
         bad = cover_text + "".join(f"map {n} u\n" for n in names)
         (workdir / "bad.txt").write_text(bad)
         assert main(["check-cover", "--graph", "p3.txt", "--cover", "bad.txt"]) == EXIT_VERIFICATION
+
+    @pytest.mark.parametrize(
+        "line, why",
+        [
+            # zz is no vertex of the cover x-y: the line was ignored and the cover certified
+            ("map zz b", "names no vertex of the cover"),
+            # the last map line of y won, and the check reported a malformed edge (exit 1)
+            ("map y a", "repeats the source y"),
+        ],
+    )
+    def test_check_cover_rejects_a_bad_map_line(self, workdir, capsys, line, why):
+        (workdir / "ab.txt").write_text("vertices 2\na b\nedge a b\n")
+        (workdir / "cover.txt").write_text(f"vertices 2\nx y\nedge x y\nmap x a\nmap y b\n{line}\n")
+        assert main(["check-cover", "--graph", "ab.txt", "--cover", "cover.txt"]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"invalid input: map line {why}: {line}\n"
 
     def test_certificate(self, workdir, capsys):
         (workdir / "k7.txt").write_text(format_graph(complete_graph(list("abcdefg"))))

@@ -15,7 +15,6 @@ from raagham.lift import (
     AssembledHamiltonian,
     CorrectedHamiltonian,
     GroupElement,
-    KeplerError,
     Mollifier,
     MobiusMap,
     QuadratureError,
@@ -172,20 +171,6 @@ class TestTransport:
         below = (vals.sum(1) * (2 * math.pi / nt) * r * wr).sum() / ch.mass
         assert abs(below - (ch.b + 0.5)) < 1e-6
 
-    def test_forward_inverse_roundtrip(self):
-        A = default_study_annulus()
-        el = enumerate_group(schottky_pair(0.98), 1)[1]
-        ch = TransportChart(A, el)
-        rng = np.random.default_rng(0)
-        ang = rng.uniform(0, 2 * math.pi, 50)
-        rad = np.sqrt(rng.uniform(A.r_inner**2, A.r_outer**2, 50))
-        w = rad * np.exp(1j * ang)
-        st = ch.forward(w)
-        assert (st[:, 0] >= 0).all() and (st[:, 0] < 2 * math.pi).all()
-        assert (np.abs(st[:, 1]) <= 0.5 + 1e-12).all()
-        back = ch.inverse(st)
-        assert np.abs(back - w).max() <= 1e-12
-
     def test_pushforward_is_product_measure(self):
         A = default_study_annulus()
         el = enumerate_group(schottky_pair(0.98), 1)[3]
@@ -238,57 +223,16 @@ class TestClosedFormRadialLeg:
             fd = (ch.t_of_r(rr + h) - ch.t_of_r(rr - h)) / (2 * h)
             assert np.abs(fd - ch.t_jet(rr)[1]).max() <= 1e-8 * np.abs(ch.t_jet(rr)[1]).max()
 
-    def test_r_of_t_inverts_t_of_r(self):
+    def test_r_of_t_inverts_t_of_r(self, assembled_depth6):
         ts = np.linspace(-0.5, 0.5, 41)
-        for annulus, el in _radial_cases():
-            ch = TransportChart(annulus, el)
-            rr = ch.r_of_t(ts)
-            assert np.abs(ch.t_of_r(rr) - ts).max() <= 1e-13
-            assert abs(rr[0] - annulus.r_inner) <= 1e-14
-            assert abs(rr[-1] - annulus.r_outer) <= 1e-14
-
-
-def _quadrature_angular_cdf(sigma, c, r, thetas, n=256, nt=4096):
-    """Conditional CDF from arg(w - c) = 0 on |w - c| = r: Gauss-Legendre on
-    [0, theta] over the trapezoid integral of the whole circle."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    rr = np.array([r])
-    total = _deriv_sq_polar(sigma, c, rr, np.arange(nt) * 2 * math.pi / nt)[0].mean() * 2 * math.pi
-    part = [0.5 * th * (w * _deriv_sq_polar(sigma, c, rr, 0.5 * th * (x + 1))[0]).sum()
-            for th in thetas]
-    return np.array(part) / total
-
-
-class TestClosedFormAngularLeg:
-    def test_cdf_matches_quadrature(self):
-        thetas = np.linspace(0.1, 2 * math.pi - 0.1, 7)
-        for annulus, el in _radial_cases():
-            ch = TransportChart(annulus, el)
-            for r in np.linspace(annulus.r_inner, annulus.r_outer, 4):
-                st = ch.forward(ch.c + r * np.exp(1j * thetas))
-                F = (-st[:, 0] / (2 * math.pi)) % 1.0
-                want = _quadrature_angular_cdf(el.map, ch.c, r, thetas)
-                assert np.abs(F - want).max() <= 1e-12
-
-    def test_roundtrip_on_depth6_pieces(self, assembled_depth6):
-        A = default_study_annulus()
-        rng = np.random.default_rng(6)
-        for piece in assembled_depth6.pieces:
-            rad = np.sqrt(rng.uniform(A.r_inner**2, A.r_outer**2, 16))
-            w = rad * np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
-            assert np.abs(piece.chart.inverse(piece.chart.forward(w)) - w).max() <= 1e-12
-
-    def test_newton_cap_raises(self, monkeypatch):
-        ch = TransportChart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
-        st = np.array([[1.0, 0.2], [4.0, -0.3]])
-        monkeypatch.setattr(lift, "KEPLER_MAX_ITER", 1)
-        with pytest.raises(KeplerError, match="1 Newton steps"):
-            ch.inverse(st)
-
-    def test_unsolvable_height_raises(self):
-        ch = TransportChart(default_study_annulus(), enumerate_group(schottky_pair(0.98), 1)[1])
-        with pytest.raises(KeplerError):
-            ch.inverse(np.array([[1.0, np.nan]]))
+        cases = [(annulus, TransportChart(annulus, el), ts) for annulus, el in _radial_cases()]
+        # every depth-6 chart in one array pass: t a column against a row of charts
+        cases.append((assembled_depth6.annulus, assembled_depth6.all_pieces.chart, ts[:, None]))
+        for annulus, ch, t in cases:
+            rr = ch.r_of_t(t)
+            assert np.abs(ch.t_of_r(rr) - t).max() <= 1e-13
+            assert np.abs(rr[0] - annulus.r_inner).max() <= 1e-14
+            assert np.abs(rr[-1] - annulus.r_outer).max() <= 1e-14
 
 
 class TestCorrected:
@@ -482,7 +426,7 @@ class TestConstantTable:
             assert all(np.array_equal(g, w) and same(g, w) for g, w in zip(got, want)), depth
         tail = [el.map for el in lift.next_words(gens, enumerate_group(gens, 6), 64)]
         assert len(tail) == 64
-        got, want = (t(tail, annulus)[1][3] for t in (lift.constant_table, lift_reference.constant_table))
+        got, want = (t(tail, annulus)[1][8] for t in (lift.constant_table, lift_reference.constant_table))
         assert np.array_equal(got, want) and same(got, want)
 
     def test_assembly_views_its_table(self, assembled_depth6):
@@ -493,17 +437,19 @@ class TestConstantTable:
         for k in (0, 1, 700, -1):
             alone, view = CorrectedHamiltonian(H.elements[k], H.annulus), H.pieces[k]
             for p in (alone, view):
-                column = [p.inv.alpha, p.inv.beta, p.chart.c, p.outer_center, p.inner_center]
+                column = list(p._record[0])
                 assert column == cplx[:, k].tolist() and all(type(x) is complex for x in column)
-                assert p.b == real[5, k] and type(p.b) is float
+                named = [p.outer_center, p.inner_center, p.inv.alpha, p.inv.beta, p.chart.c]
+                assert named == column[:4] + column[6:]
+                assert p.b == real[9, k] and type(p.b) is float
             chart = TransportChart(H.annulus, H.elements[k])
-            assert (chart.mass, chart.b) == (view.lambda2, view.b) == (real[3, k], real[5, k])
+            assert (chart.mass, chart.b) == (view.lambda2, view.b) == (real[8, k], real[9, k])
 
     def test_tail_estimate_is_the_largest_tail_mass(self):
         gens, A = schottky_pair(0.98), default_study_annulus()
         els = enumerate_group(gens, 4)
         tail = lift.next_words(gens, els, 64)
-        masses = lift_reference.constant_table([el.map for el in tail], A)[1][3]
+        masses = lift_reference.constant_table([el.map for el in tail], A)[1][8]
         sup_h = CorrectedHamiltonian(IDENT, A).profile.sup_abs()
         H = assemble_Hv("v", els, A, tail_elements=tail)
         assert H.tail_estimate == float(max(masses) * sup_h / (2 * math.pi))

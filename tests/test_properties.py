@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from raagham.flows import rep_apply
 from raagham.graphs import PlanarEmbedding, SimplicialGraph, planarity
-from raagham.lift import MobiusMap, TransportChart, default_study_annulus, schottky_pair
+from raagham.lift import MobiusMap
 from raagham.twist import (
     MAX_SWEEPS,
     PACKING_TOL,
@@ -215,31 +215,6 @@ def test_inflation_matches_bisection(g):
     delta = _inflate(g, c, r)[0]
     assert abs(delta - bisect_delta(g, packed)) <= 5e-9
     assert inflation_valid(g, packed, delta, gap_floor(g, packed))
-
-
-SCHOTTKY_LETTERS = [m for g in schottky_pair(0.98) for m in (g, g.inverse())]
-
-
-@st.composite
-def reduced_words(draw):
-    word = []
-    for _ in range(draw(st.integers(0, 6))):
-        choices = [l for l in range(4) if not word or l != word[-1] ^ 1]
-        word.append(draw(st.sampled_from(choices)))
-    return word
-
-
-@FEW
-@given(reduced_words(), st.lists(st.tuples(st.floats(0.0, 1.0), angles), min_size=1, max_size=8))
-def test_chart_inverse_undoes_forward(word, polar):
-    sigma = MobiusMap.identity()
-    for lid in word:
-        sigma = sigma.compose(SCHOTTKY_LETTERS[lid])
-    A = default_study_annulus()
-    ch = TransportChart(A, sigma)
-    w = np.array([math.sqrt(A.r_inner**2 + u * (A.r_outer**2 - A.r_inner**2)) * complex(
-        math.cos(th), math.sin(th)) for u, th in polar])
-    assert np.abs(ch.inverse(ch.forward(w)) - w).max() <= 1e-12
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
