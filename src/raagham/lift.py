@@ -24,9 +24,9 @@ arithmetic reads, in the one layout it reads it: a translate or chart built
 alone is a one-column call of it, the assembly's translates are views of
 its columns, and a point's arithmetic runs on the columns taken for it.
 The chart of a translate is its area height t(r) alone, the one coordinate
-the corrected Hamiltonian reads.  The disjointness check sweeps the
-translates sorted by their x-extents and tests only the pairs whose extents
-meet.
+the corrected Hamiltonian reads.  The translates' disjointness is the
+ping-pong certificate's, exact at every depth: no float test of their
+circles, which the deepest translates are too small to pass or fail.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ TWO_PI = 2.0 * math.pi
 
 
 class QuadratureError(RuntimeError):
-    pass
-
-
-class RegionOverlapError(RuntimeError):
     pass
 
 
@@ -182,7 +178,7 @@ LAMBDA_QUAD_TOL = 1e-8
 LAMBDA_QUAD_LEVELS = 6
 
 
-def lambda_scale(sigma, annulus: RoundAnnulus) -> float:
+def lambda_scale(sigma: GroupElement, annulus: RoundAnnulus) -> float:
     """Mass of the pulled-back area form: integral of |sigma'|^2 over the annulus.
 
     Adaptive polar quadrature (Gauss-Legendre radially, trapezoid in angle,
@@ -191,7 +187,6 @@ def lambda_scale(sigma, annulus: RoundAnnulus) -> float:
     relative tolerance LAMBDA_QUAD_TOL.  The charts use the closed form
     (``TransportChart.mass``); this is its numerical oracle.
     """
-    smap = sigma.map if isinstance(sigma, GroupElement) else sigma
     c = complex(annulus.center[0], annulus.center[1])
     prev = None
     nr, nt = 24, 48
@@ -200,7 +195,7 @@ def lambda_scale(sigma, annulus: RoundAnnulus) -> float:
         r = 0.5 * (annulus.r_outer - annulus.r_inner) * (x + 1.0) + annulus.r_inner
         wr = 0.5 * (annulus.r_outer - annulus.r_inner) * wgt
         th = np.arange(nt) * TWO_PI / nt
-        vals = _deriv_sq_polar(smap, c, r, th)
+        vals = _deriv_sq_polar(sigma.map, c, r, th)
         integral = float((vals.sum(1) * (TWO_PI / nt) * r * wr).sum())
         if prev is not None and abs(integral - prev) <= LAMBDA_QUAD_TOL * max(
             abs(integral), 1e-300
@@ -221,7 +216,7 @@ class TransportChart:
 
     A corrected Hamiltonian reads only this height, and its flow turns the
     level set at height t once in time 2 pi / h'(t), so the chart needs no
-    angle.  It is closed form in the pair (alpha, beta) of sigma, with
+    angle.  It is closed form in the pair (alpha, beta) of sigma's map, with
     g = conj(beta) c + conj(alpha), q = |beta|^2 and D = |g|^2: the mass
     inside |w - c| = r is the area pi R(r)^2 of the image disk,
     R(r) = r / (D - q r^2), so ``mass`` (lambda^2) is the area between the
@@ -230,9 +225,8 @@ class TransportChart:
     ``circle_radius``.  The constants are one column of ``constant_table``.
     """
 
-    def __init__(self, annulus: RoundAnnulus, sigma):
-        sigma = sigma.map if isinstance(sigma, GroupElement) else sigma
-        self._unpack(*(table[:, 0].tolist() for table in constant_table([sigma], annulus)))
+    def __init__(self, annulus: RoundAnnulus, sigma: GroupElement):
+        self._unpack(*(table[:, 0].tolist() for table in constant_table([sigma.map], annulus)))
 
     def _unpack(self, cplx, real):
         """The chart's constants, named from its rows of a constant table."""
@@ -268,6 +262,17 @@ class TransportChart:
 def _product(ar, ai, br, bi):
     """CPython's complex product (ar + i ai)(br + i bi), in its order."""
     return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _compose(a1, b1, a2, b2):
+    """``MobiusMap.compose`` on columns of pairs, each step the one a Python
+    complex number takes: products in CPython's order, sums by parts."""
+
+    def dot(x1, y1, x2, y2):  # x1 y1 + x2 y2
+        (r1, i1), (r2, i2) = (_product(x.real, x.imag, y.real, y.imag) for x, y in ((x1, y1), (x2, y2)))
+        return np.stack([r1 + r2, i1 + i2], -1).view(complex)[..., 0]
+
+    return dot(a1, a2, b1, b2.conj()), dot(a1, b2, b1, a2.conj())
 
 
 def _squares(x):
@@ -453,45 +458,6 @@ def _jet_on(rec, z, on):
 LOCATE_CHUNK = 4096
 
 
-def _check_disjoint(oc, orad, ic, irad):
-    """Translates pairwise apart or nested, from the columns of their outer and
-    inner circles.
-
-    A sweep over the outer disks sorted by x - r takes as candidates only the
-    pairs whose x-extents [x - r, x + r] meet within the 1e-13 slack, widened
-    by the extents' rounding (8 ulps of the largest |x| + r): every pair it
-    leaves out is farther apart in x, and so in the plane, than the apart
-    test asks.  The candidates run the apart and the nested test, and the
-    lexicographically first failing pair (i < j) is the one reported, as a
-    test of every pair in order would report it.  A circle with a non-finite
-    extent is a candidate with every other and fails both tests.  Returns
-    the number of candidate pairs.
-    """
-    n = len(oc)
-    lo, hi = oc.real - orad, oc.real + orad
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    largest = np.maximum(np.abs(lo), np.abs(hi))[finite].max(initial=0.0)
-    rounding = 8.0 * np.finfo(float).eps * largest
-    lo, reach = np.where(finite, lo, -np.inf), np.where(finite, hi + (1e-13 + rounding), np.inf)
-    order = np.argsort(lo, kind="stable")
-    # the disks after each one in the sweep whose extents start before its reach
-    ends = np.searchsorted(lo[order], reach[order], side="right")
-    counts = np.maximum(ends - np.arange(1, n + 1), 0)
-    first = np.repeat(np.arange(n), counts)
-    second = first + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    i, j = order[first], order[second]
-    near = np.flatnonzero(~(np.abs(oc[i] - oc[j]) > orad[i] + orad[j] - 1e-13))
-    i, j = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
-    # nested: one translate sits entirely inside the other's hole
-    j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
-    i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
-    bad = np.flatnonzero(~(j_in_i | i_in_j))
-    if bad.size:
-        k = bad[np.lexsort((j[bad], i[bad]))[0]]
-        raise RegionOverlapError(f"translate regions {i[k]} and {j[k]} overlap")
-    return len(first)
-
-
 def _isometric_disk(alpha, beta):
     """Centre and radius of {|conj(beta) z + conj(alpha)| < 1}, where the map
     (alpha, beta) expands: -conj(alpha / beta) and 1 / |beta|."""
@@ -527,9 +493,14 @@ class AssembledHamiltonian:
     the isometric disk of the inverse of sigma's first letter, so a point of
     it returns to A by applying, at most L times, the inverse letter whose
     disk holds it, and the letters that reduction takes spell sigma (Mumford,
-    Series & Wright, *Indra's Pearls*, 2002).  Each point is evaluated on the
-    one piece its reduction names, from the ``constant_table`` of every
-    piece built once in array passes: no loop over pieces.
+    Series & Wright, *Indra's Pearls*, 2002).  By the same ping-pong
+    argument the translates of distinct words are pairwise disjoint, exactly
+    and at every depth, when each map is its word's product of letters
+    (Ford, *Automorphic Functions*, 1929): ``_index_words`` checks these
+    preconditions, the assembly's disjointness certificate.  Each point
+    is evaluated on the one piece its reduction names, from the
+    ``constant_table`` of every piece built once in array passes: no loop
+    over pieces.
 
     ``all_pieces`` carries that table's rows as the constants of every piece
     at once and ``lengths`` the word lengths, one entry per piece; each of
@@ -546,19 +517,22 @@ class AssembledHamiltonian:
             raise ValueError("an assembly needs at least one piece")
         # one row per constant and one column per piece: a gather is one take per dtype
         self._complex, self._real = constant_table([el.map for el in self.elements], annulus)
-        self.all_pieces = every = CorrectedHamiltonian._stacked(self._complex, self._real)
+        self.all_pieces = CorrectedHamiltonian._stacked(self._complex, self._real)
         self.lengths = np.array([len(el.word) for el in self.elements])
         self.pieces = _Pieces(self.elements, annulus, self._complex, self._real)
-        _check_disjoint(every.outer_center, every.outer_radius, every.inner_center, every.inner_radius)
         self._index_words()
 
     def _index_words(self):
-        """The reducing letters and the table from word codes to pieces.
+        """The ping-pong certificate, the reducing letters and the table from
+        word codes to pieces (a word l_1 ... l_k has the base-(m + 1) code
+        with digits l_i + 1, m the number of letter ids).
 
-        A word l_1 ... l_k has the base-(m + 1) code with digits l_i + 1, m
-        the number of letter ids.  Rejects the assemblies point location
-        cannot serve: a repeated word, a word whose prefix or last letter is
-        not a piece's word, a letter without an isometric circle, and
+        It rejects what breaks the certificate or point location: a repeated
+        word, one not freely reduced or whose prefix or last letter is no
+        piece's word, a map other than the identity on the empty word or
+        other than its prefix's map times its letter's (compared exactly,
+        rounded as ``MobiusMap.compose`` rounds), letters l and l^1 whose
+        maps are not inverse, a letter without an isometric circle, and
         isometric disks that meet each other or the annulus.
         """
         words = [el.word for el in self.elements]
@@ -566,16 +540,39 @@ class AssembledHamiltonian:
         for i, w in enumerate(words):
             if first.setdefault(w, i) != i:
                 raise ValueError(f"pieces {first[w]} and {i} have the same word {w}")
+        # (piece, prefix, letter) of each nonempty word; a prefix is checked on its own entry
+        links = []
         for i, w in enumerate(words):
-            for part in (w[:-1], w[-1:]) if w else ():
-                if part not in first:
+            if w:
+                if len(w) > 1 and w[-1] == w[-2] ^ 1:
+                    raise ValueError(f"piece {i} has the word {w}, which is not freely reduced")
+                prefix, letter = first.get(w[:-1]), first.get(w[-1:])
+                if prefix is None or letter is None:
+                    part = w[:-1] if prefix is None else w[-1:]
                     raise ValueError(f"piece {i} has the word {w} but no piece has {part}")
+                links += (i, prefix, letter)
+        self._origin = first[()]
+        one = self.elements[self._origin].map
+        if one.alpha != 1 or one.beta != 0:
+            raise ValueError(f"piece {self._origin} has the empty word but a map other than the identity")
+        # the table's rows 4 and 3 are conj(alpha') = alpha and beta' = -beta
+        alpha, beta = self._complex[4], -self._complex[3]
+        piece, prefix, letter = np.array(links, np.intp).reshape(-1, 3).T
+        a, b = _compose(alpha[prefix], beta[prefix], alpha[letter], beta[letter])
+        wrong = np.flatnonzero((a != alpha[piece]) | (b != beta[piece]))
+        if wrong.size:
+            i = piece[wrong[0]]
+            raise ValueError(f"piece {i}'s map is not the product of the letters of its word {words[i]}")
         letters = sorted(w[0] for w in words if len(w) == 1)
         maps = [self.elements[first[(lid,)]].map for lid in letters]
+        by_letter = dict(zip(letters, maps))
         disks = {}
         for lid, g in zip(letters, maps):
             if g.beta == 0:
                 raise ValueError(f"letter {lid} has no isometric circle")
+            h = by_letter.get(lid ^ 1, g.inverse())
+            if (h.alpha, h.beta) != (g.alpha.conjugate(), -g.beta):
+                raise ValueError(f"the maps of letters {lid} and {lid ^ 1} are not inverse")
             # g maps the outside of its own disk onto the disk of its inverse
             disks.setdefault(lid, _isometric_disk(g.alpha, g.beta))
             disks.setdefault(lid ^ 1, _isometric_disk(g.alpha.conjugate(), -g.beta))
@@ -589,7 +586,6 @@ class AssembledHamiltonian:
         # the disk about 0 inside the unit disk that meets no isometric disk:
         # its points need no reduction
         self._clear = min([abs(c) - r for c, r in disks.values()] + [1.0])
-        self._origin = first[()]
         tables = self._complex, self._real
         self._identity = tuple(tuple(map(np.asarray, t[:, self._origin].tolist())) for t in tables)
         # reducing by letter l applies l^-1

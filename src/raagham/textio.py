@@ -90,6 +90,8 @@ def parse_morphism_lines(text: str, source: SimplicialGraph, target: SimplicialG
             raise ValueError(f"bad map line: {line}")
         if not source.has_vertex(parts[1]):
             raise ValueError(f"map line names no vertex of the cover: {line}")
+        if not target.has_vertex(parts[2]):
+            raise ValueError(f"map line names no vertex of the base: {line}")
         if parts[1] in vmap:
             raise ValueError(f"map line repeats the source {parts[1]}: {line}")
         vmap[parts[1]] = parts[2]

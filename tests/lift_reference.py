@@ -21,15 +21,28 @@ free group of rank m, the size ``enumerate_group`` must reach.
 own constructors (``TransportChart``, ``CorrectedHamiltonian`` and the
 Mobius map's ``image_circle``), one Python complex number at a time.  The
 array passes of ``lift.constant_table`` must match it bit for bit.
+
+``check_disjoint`` is the float sweep over the translates' circles that
+the assembly once ran as its disjointness check, before the ping-pong
+certificate of ``AssembledHamiltonian._index_words`` replaced it.  Its
+absolute 1e-13 slack exceeds the outer radii of the deepest translates
+(3.4e-14 at depth 7), so it is an oracle only to depth 6: there it must
+accept every assembly the certificate accepts and reject a piece moved
+onto another's translate.
 """
 
 import math
 
 import numpy as np
 
+from raagham import lift
 from raagham.flows import HamiltonianField
 from raagham.lift import TWO_PI, Mollifier, _jet_on, _pull_back, _value_at
 from raagham.twist import make_profile
+
+
+class RegionOverlapError(RuntimeError):
+    pass
 
 
 def smoothed_gradient(assembled, eta, pts):
@@ -159,3 +172,48 @@ def constant_table(maps, annulus):
         np.array([cplx for cplx, _ in columns], complex).reshape(-1, 7).T.copy(),
         np.array([real for _, real in columns], float).reshape(-1, 13).T.copy(),
     )
+
+
+def check_disjoint(oc, orad, ic, irad):
+    """Translates pairwise apart or nested, from the columns of their outer and
+    inner circles.
+
+    A sweep over the outer disks sorted by x - r takes as candidates only the
+    pairs whose x-extents [x - r, x + r] meet within the 1e-13 slack, widened
+    by the extents' rounding (8 ulps of the largest |x| + r): every pair it
+    leaves out is farther apart in x, and so in the plane, than the apart
+    test asks.  The candidates run the apart and the nested test, and the
+    lexicographically first failing pair (i < j) is the one reported, as a
+    test of every pair in order would report it.  A circle with a non-finite
+    extent is a candidate with every other and fails both tests.  Returns
+    the number of candidate pairs.
+    """
+    n = len(oc)
+    lo, hi = oc.real - orad, oc.real + orad
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    largest = np.maximum(np.abs(lo), np.abs(hi))[finite].max(initial=0.0)
+    rounding = 8.0 * np.finfo(float).eps * largest
+    lo, reach = np.where(finite, lo, -np.inf), np.where(finite, hi + (1e-13 + rounding), np.inf)
+    order = np.argsort(lo, kind="stable")
+    # the disks after each one in the sweep whose extents start before its reach
+    ends = np.searchsorted(lo[order], reach[order], side="right")
+    counts = np.maximum(ends - np.arange(1, n + 1), 0)
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[first], order[second]
+    near = np.flatnonzero(~(np.abs(oc[i] - oc[j]) > orad[i] + orad[j] - 1e-13))
+    i, j = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
+    # nested: one translate sits entirely inside the other's hole
+    j_in_i = np.abs(ic[i] - oc[j]) + orad[j] <= irad[i] + 1e-13
+    i_in_j = np.abs(ic[j] - oc[i]) + orad[i] <= irad[j] + 1e-13
+    bad = np.flatnonzero(~(j_in_i | i_in_j))
+    if bad.size:
+        k = bad[np.lexsort((j[bad], i[bad]))[0]]
+        raise RegionOverlapError(f"translate regions {i[k]} and {j[k]} overlap")
+    return len(first)
+
+
+def check_assembly_disjoint(maps, annulus):
+    """``check_disjoint`` on the circles of the translates of annulus by maps."""
+    cplx, real = lift.constant_table(maps, annulus)
+    return check_disjoint(cplx[0], real[0], cplx[1], real[1])

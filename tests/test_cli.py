@@ -191,6 +191,13 @@ class TestCommands:
         assert main(["check-cover", "--graph", "ab.txt", "--cover", "cover.txt"]) == EXIT_INVALID
         assert capsys.readouterr().err == f"invalid input: map line {why}: {line}\n"
 
+    def test_check_cover_rejects_a_map_target_off_the_base(self, workdir, capsys):
+        # the morphism test read {x, y} -> {a, zz} as a malformed edge (exit 1)
+        (workdir / "ab.txt").write_text("vertices 2\na b\nedge a b\n")
+        (workdir / "cover.txt").write_text("vertices 2\nx y\nedge x y\nmap x a\nmap y zz\n")
+        assert main(["check-cover", "--graph", "ab.txt", "--cover", "cover.txt"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "invalid input: map line names no vertex of the base: map y zz\n"
+
     def test_certificate(self, workdir, capsys):
         (workdir / "k7.txt").write_text(format_graph(complete_graph(list("abcdefg"))))
         assert main(["certificate", "--graph", "k7.txt"]) == EXIT_OK

@@ -18,7 +18,6 @@ from raagham.lift import (
     Mollifier,
     MobiusMap,
     QuadratureError,
-    RegionOverlapError,
     TransportChart,
     analytic_report,
     assemble_Hv,
@@ -31,7 +30,13 @@ from raagham.lift import (
 )
 from raagham.twist import RoundAnnulus
 import lift_reference
-from lift_reference import free_group_count, piece_loop
+from lift_reference import (
+    RegionOverlapError,
+    check_assembly_disjoint,
+    check_disjoint,
+    free_group_count,
+    piece_loop,
+)
 from test_jets import INNER, same
 
 IDENT = GroupElement((), MobiusMap.identity())
@@ -274,7 +279,7 @@ class TestCorrected:
 
 
 def _circles(pieces):
-    """The columns _check_disjoint reads: outer centres and radii, inner centres and radii."""
+    """The columns check_disjoint reads: outer centres and radii, inner centres and radii."""
     cols = ("outer_center", "outer_radius", "inner_center", "inner_radius")
     return [np.array([getattr(p, k) for p in pieces]) for k in cols]
 
@@ -303,8 +308,10 @@ class TestAssembled:
         assert all(diam[b] < diam[a] for a, b in zip(Ls, Ls[1:]))
 
     def test_overlap_detected(self):
+        # a rotation fixes the annulus, so this empty-word twin covers A exactly;
+        # the certificate rejects it as a repeated word
         A = default_study_annulus()
-        with pytest.raises(RegionOverlapError):
+        with pytest.raises(ValueError, match=r"pieces 0 and 1 have the same word \(\)"):
             assemble_Hv("v", [IDENT, GroupElement((), MobiusMap(0.5, 0.0))], A)
 
     def test_overlap_names_first_pair(self):
@@ -312,16 +319,16 @@ class TestAssembled:
         els = enumerate_group(schottky_pair(0.98), 2)
         # a rotation fixes the annulus, so this copy covers translate 5 exactly
         twin = GroupElement(els[5].word, els[5].map.compose(MobiusMap(0.5, 0.0)))
-        with pytest.raises(RegionOverlapError, match="regions 5 and 17 overlap"):
+        with pytest.raises(ValueError, match=r"pieces 5 and 17 have the same word \(0, 0\)"):
             assemble_Hv("v", els + [twin], A)
 
     def test_nested_translates_accepted(self):
-        # the nested clause of the disjointness check, called directly: as an
-        # assembly the two pieces share the empty word, which is rejected
+        # the nested clause of the sweep oracle: as an assembly the two pieces
+        # share the empty word, which is rejected
         outer = CorrectedHamiltonian(IDENT, default_study_annulus())
         inner = CorrectedHamiltonian(IDENT, RoundAnnulus((0.02, 0.0), 0.1, 0.2))
         for pieces in ([outer, inner], [inner, outer]):
-            lift._check_disjoint(*_circles(pieces))
+            check_disjoint(*_circles(pieces))
 
     def test_overlap_check_matches_pairwise_loop(self):
         def disjoint(a, b):
@@ -342,10 +349,10 @@ class TestAssembled:
                 None,
             )
             if first is None:
-                lift._check_disjoint(*_circles(pieces))
+                check_disjoint(*_circles(pieces))
             else:
                 with pytest.raises(RegionOverlapError, match=f"regions {first[0]} and {first[1]} "):
-                    lift._check_disjoint(*_circles(pieces))
+                    check_disjoint(*_circles(pieces))
             return first
 
         rng = np.random.default_rng(5)
@@ -399,7 +406,7 @@ class TestAssembled:
 
     def test_sweep_tests_few_pairs(self, assembled_depth6):
         p, n = assembled_depth6.all_pieces, len(assembled_depth6.pieces)
-        pairs = lift._check_disjoint(p.outer_center, p.outer_radius, p.inner_center, p.inner_radius)
+        pairs = check_disjoint(p.outer_center, p.outer_radius, p.inner_center, p.inner_radius)
         assert n == 1457 and 0 < pairs < n * (n - 1) // 2 // 50
 
 
@@ -548,7 +555,7 @@ class TestPointLocation:
         assert same(got[0], want[0]) and same(got[1], want[1])
 
     def test_rejects_a_repeated_word(self):
-        # the second translate lies apart from A, so it passes the disjointness check
+        # the second translate lies apart from A; its word still repeats the first's
         far = GroupElement((), MobiusMap(0.0, 0.9))
         with pytest.raises(ValueError, match=r"pieces 0 and 1 have the same word \(\)"):
             AssembledHamiltonian("v", [IDENT, far], default_study_annulus())
@@ -581,6 +588,72 @@ class TestPointLocation:
         half_turn = GroupElement((0,), MobiusMap(math.pi, 0.0))
         with pytest.raises(ValueError, match="letter 0 has no isometric circle"):
             assemble_Hv("v", [IDENT, half_turn], off)
+
+
+def _moved(elements, i, j):
+    """elements with piece i given the map of piece j."""
+    return elements[:i] + [GroupElement(elements[i].word, elements[j].map)] + elements[i + 1 :]
+
+
+class TestDisjointness:
+    """The ping-pong certificate of ``_index_words`` against the float sweep it
+    replaced (``lift_reference.check_disjoint``), an oracle to depth 6."""
+
+    @pytest.mark.parametrize("depth", [7, 8])
+    def test_rejects_a_deep_piece_given_its_siblings_map(self, depth):
+        # the two translates coincide; their outer radius is below the sweep's
+        # 1e-13 slack, so the sweep took them for apart
+        els = enumerate_group(schottky_pair(0.98), depth)
+        with pytest.raises(ValueError, match=rf"piece {len(els) - 1}'s map is not the product of the letters"):
+            AssembledHamiltonian("v", _moved(els, len(els) - 1, len(els) - 2), default_study_annulus())
+
+    def test_rejects_a_non_identity_empty_word(self):
+        rotation = GroupElement((), MobiusMap(0.5, 0.0))
+        with pytest.raises(ValueError, match="piece 0 has the empty word but a map other than the identity"):
+            AssembledHamiltonian("v", [rotation], default_study_annulus())
+
+    def test_rejects_an_unreduced_word(self):
+        els = enumerate_group(schottky_pair(0.98), 1)
+        unreduced = GroupElement((0, 1), els[1].map.compose(els[2].map))
+        with pytest.raises(ValueError, match=r"word \(0, 1\), which is not freely reduced"):
+            AssembledHamiltonian("v", els + [unreduced], default_study_annulus())
+
+    def test_rejects_letters_whose_maps_are_not_inverse(self):
+        # letter 1 given letter 0's map: on its own entry it is its letter's product
+        els = enumerate_group(schottky_pair(0.98), 1)
+        with pytest.raises(ValueError, match="the maps of letters 0 and 1 are not inverse"):
+            AssembledHamiltonian("v", _moved(els, 2, 1), default_study_annulus())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.data())
+    def test_a_piece_given_another_map_is_rejected_by_both(self, depth, data):
+        els = enumerate_group(schottky_pair(0.98), depth)
+        i = data.draw(st.integers(0, len(els) - 1))
+        j = data.draw(st.integers(0, len(els) - 2))
+        moved = _moved(els, i, j + (j >= i))
+        A = default_study_annulus()
+        with pytest.raises(ValueError, match="is not the product|empty word|not inverse|no isometric circle"):
+            AssembledHamiltonian("v", moved, A)
+        with pytest.raises(RegionOverlapError):
+            check_assembly_disjoint([el.map for el in moved], A)
+
+    @pytest.mark.parametrize("s", [0.9, 0.98])
+    @pytest.mark.parametrize("annulus", [default_study_annulus(), WIDE], ids=["study", "wide"])
+    def test_every_enumerated_assembly_is_judged_alike(self, s, annulus):
+        # the certificate to depth 8, the oracle to depth 6; WIDE reaches the
+        # isometric disks of schottky_pair(0.9), so both reject it from depth 1
+        for depth in range(9):
+            els = enumerate_group(schottky_pair(s), depth)
+            maps = [el.map for el in els]
+            if s == 0.9 and annulus is WIDE and depth > 0:
+                with pytest.raises(ValueError, match="meets the annulus"):
+                    AssembledHamiltonian("v", els, annulus)
+                with pytest.raises(RegionOverlapError):
+                    check_assembly_disjoint(maps, annulus)
+            else:
+                AssembledHamiltonian("v", els, annulus)
+                if depth <= 6:
+                    check_assembly_disjoint(maps, annulus)
 
 
 def _mp_pairs(words, s=0.98):
