@@ -187,21 +187,24 @@ def flow_map(field, z0, T: float, steps: int = 1000) -> FlowResult:
 def rep_apply(rep, w: Word, pts):
     """Evaluate the image of a word on a batch of points.
 
-    Letters act right to left.  The exact twist maps are folded letter by
-    letter (an inverse letter is the same twist run backwards) through
-    ``Representation.apply_letters``: each letter turns the points of its
-    annulus about the centre by the angle -tau*h'(t) of their area height,
-    and tracked annulus membership lets a letter touch only the points it
-    can move; the result is bit-identical to applying ``generator_map``
-    letter by letter.
+    Letters act right to left through ``Representation.apply_letters``:
+    each letter turns the points of its annulus about the centre by the
+    angle -tau*h'(t) of their area height (an inverse letter is the same
+    twist run backwards), and tracked annulus membership lets a letter touch
+    only the points it can move.  A row's factor exp(-i N h'(t)) is computed
+    once per stint, the letters of one annulus that turn it with no other
+    annulus claiming it in between, and reused by the stint's later
+    letters, conjugated for an inverse letter.  A one-letter word, and the
+    first letter of every stint, is bit-identical to ``generator_map``;
+    later letters of a stint turn by the factor of the row's true height
+    rather than one recomputed from its rotated, rounded image.  pts is an
+    (n, 2) array or one (2,) point; any other shape is a ValueError.
     """
     if w.graph != rep.word_graph:
         raise ValueError("word is not over the representation's graph")
     if rep.pullback is not None:
         w = hom_apply(rep.pullback, w)
-    pts = np.asarray(pts, float)
-    out = rep.apply_letters(w.letters, np.atleast_2d(pts))
-    return out[0] if pts.ndim == 1 else out
+    return rep.apply_letters(w.letters, pts)
 
 
 # ------------------------------ verification --------------------------------
@@ -285,6 +288,12 @@ def verify_relations(rep, samples: int = 200, seed: int = 0) -> VerificationRepo
     overlap probe; every puncture must be fixed by the image of every
     generator of the configuration's graph (the cover's, on the emulator
     route).  Fewer than one sample is a ValueError.
+
+    The commutators run through ``rep_apply``, so a row's factor lasts for
+    its stint in one annulus: in [u, v] = u v u^-1 v^-1 a row of A(v)
+    alone turns by conj(rho) and then by rho, which cancel to rounding
+    even across annuli so thin that a recomputed h'(t) would not.  The
+    puncture and Jacobian checks apply ``generator_map`` directly.
 
     samples is a request: the draw takes max(4, samples // 2k) points in each
     of the k annuli and the rest, at least 8, as free points, so the report's

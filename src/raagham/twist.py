@@ -152,23 +152,31 @@ def annuli_intersect(a: RoundAnnulus, b: RoundAnnulus) -> bool:
 # ------------------------------ plane maps ---------------------------------
 
 
-def _twist_rows(annulus, profile, tau, z):
-    """The twist's one arithmetic, on a complex array z of points of its annulus.
+def _twist_rows(annulus, profile, tau, rel):
+    """The twist's one arithmetic: the factors that turn points of its annulus,
+    given as a complex array rel = z - c about its centre c.
 
     In the area coordinates (s, t) = (-theta, (r^2 - mid)/2) of the annulus
     the twist shifts s by tau*h'(t) and keeps t, so it turns each point about
-    the centre c by that angle: z -> c + (z - c) * exp(-i tau h'(t)).
+    the centre by that angle: z -> c + (z - c) * exp(-i tau h'(t)).
     Returns the indices of the rows it moves (a nonzero angle tau*h'(t))
-    and their images.  Rows within rounding of the annulus boundary have
-    h'(t) == 0 exactly, because the bump's exp(-1/(1-u^2)) underflows
-    there, so they never move.
+    and their factors exp(-i tau h'(t)); every other row's factor is 1.
+    Rows within rounding of the annulus boundary have h'(t) == 0 exactly,
+    because the bump's exp(-1/(1-u^2)) underflows there, so they never move.
     """
-    c = complex(*annulus.center)
-    rel = z - c
     t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - annulus.mid)
     ds = tau * profile.dh(t)
     rows = np.flatnonzero(ds != 0.0)
-    return rows, c + rel[rows] * np.exp(-1j * ds[rows])
+    return rows, np.exp(-1j * ds[rows])
+
+
+def _point_rows(pts):
+    """A C-ordered float copy of pts as (n, 2) rows, and whether pts was one
+    (2,) point; any other shape is a ValueError that names it."""
+    pts = np.asarray(pts, float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError(f"points must have shape (n, 2) or (2,), not {pts.shape}")
+    return np.array(np.atleast_2d(pts), float, order="C"), pts.ndim == 1
 
 
 @dataclass(frozen=True)
@@ -182,13 +190,14 @@ class PlaneMap:
     tau: float
 
     def apply(self, pts):
-        pts = np.asarray(pts, float)
-        out = np.array(np.atleast_2d(pts), float, order="C")
+        out, single = _point_rows(pts)
         z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
         idx = np.flatnonzero(self.annulus.contains(out))
-        rows, moved = _twist_rows(self.annulus, self.profile, self.tau, z[idx])
-        z[idx[rows]] = moved
-        return out[0] if pts.ndim == 1 else out
+        c = complex(*self.annulus.center)
+        rel = z[idx] - c
+        rows, turns = _twist_rows(self.annulus, self.profile, self.tau, rel)
+        z[idx[rows]] = c + rel[rows] * turns
+        return out[0] if single else out
 
 
 def double_dehn_twist(annulus: RoundAnnulus, profile: TwistProfile, tau: float) -> PlaneMap:
@@ -736,11 +745,22 @@ class Representation:
         return index, annuli, [np.flatnonzero(row) for row in meets]
 
     def apply_letters(self, letters, pts):
-        """Apply cover letters (v, e) right to left to an (n, 2) array.
+        """Apply cover letters (v, e) right to left to an (n, 2) array or one
+        (2,) point; any other shape is a ValueError.
 
-        Letter (v, e) is the twist of A(v) with tau = N*e, the rotation of
-        ``_twist_rows`` applied in place to the batch's rows as complex
-        numbers, and bit-identical to ``generator_map(v, N*e).apply``.
+        Letter (v, e) is the twist of A(v) with tau = N*e, applied in place
+        to the batch's rows as complex numbers, one stint at a time.  Each
+        letter claims every row of its closed annulus.  When a letter of
+        A(v) claims a row whose last claim was by another annulus (or by
+        none), it computes the row's factor rho = exp(-i N h'(t)) by
+        ``_twist_rows``; later letters of A(v) reuse it, (v, +1) turning the
+        row as z -> c + (z - c) * rho and (v, -1) by conj(rho), until
+        another annulus claims the row.  The twist keeps t, so the factor
+        of the row's true height holds for the whole stint, and a row with
+        rho == 1 does not move.  conj(exp(-iNx)) is exp(+iNx) bit for bit,
+        so a one-letter word, and the first letter of every stint, is
+        bit-identical to ``generator_map(v, N*e).apply``.
+
         Membership of every point in the closed annuli the word uses is
         computed once and then tracked: a twist moves points only along
         circles of its own annulus, so after each letter only the moved rows
@@ -755,20 +775,38 @@ class Representation:
         last = np.full(len(annuli), -1)  # the last step that uses each annulus
         for step, (i, _, _) in enumerate(steps):
             last[i] = step
-        out = np.array(pts, float, order="C")
+        out, single = _point_rows(pts)
         z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
         member = np.zeros((len(annuli), len(out)), bool)
         for j in np.flatnonzero(last >= 0):
             member[j] = annuli[j].contains(out)
+        owner = np.full(len(out), -1, np.int32)  # the annulus of each row's stint
+        rho = np.ones(len(out), complex)  # each row's factor for its stint
         for step, (i, v, e) in enumerate(steps):
+            c = complex(*annuli[i].center)
             idx = np.flatnonzero(member[i])
-            rows, moved = _twist_rows(annuli[i], self.profiles[v], self.N * e, z[idx])
-            idx = idx[rows]
+            fresh = idx[owner[idx] != i]
+            owner[fresh] = i
+            rho[fresh] = 1.0
+            rows, turns = _twist_rows(annuli[i], self.profiles[v], self.N, z[fresh] - c)
+            rho[fresh[rows]] = turns
+            turns = rho[idx]
+            turning = turns != 1.0
+            idx, turns = idx[turning], turns[turning]
+            if e < 0:
+                turns = turns.conj()
+            # rel * turns on two named arrays: with a large temporary operand
+            # NumPy multiplies in place, swapping the operands when the
+            # temporary is the second, and a one-element product in place
+            # rounds differently; either would make a row's bits depend on
+            # its batch
+            rel = z[idx] - c
+            moved = c + rel * turns
             z[idx] = moved
-            moved_xy = out.take(idx, axis=0)
+            moved_xy = moved.view(float).reshape(-1, 2)
             for j in near[i][last[near[i]] > step]:
                 member[j, idx] = annuli[j].contains(moved_xy)
-        return out
+        return out[0] if single else out
 
 
 def build_representation(

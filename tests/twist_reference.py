@@ -3,8 +3,20 @@
 Letter by letter: ``reference_twist`` scans the whole batch, masks the
 closed annulus with ``RoundAnnulus.contains`` and turns the masked rows
 whose angle tau*h'(t) is nonzero about the centre, z -> c + (z - c) *
-exp(-i tau h'(t)), by the same floating-point operations as the package.
-The package's tracked word kernel must equal this fold bit for bit.
+exp(-i tau h'(t)), by the same floating-point operations as the package;
+``PlaneMap.apply`` must equal it bit for bit.  ``letterwise_fold`` folds
+it over a word, every letter recomputing its factors from the rows as the
+last letter left them.
+
+Stints: ``reference_fold`` applies the stint rule of the package's word
+kernel letter by letter, with a full-batch ``contains`` mask per letter and
+no tracking.  A letter of A(v) claims the rows of its closed annulus; a row
+last claimed by another annulus, or by none, gets the factor rho =
+exp(-i N h'(t)) of its height now, and the stint's later letters reuse it,
+(v, +1) turning by rho and (v, -1) by conj(rho).  conj(exp(-iNx)) equals
+exp(+iNx) bit for bit, so the first letter of each stint equals
+``reference_twist``.  The tracked kernel must equal this fold bit for bit.
+``mpmath_fold`` is the same word in 40-digit arithmetic.
 
 Area chart: ``AreaChart`` is the symplectomorphism of a round annulus onto
 the product annulus S^1 x [-a, a], and ``product_twist`` is the twist
@@ -112,8 +124,10 @@ def chart_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
     return out
 
 
-def reference_fold(rep, w, pts):
-    """The image of a word, one full-batch twist per cover letter, right to left."""
+def letterwise_fold(rep, w, pts):
+    """The image of a word, one full-batch twist per cover letter, right to
+    left: every letter recomputes its factors from the heights of the rows
+    as the previous letter left them."""
     if rep.pullback is not None:
         w = hom_apply(rep.pullback, w)
     pts = np.asarray(pts, float)
@@ -121,6 +135,66 @@ def reference_fold(rep, w, pts):
     for v, e in reversed(w.letters):
         out = reference_twist(rep.config.annuli[v], rep.profiles[v], rep.N * e, out)
     return out[0] if pts.ndim == 1 else out
+
+
+def reference_fold(rep, w, pts):
+    """The image of a word by the stint rule, one full-batch letter at a time.
+
+    Each cover letter masks the whole batch with ``RoundAnnulus.contains``
+    (no tracking) and claims the masked rows.  A row whose last claim was
+    by another annulus, or by none, gets the factor rho = exp(-i N h'(t))
+    of its height now; the other rows keep the factor of their stint.
+    (v, +1) turns the rows with rho != 1 by rho and (v, -1) by conj(rho).
+    """
+    if rep.pullback is not None:
+        w = hom_apply(rep.pullback, w)
+    pts = np.asarray(pts, float)
+    out = np.atleast_2d(pts).copy()
+    index = {v: i for i, v in enumerate(rep.config.annuli)}
+    owner = np.full(len(out), -1)
+    rho = np.ones(len(out), complex)
+    for v, e in reversed(w.letters):
+        ann, prof = rep.config.annuli[v], rep.profiles[v]
+        c = complex(*ann.center)
+        mask = ann.contains(out)
+        fresh = np.flatnonzero(mask & (owner != index[v]))
+        rel = out[fresh, 0] + 1j * out[fresh, 1] - c
+        t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - ann.mid)
+        ds = rep.N * prof.dh(t)
+        rho[fresh] = np.where(ds != 0.0, np.exp(-1j * ds), 1.0)
+        owner[mask] = index[v]
+        f = rho if e > 0 else rho.conj()
+        sub = np.flatnonzero(mask & (rho != 1.0))
+        rel = out[sub, 0] + 1j * out[sub, 1] - c
+        turns = f[sub]
+        moved = c + rel * turns
+        out[sub] = np.stack([moved.real, moved.imag], -1)
+    return out[0] if pts.ndim == 1 else out
+
+
+def mpmath_fold(rep, letters, pts, dps=40):
+    """Cover letters (v, e) right to left on (n, 2) points in dps-digit
+    arithmetic: each letter turns the points of its closed annulus by
+    c + (z - c) * exp(-i N e h'(t)), with the annulus and profile constants
+    taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        zs = [mpmath.mpc(*p) for p in pts]
+        for v, e in reversed(letters):
+            ann, prof = rep.config.annuli[v], rep.profiles[v]
+            c = mpmath.mpc(*ann.center)
+            lo, hi = mpmath.mpf(ann.r_inner) ** 2, mpmath.mpf(ann.r_outer) ** 2
+            mid, b, width = mpmath.mpf(ann.mid), mpmath.mpf(prof.b), mpmath.mpf(prof.width)
+            for k, z in enumerate(zs):
+                rel = z - c
+                r2 = rel.real**2 + rel.imag**2
+                u = ((r2 - mid) / 2 - b) / width
+                if lo <= r2 <= hi and abs(u) < 1:
+                    one_m = 1 - u * u
+                    dh = 2 * mpmath.pi * mpmath.e * mpmath.exp(-1 / one_m) * (1 - 2 * u * u / one_m**2)
+                    zs[k] = c + rel * mpmath.expj(-rep.N * e * dh)
+        return np.array([[float(z.real), float(z.imag)] for z in zs])
 
 
 def boundary_points(annulus, n=16):
