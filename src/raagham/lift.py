@@ -436,10 +436,11 @@ def _pull_back(rec, z, on):
 
 
 def _value_at(rec, r, on):
-    """H at pull-backs at radius r about c: at height t clipped to [-1/2, 1/2], 1 (no bump) where on fails."""
-    *_, q, D, R2_inner, mass, b, width, _, scale = rec[1]
+    """H at pull-backs at radius r about c: at height t clipped to [-1/2, 1/2], 1 (no bump) where on fails,
+    by the kernels of ``TransportChart.t_jet`` and ``TwistProfile.jet`` on the record's own rows."""
+    *_, q, D, R2_inner, mass, b, width, hw, scale = rec[1]
     t = TransportChart._t_jet(r, q, D, R2_inner, mass)[0]
-    return scale * TwistProfile(0.5, b, width).h(np.where(on, np.minimum(np.maximum(t, -0.5), 0.5), 1.0))
+    return scale * TwistProfile._jet(np.where(on, np.minimum(np.maximum(t, -0.5), 0.5), 1.0), b, width, hw)[0]
 
 
 def _jet_on(rec, z, on):
@@ -523,9 +524,11 @@ class AssembledHamiltonian:
         self._index_words()
 
     def _index_words(self):
-        """The ping-pong certificate, the reducing letters and the table from
+        """The ping-pong certificate, the reducing letters and the index from
         word codes to pieces (a word l_1 ... l_k has the base-(m + 1) code
-        with digits l_i + 1, m the number of letter ids).
+        with digits l_i + 1, m the number of letter ids): the pieces' codes
+        sorted, searched by ``np.searchsorted``, so the index takes memory in
+        proportion to the pieces, not to the (m + 1)^L codes.
 
         It rejects what breaks the certificate or point location: a repeated
         word, one not freely reduced or whose prefix or last letter is no
@@ -593,12 +596,15 @@ class AssembledHamiltonian:
         self._digits = np.array(letters, np.intp) + 1
         self._base = max(letters, default=-1) + 2
         self._depth = max(map(len, words))
-        self._pieces_by_code = np.full(self._base**self._depth, -1, np.intp)
-        for i, w in enumerate(words):
+        codes = []
+        for w in words:
             code = 0
             for lid in w:
                 code = code * self._base + lid + 1
-            self._pieces_by_code[code] = i
+            codes.append(code)
+        codes = np.array(codes, np.intp)
+        self._code_pieces = np.argsort(codes)
+        self._codes = codes[self._code_pieces]
 
     def _locate(self, z, rho):
         """The piece each point's Schottky reduction names, -1 for none and off
@@ -618,7 +624,8 @@ class AssembledHamiltonian:
             live, z = live[moved], z[moved]
             z = (ia[k, 0] * z + ib[k, 0]) / g[k, moved]
             code[live] = code[live] * self._base + self._digits[k]
-        return np.where(rho < 1.0, self._pieces_by_code[code], -1)
+        k = np.minimum(np.searchsorted(self._codes, code), len(self._codes) - 1)
+        return np.where((rho < 1.0) & (self._codes[k] == code), self._code_pieces[k], -1)
 
     def _evaluate(self, z, rho, jet):
         """H, or (H, H_x + i H_y), at each point of the open disk (rho = |z|) on the

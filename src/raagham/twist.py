@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -34,42 +33,18 @@ class TwistProfile:
     h(t) = 2*pi*e * (t - b) * exp(-1 / (1 - ((t-b)/w)^2)) inside |t-b| < w
     and 0 elsewhere; w = min(a - b, a + b) keeps the support inside [-a, a],
     and h vanishes at the support ends together with all derivatives.
+    ``h``, ``dh`` and ``jet`` are the one maskless kernel ``_jet``.
     """
 
     a: float
     b: float
     width: float
 
-    def _bump(self, t):
-        """u = (t - b)/w, the mask |u| < 1, and on it w, u, u^2, 1 - u^2 and
-        exp(-1/(1 - u^2)).  b and w may be arrays broadcasting against t: one
-        profile per point, as an assembly evaluates its pieces."""
-        t = np.asarray(t, float)
-        u = (t - self.b) / self.width
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        wi = np.broadcast_to(self.width, u.shape)[inside] if np.ndim(self.width) else self.width
-        uu = ui * ui
-        one_m = 1.0 - uu
-        return u, inside, wi, ui, uu, one_m, np.exp(-1.0 / one_m)
-
-    @staticmethod
-    def _dh(uu, one_m, phi):
-        return TWO_PI * math.e * phi * (1.0 - 2.0 * uu / one_m**2)
-
-    @staticmethod
-    def _masked(u, inside, vals):
-        out = np.zeros_like(u)
-        out[inside] = vals
-        return out if out.ndim else float(out)
-
     def h(self, t):
-        u, inside, wi, ui, _, _, phi = self._bump(t)
-        return self._masked(u, inside, TWO_PI * math.e * wi * ui * phi)
+        return self.jet(t)[0]
 
     def dh(self, t):
-        u, inside, _, _, uu, one_m, phi = self._bump(t)
-        return self._masked(u, inside, self._dh(uu, one_m, phi))
+        return self.jet(t)[1]
 
     def jet(self, t):
         return self._jet(np.asarray(t, float), self.b, self.width, TWO_PI * math.e * self.width)
@@ -77,15 +52,16 @@ class TwistProfile:
     @staticmethod
     def _jet(t, b, width, hw):
         """(h(t), h'(t)) of the bump at b of width w, hw = 2 pi e w (numbers or
-        arrays broadcasting against t), from one exp at every t: off the bump u
-        is fed 0, so no t raises, h is +0 there as the mask sets it, h' is 0."""
+        arrays broadcasting against t, as an assembly passes one profile per
+        point), from one exp at every t: off the bump u is fed 0, so no t
+        raises, and h is +0 and h' is 0 there."""
         u = (t - b) / width
         inside = np.abs(u) < 1.0
         u = np.where(inside, u, 0.0)
         uu = u * u
         one_m = 1.0 - uu
         phi = np.exp(-1.0 / one_m)
-        return hw * u * phi, np.where(inside, TwistProfile._dh(uu, one_m, phi), 0.0)
+        return hw * u * phi, np.where(inside, TWO_PI * math.e * phi * (1.0 - 2.0 * uu / one_m**2), 0.0)
 
     def sup_abs(self) -> float:
         """max |h|, at |u| = (sqrt 6 - sqrt 2)/2 where dh vanishes: (1 - u^2)^2 = 2 u^2."""
@@ -161,6 +137,7 @@ def _twist_rows(annulus, profile, tau, rel):
     the centre by that angle: z -> c + (z - c) * exp(-i tau h'(t)).
     Returns the indices of the rows it moves (a nonzero angle tau*h'(t))
     and their factors exp(-i tau h'(t)); every other row's factor is 1.
+    h'(t) is ``profile.dh``, the bump's one kernel ``TwistProfile._jet``.
     Rows within rounding of the annulus boundary have h'(t) == 0 exactly,
     because the bump's exp(-1/(1-u^2)) underflows there, so they never move.
     """
@@ -220,30 +197,23 @@ def twist_hamiltonian(annulus: RoundAnnulus, profile: TwistProfile):
     its field.
 
     H(z) = h(t(z)) with t the area coordinate; grad t is simply the vector
-    from the annulus center, so grad H = h'(t) * (z - c).  The jet takes
-    r^2 once and h, h' from one ``TwistProfile.jet``.
+    from the annulus center, so grad H = h'(t) * (z - c).  Both take r^2
+    once and h, h' from one maskless ``TwistProfile.jet`` at every point,
+    then select the closed annulus (``RoundAnnulus.contains`` on the same
+    r^2) with 0 elsewhere: no gather or scatter.
     """
     c, mid = np.asarray(annulus.center), annulus.mid
     lo, hi = annulus.r_inner**2, annulus.r_outer**2
 
-    def rel_t_mask(pts):
-        # r^2 once: the mask is RoundAnnulus.contains (closed) on the same r^2
+    def jet(pts):
         rel = np.atleast_2d(np.asarray(pts, float)) - c
         r2 = np.einsum("ij,ij->i", rel, rel)
-        return rel, 0.5 * (r2 - mid), (r2 >= lo) & (r2 <= hi)
+        mask = (r2 >= lo) & (r2 <= hi)
+        h, dh = profile.jet(0.5 * (r2 - mid))
+        return np.where(mask, h, 0.0), np.where(mask[:, None], dh[:, None] * rel, 0.0)
 
     def H(pts):
-        rel, t, mask = rel_t_mask(pts)
-        vals = np.zeros(len(rel))
-        vals[mask] = profile.h(t[mask])
-        return vals
-
-    def jet(pts):
-        rel, t, mask = rel_t_mask(pts)
-        vals, g = np.zeros(len(rel)), np.zeros_like(rel)
-        vals[mask], dh = profile.jet(t[mask])
-        g[mask] = dh[:, None] * rel[mask]
-        return vals, g
+        return jet(pts)[0]
 
     return H, jet
 
@@ -727,23 +697,6 @@ class Representation:
     def generator_map(self, v, tau) -> PlaneMap:
         return double_dehn_twist(self.config.annuli[v], self.profiles[v], tau)
 
-    @cached_property
-    def _letter_tables(self):
-        """Per cover vertex: its index, its annulus and the annuli near it.
-
-        The annuli near A(v) are the others whose disks meet its disk: a
-        superset of every other annulus that can contain a point of A(v),
-        widened by a relative slack that only adds annuli.
-        """
-        annuli = list(self.config.annuli.values())
-        centers = np.array([A.center for A in annuli])
-        outer = np.array([A.r_outer for A in annuli])
-        diff = centers[:, None] - centers[None]
-        meets = np.hypot(diff[..., 0], diff[..., 1]) <= (outer[:, None] + outer) * (1.0 + 1e-9)
-        np.fill_diagonal(meets, False)
-        index = {v: i for i, v in enumerate(self.config.annuli)}
-        return index, annuli, [np.flatnonzero(row) for row in meets]
-
     def apply_letters(self, letters, pts):
         """Apply cover letters (v, e) right to left to an (n, 2) array or one
         (2,) point; any other shape is a ValueError.
@@ -764,13 +717,16 @@ class Representation:
         Membership of every point in the closed annuli the word uses is
         computed once and then tracked: a twist moves points only along
         circles of its own annulus, so after each letter only the moved rows
-        are re-tested, against the other annuli near A(v) that a later
-        letter still uses.  A moved row stays in A(v): the rotation keeps
-        |z - c| to an ulp, and rows within rounding of an annulus boundary
-        do not move, so no membership decision that rounding could flip
-        ever changes an output.
+        are re-tested, against those annuli of v's neighbours in the graph
+        that a later letter still uses.  ``build_configuration`` certifies
+        that the annulus nerve is the graph, so no other annulus meets A(v).
+        A moved row stays in A(v): the rotation keeps |z - c| to an ulp,
+        and rows within rounding of an annulus boundary do not move, so no
+        membership decision that rounding could flip ever changes an output.
         """
-        index, annuli, near = self._letter_tables
+        graph, annuli = self.config.graph, list(self.config.annuli.values())
+        index = {v: i for i, v in enumerate(self.config.annuli)}
+        near = [np.array([index[u] for u in graph.neighbors(v)], np.intp) for v in self.config.annuli]
         steps = [(index[v], v, e) for v, e in reversed(letters)]
         last = np.full(len(annuli), -1)  # the last step that uses each annulus
         for step, (i, _, _) in enumerate(steps):

@@ -10,6 +10,11 @@ here as oracles: the fused evaluations must match them bit for bit.
 a loop over its pieces, each point taken by the first piece containing it.
 Located values and jets must match it bit for bit.
 
+``dense_locate`` is point location as it was before the sorted index of
+word codes: the same reduction, then a dense table of every base^L code,
+which grows as 5^L against the 2 * 3^L - 1 pieces.  ``_locate`` must name
+the same piece for every point.
+
 ``polydisk_vector_field`` and ``plane_vector_field`` are the per-block
 and the two-dimensional symplectic rules that the one rule of
 ``HamiltonianField.vector_field`` replaced; it must match both bit for bit.
@@ -125,6 +130,34 @@ def piece_loop(assembled, z, jet=False):
                 out[mask] = v
             todo &= ~mask
     return outs if jet else outs[0]
+
+
+def dense_locate(assembled, z, rho):
+    """``AssembledHamiltonian._locate`` as it was with a dense table of all
+    base^L word codes, -1 where no piece has the code: the piece each
+    point's Schottky reduction names, -1 for none and off the open disk."""
+    H = assembled
+    table = np.full(H._base**H._depth, -1, np.intp)
+    for i, el in enumerate(H.elements):
+        code = 0
+        for lid in el.word:
+            code = code * H._base + lid + 1
+        table[code] = i
+    code = np.zeros(z.shape, np.intp)
+    live = np.flatnonzero((rho >= H._clear) & (rho < 1.0))
+    z = z[live]
+    ia, ib = H._reduce[:, :, None]
+    for _ in range(H._depth):
+        if not live.size:
+            break
+        g = ib.conjugate() * z + ia.conjugate()
+        held = np.abs(g) < 1.0
+        moved = np.flatnonzero(held.any(0))
+        k = held[:, moved].argmax(0)
+        live, z = live[moved], z[moved]
+        z = (ia[k, 0] * z + ib[k, 0]) / g[k, moved]
+        code[live] = code[live] * H._base + H._digits[k]
+    return np.where(rho < 1.0, table[code], -1)
 
 
 def image_circle(sigma, c, r):

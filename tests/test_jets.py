@@ -20,7 +20,7 @@ from raagham.lift import (
     schottky_pair,
     smooth_Hv,
 )
-from raagham.twist import make_profile
+from raagham.twist import TwistProfile, make_profile
 from lift_reference import (
     plane_vector_field,
     polydisk_gradient,
@@ -28,6 +28,7 @@ from lift_reference import (
     smoothed_field,
     smoothed_gradient,
 )
+from twist_reference import bump_reference
 
 TWO_PI = 2 * math.pi
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -94,12 +95,27 @@ def with_edges(pts):
 @FEW
 @given(st.floats(-0.45, 0.45), st.lists(st.floats(-1.0, 1.0), max_size=12))
 def test_profile_jet_is_h_and_dh(b, ts):
+    """h, h' and the jet equal the masked ``bump_reference`` bit for bit,
+    signbits included: inside, at the centre and ends of the support and off
+    it, for one profile and for the per-point b, w and 2 pi e w that an
+    assembly passes (columns of its constant table, or its identity piece's
+    0-d record)."""
     p = make_profile(0.5, b)
     t = np.array(ts + [b, b - p.width, b + p.width, -0.5, 0.5])
-    h, dh = p.jet(t)
-    assert same(h, p.h(t)) and same(dh, p.dh(t))
+    h, dh = bump_reference(t, p.b, p.width)
+    assert same(p.jet(t)[0], h) and same(p.jet(t)[1], dh)
+    assert same(p.h(t), h) and same(p.dh(t), dh)
     for s in (b, b + p.width, 2.0):
-        assert p.jet(s) == (p.h(s), p.dh(s))
+        ref = bump_reference(s, p.b, p.width)
+        assert all(same(np.asarray(x), r) for x, r in zip((p.h(s), p.dh(s), *p.jet(s)), ref + ref))
+    asm = ASSEMBLED[3]
+    bs, ws = asm._real[9:11]
+    cols = np.concatenate([np.arange(len(t)) % len(PIECES), np.tile(np.arange(len(PIECES)), 3)])
+    t = np.concatenate([t, bs, bs - ws, bs + ws])
+    for b_, w_, hw in (asm._real[9:12].take(cols, 1), asm._identity[1][9:12]):
+        h, dh = TwistProfile._jet(t, b_, w_, hw)
+        h_ref, dh_ref = bump_reference(t, b_, w_)
+        assert same(h, h_ref) and same(dh, dh_ref)
 
 
 @FEW

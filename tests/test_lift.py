@@ -34,6 +34,7 @@ from lift_reference import (
     RegionOverlapError,
     check_assembly_disjoint,
     check_disjoint,
+    dense_locate,
     free_group_count,
     piece_loop,
 )
@@ -545,6 +546,23 @@ class TestPointLocation:
         z = np.concatenate([near, free, _isometric_circle_points(8), OUTSIDE])
         _assert_located_is_loop(H, z)
         _assert_located_is_loop(H, z[:1])
+
+    @pytest.mark.parametrize("depth, pruned", [(d, False) for d in range(9)] + [(4, True)])
+    def test_sorted_index_locates_as_the_dense_table(self, depth, pruned):
+        H = _schottky_assembly(depth)
+        tracked = [p.element.map(p._tracked_preimages(2)) for p in H.pieces]
+        z = np.concatenate([_point_set(H, "random"), _isometric_circle_points(), OUTSIDE, *tracked])
+        rho, full = np.abs(z), H._locate(z, np.abs(z))
+        if pruned:  # every other word of the greatest length left out: codes no piece has
+            kept = [e for i, e in enumerate(H.elements) if e.length < depth or i % 2]
+            H = assemble_Hv("v", kept, default_study_annulus())
+        got = H._locate(z, rho)
+        assert np.array_equal(got, dense_locate(H, z, rho))
+        assert ((got == -1).sum() > (full == -1).sum()) == pruned
+        # the points reach many pieces, not only the identity
+        assert len(np.unique(got[got >= 0])) > min(len(H.pieces) // 2, 50)
+        # one code and one piece number per piece, not one entry per code of length <= L
+        assert H._codes.nbytes + H._code_pieces.nbytes <= 16 * len(H.pieces)
 
     def test_chunks_match_one_pass(self, monkeypatch):
         H = _schottky_assembly(4)

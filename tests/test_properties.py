@@ -23,7 +23,7 @@ from raagham.twist import (
     make_profile,
 )
 from raagham.words import Word, normal_form, word_from_tokens
-from twist_reference import bisect_delta, gap_floor, inflation_valid, reference_fold
+from twist_reference import bisect_delta, gap_floor, inflation_valid, non_neighbour_hits, reference_fold
 from words_reference import normal_form_closure
 
 TWO_PI = 2 * math.pi
@@ -245,6 +245,16 @@ def test_punctures_avoid_the_annuli(g):
             for s in (u, v):  # off the circle beyond rounding; widths go down to ~1e-9
                 off = np.abs(np.hypot(*(probes - cfg.centers[s]).T) - cfg.radii[s])
                 assert off.min() > 1e-12 * cfg.radii[s]
+
+
+@FEW
+@given(simple_graphs(9))
+def test_only_neighbours_meet_an_annulus(g):
+    """No annulus but those of v's neighbours holds a point of A(v),
+    its boundary circles included (the word kernel tracks only those)."""
+    emb = planarity(g)
+    if isinstance(emb, PlanarEmbedding):
+        assert non_neighbour_hits(build_configuration(emb)) == []
 
 
 C4_VERTICES = list("wxyz")

@@ -37,6 +37,7 @@ from twist_reference import (
     gap_floor,
     inflation_valid,
     flood_fill_labels,
+    non_neighbour_hits,
     probe_points,
     product_twist,
     reference_region_points,
@@ -712,6 +713,14 @@ class TestRepresentation:
         for v in "uvw":
             f = rep.generator_map(v, rep.N)
             assert np.abs(f.apply(P) - P).max() < 1e-9
+
+    @pytest.mark.parametrize("name", ["p3_rep", "c4_rep", "k4_rep", "k5_emulator", "k6_rep"])
+    def test_only_neighbours_meet_an_annulus(self, request, name):
+        """No annulus but those of v's neighbours holds a point of A(v), its
+        boundary circles included: the word kernel tracks only those."""
+        fixture = request.getfixturevalue(name)
+        cfg = fixture.config if name.endswith("rep") else build_configuration(fixture.embedding)
+        assert non_neighbour_hits(cfg) == []
 
     def test_emulator_route(self, k5_emulator):
         rep = build_representation(

@@ -1,5 +1,10 @@
 """Loop references for the closed routes of ``raagham.twist``.
 
+Bump: ``bump_reference`` evaluates h and h' by the masked route that the
+package's maskless ``TwistProfile._jet`` replaced, only where |u| < 1; the
+package must equal it bit for bit, and every reference below takes h and h'
+from it.
+
 Letter by letter: ``reference_twist`` scans the whole batch, masks the
 closed annulus with ``RoundAnnulus.contains`` and turns the masked rows
 whose angle tau*h'(t) is nonzero about the centre, z -> c + (z - c) *
@@ -25,6 +30,10 @@ rotation replaced: it maps the masked rows to the product annulus with
 ``AreaChart.to_product``, shifts s by tau*h'(t), reduces it mod 2*pi and
 maps back with ``AreaChart.to_plane``; the rotation must agree with it to
 rounding, and ``RoundAnnulus.mid`` and ``.a`` must equal the chart's.
+
+Nerve: ``non_neighbour_hits`` lists the annuli that contain a point
+(``annulus_points``) of an annulus whose vertex is not their neighbour;
+the word kernel re-tests moved rows only against the neighbours.
 
 Punctures: ``flood_fill`` labels the free cells of a grid, the route the
 exact circle arrangement of ``build_configuration`` replaced; it resolves
@@ -81,12 +90,32 @@ class AreaChart:
         return 0.5 * (np.asarray(r, float) ** 2 - self.mid)
 
 
+def bump_reference(t, b, width):
+    """(h(t), h'(t)) of the flat bump at b of width w by the masked route
+    that the maskless ``TwistProfile._jet`` replaced: u = (t - b)/w, the
+    formulas evaluated only where |u| < 1 and 0 elsewhere.  b and width may
+    be arrays broadcasting against t, one profile per point, as an assembly
+    passes them.  The package's h and h' must equal it bit for bit."""
+    t = np.asarray(t, float)
+    u = (t - b) / width
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    wi = np.broadcast_to(width, u.shape)[inside] if np.ndim(width) else width
+    uu = ui * ui
+    one_m = 1.0 - uu
+    phi = np.exp(-1.0 / one_m)
+    h, dh = np.zeros_like(u), np.zeros_like(u)
+    h[inside] = TWO_PI * math.e * wi * ui * phi
+    dh[inside] = TWO_PI * math.e * phi * (1.0 - 2.0 * uu / one_m**2)
+    return h, dh
+
+
 def product_twist(profile, tau, p):
     """Closed-form twist on the product annulus: (s, t) -> (s + tau*h'(t), t)."""
     s, t = float(p[0]), float(p[1])
     if abs(t) > profile.a + 1e-12:
         raise ValueError(f"t={t} outside [-a, a]")
-    return ((s + tau * profile.dh(t)) % TWO_PI, t)
+    return ((s + tau * bump_reference(t, profile.b, profile.width)[1]) % TWO_PI, t)
 
 
 def band_points(annulus, n, rng, r2_lo, r2_hi):
@@ -104,7 +133,7 @@ def reference_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
     c = complex(*annulus.center)
     rel = out[mask, 0] + 1j * out[mask, 1] - c
     t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - AreaChart(annulus).mid)
-    ds = tau * profile.dh(t)
+    ds = tau * bump_reference(t, profile.b, profile.width)[1]
     sub = (t >= t_lo) & (t < t_hi) & (ds != 0.0)
     moved = c + rel[sub] * np.exp(-1j * ds[sub])
     out[np.flatnonzero(mask)[sub]] = np.stack([moved.real, moved.imag], -1)
@@ -116,7 +145,7 @@ def chart_twist(annulus, profile, tau, pts, t_lo=-np.inf, t_hi=np.inf):
     out = np.atleast_2d(np.asarray(pts, float)).copy()
     mask = annulus.contains(out)
     st = chart.to_product(out[mask])
-    ds = tau * profile.dh(st[:, 1])
+    ds = tau * bump_reference(st[:, 1], profile.b, profile.width)[1]
     sub = (st[:, 1] >= t_lo) & (st[:, 1] < t_hi) & (ds != 0.0)
     st_sub = st[sub]
     st_sub[:, 0] = (st_sub[:, 0] + ds[sub]) % (2 * math.pi)
@@ -160,7 +189,7 @@ def reference_fold(rep, w, pts):
         fresh = np.flatnonzero(mask & (owner != index[v]))
         rel = out[fresh, 0] + 1j * out[fresh, 1] - c
         t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - ann.mid)
-        ds = rep.N * prof.dh(t)
+        ds = rep.N * bump_reference(t, prof.b, prof.width)[1]
         rho[fresh] = np.where(ds != 0.0, np.exp(-1j * ds), 1.0)
         owner[mask] = index[v]
         f = rho if e > 0 else rho.conj()
@@ -210,6 +239,34 @@ def boundary_points(annulus, n=16):
     return np.concatenate([np.asarray(annulus.center) + r * ring for r in radii])
 
 
+def annulus_points(cfg, v, rng, n=200):
+    """Points of the closed annulus A(v): area-uniform samples, points on and
+    one ulp off its boundary circles, and the points of its inner, central
+    and outer circles on the line to every other centre, where two disjoint
+    round annuli come closest; only those ``contains`` accepts are kept."""
+    A = cfg.annuli[v]
+    c = np.asarray(A.center)
+    rel = np.array([B.center for u, B in cfg.annuli.items() if u != v]).reshape(-1, 2) - c
+    unit = rel / np.hypot(*rel.T)[:, None]
+    radii = [A.r_inner, np.nextafter(A.r_inner, np.inf), cfg.radii[v], np.nextafter(A.r_outer, 0.0), A.r_outer]
+    line = [c + s * r * unit for r in radii for s in (1.0, -1.0)]
+    pts = np.concatenate([A.sample_points(n, rng), boundary_points(A), *line])
+    return pts[A.contains(pts)]
+
+
+def non_neighbour_hits(cfg, seed=0):
+    """The (v, u) pairs for which an annulus A(u), u neither v nor one of
+    v's neighbours in the graph, contains one of ``annulus_points`` of A(v);
+    the word kernel's membership tracking needs this to be empty."""
+    rng = np.random.default_rng(seed)
+    hits = []
+    for v in cfg.graph.vertices:
+        pts = annulus_points(cfg, v, rng)
+        near = cfg.graph.neighbors(v) | {v}
+        hits += [(v, u) for u in cfg.graph.vertices if u not in near and cfg.annuli[u].contains(pts).any()]
+    return hits
+
+
 def probe_points(rep, seed):
     """Annulus samples, points on and one ulp off every annulus boundary,
     free points among the annuli, the punctures and far points."""
@@ -238,7 +295,7 @@ def reference_twist_hamiltonian(annulus, profile):
         t = 0.5 * (np.einsum("ij,ij->i", rel, rel) - chart.mid)
         vals = np.zeros(len(pts))
         mask = annulus.contains(pts)
-        vals[mask] = profile.h(t[mask])
+        vals[mask] = bump_reference(t[mask], profile.b, profile.width)[0]
         return vals
 
     def grad(pts):
@@ -247,7 +304,7 @@ def reference_twist_hamiltonian(annulus, profile):
         t = 0.5 * (np.einsum("ij,ij->i", rel, rel) - chart.mid)
         g = np.zeros_like(rel)
         mask = annulus.contains(pts)
-        g[mask] = profile.dh(t[mask])[:, None] * rel[mask]
+        g[mask] = bump_reference(t[mask], profile.b, profile.width)[1][:, None] * rel[mask]
         return g
 
     return H, grad
