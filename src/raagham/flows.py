@@ -190,8 +190,11 @@ def rep_apply(rep, w: Word, pts):
     Letters act right to left through ``Representation.apply_letters``:
     each letter turns the points of its annulus about the centre by the
     angle -tau*h'(t) of their area height (an inverse letter is the same
-    twist run backwards), and tracked annulus membership lets a letter touch
-    only the points it can move.  A row's factor exp(-i N h'(t)) is computed
+    twist run backwards).  A letter touches only the points its annulus
+    holds: each point waits for the next letter whose annulus holds it, and
+    after a letter it is tested only against the annuli of that letter's
+    graph neighbours that act before the letter's annulus acts again.
+    A row's factor exp(-i N h'(t)) is computed
     once per stint, the letters of one annulus that turn it with no other
     annulus claiming it in between, and reused by the stint's later
     letters, conjugated for an inverse letter.  A one-letter word, and the

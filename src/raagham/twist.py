@@ -714,41 +714,64 @@ class Representation:
         so a one-letter word, and the first letter of every stint, is
         bit-identical to ``generator_map(v, N*e).apply``.
 
-        Membership of every point in the closed annuli the word uses is
-        computed once and then tracked: a twist moves points only along
-        circles of its own annulus, so after each letter only the moved rows
-        are re-tested, against those annuli of v's neighbours in the graph
-        that a later letter still uses.  ``build_configuration`` certifies
-        that the annulus nerve is the graph, so no other annulus meets A(v).
-        A moved row stays in A(v): the rotation keeps |z - c| to an ulp,
-        and rows within rounding of an annulus boundary do not move, so no
+        The letters touch only the rows their annuli hold, found by events.
+        Each row waits in the due list of the first step whose annulus holds
+        it, filed by the annulus that claimed it last (or by none, in the
+        initial pass, which tests each row against every annulus the word
+        uses).  A step of A(v) claims its list: a row filed by another
+        annulus starts a stint.  Then it files every claimed row again,
+        moved or not, testing it only against the annuli of v's neighbours
+        in the graph whose next step comes before A(v)'s; the earliest that
+        holds the row gets it, and otherwise A(v)'s next step does.  A row
+        that no later step can claim leaves the lists.  This misses no
+        claim: ``build_configuration`` certifies that the annulus nerve is
+        the graph, so no other annulus meets A(v), and a twist moves a row
+        only along a circle of its own annulus, keeping |z - c| to an ulp.
+        Rows within rounding of an annulus boundary do not move, so no
         membership decision that rounding could flip ever changes an output.
+        A letter that is not (v, +1) or (v, -1) for a vertex v of the cover
+        is a ValueError that names it.
         """
-        graph, annuli = self.config.graph, list(self.config.annuli.values())
-        index = {v: i for i, v in enumerate(self.config.annuli)}
-        near = [np.array([index[u] for u in graph.neighbors(v)], np.intp) for v in self.config.annuli]
-        steps = [(index[v], v, e) for v, e in reversed(letters)]
-        last = np.full(len(annuli), -1)  # the last step that uses each annulus
+        annuli, index = list(self.config.annuli.values()), {v: i for i, v in enumerate(self.config.annuli)}
+        steps = []
+        for letter in reversed(letters):
+            v, e = letter
+            if v not in index or e not in (1, -1):
+                raise ValueError(f"{letter!r} is not a letter (v, +1) or (v, -1) of a cover vertex v")
+            steps.append((index[v], v, e))
+        end = len(steps)
+        uses = [[] for _ in annuli]  # the steps of each annulus in order, then end
         for step, (i, _, _) in enumerate(steps):
-            last[i] = step
+            uses[i].append(step)
+        for u in uses:
+            u.append(end)
+        nxt = [0] * len(annuli)  # each annulus's pointer to its next step in uses
+        near = [[index[u] for u in self.config.graph.neighbors(v)] for v in self.config.annuli]
         out, single = _point_rows(pts)
         z = out.view(complex).ravel()  # one complex scalar per row, sharing out's memory
-        member = np.zeros((len(annuli), len(out)), bool)
-        for j in np.flatnonzero(last >= 0):
-            member[j] = annuli[j].contains(out)
-        owner = np.full(len(out), -1, np.int32)  # the annulus of each row's stint
+        due = [[] for _ in steps]  # per step: (rows, the annulus that filed them, -1 for none)
+        unfiled = np.ones(len(out), bool)
+        for first, i in sorted((u[0], i) for i, u in enumerate(uses) if u[0] < end):
+            rows = np.flatnonzero(annuli[i].contains(out) & unfiled)
+            unfiled[rows] = False
+            due[first].append((rows, -1))
         rho = np.ones(len(out), complex)  # each row's factor for its stint
         for step, (i, v, e) in enumerate(steps):
+            nxt[i] += 1
+            filed, due[step] = due[step], None
+            if not filed:
+                continue
+            idx = filed[0][0] if len(filed) == 1 else np.concatenate([rows for rows, _ in filed])
             c = complex(*annuli[i].center)
-            idx = np.flatnonzero(member[i])
-            fresh = idx[owner[idx] != i]
-            owner[fresh] = i
-            rho[fresh] = 1.0
-            rows, turns = _twist_rows(annuli[i], self.profiles[v], self.N, z[fresh] - c)
-            rho[fresh[rows]] = turns
+            fresh = [rows for rows, by in filed if by != i]
+            if fresh:
+                fresh = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
+                rho[fresh] = 1.0
+                rows, turns = _twist_rows(annuli[i], self.profiles[v], self.N, z[fresh] - c)
+                rho[fresh[rows]] = turns
             turns = rho[idx]
             turning = turns != 1.0
-            idx, turns = idx[turning], turns[turning]
+            turns = turns[turning]
             if e < 0:
                 turns = turns.conj()
             # rel * turns on two named arrays: with a large temporary operand
@@ -756,12 +779,26 @@ class Representation:
             # temporary is the second, and a one-element product in place
             # rounds differently; either would make a row's bits depend on
             # its batch
-            rel = z[idx] - c
-            moved = c + rel * turns
-            z[idx] = moved
-            moved_xy = moved.view(float).reshape(-1, 2)
-            for j in near[i][last[near[i]] > step]:
-                member[j, idx] = annuli[j].contains(moved_xy)
+            claimed = z[idx]
+            rel = claimed[turning] - c
+            claimed[turning] = moved = c + rel * turns
+            z[idx[turning]] = moved
+            # file the claimed rows again: under A(v)'s next step unless a
+            # neighbour's annulus that acts before it holds them
+            again = uses[i][nxt[i]]
+            before = sorted(((uses[u][nxt[u]], u) for u in near[i] if uses[u][nxt[u]] < again), reverse=True)
+            if not before:
+                if again < end:
+                    due[again].append((idx, i))
+                continue
+            xy = claimed.view(float).reshape(-1, 2)
+            when = np.full(len(idx), again)
+            for later, u in before:  # latest first, so the earliest holder wins
+                when[annuli[u].contains(xy)] = later
+            for later in [later for later, _ in before] + ([again] if again < end else []):
+                rows = idx[when == later]
+                if len(rows):
+                    due[later].append((rows, i))
         return out[0] if single else out
 
 

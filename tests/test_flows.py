@@ -270,7 +270,7 @@ def random_words(graph, rng, length, count):
 
 
 class TestClosedRouteBitIdentity:
-    """The tracked word kernel equals the stint rule's full-batch fold exactly."""
+    """The word kernel equals the stint rule's full-batch fold exactly."""
 
     @pytest.mark.parametrize("rep_name", REPS)
     @pytest.mark.parametrize("length", [0, 1, 4, 200])
@@ -393,6 +393,94 @@ class TestStintRule:
         # a row alone: NumPy's in-place product of one element rounds differently
         for k in sub[:5]:
             assert np.array_equal(rep_apply(k6_rep, w, batch[k]), full[k])
+
+
+def cover_of(rep):
+    """The same twists, with words over the cover's letters."""
+    return dataclasses.replace(rep, word_graph=rep.config.graph, pullback=None)
+
+
+def boundary_rows(rep, u, v, n=4000):
+    """Rows on the inner and outer circles of A(u) that A(u) and A(v) both
+    contain and where u's twist does not turn (h'_u(t) == 0 exactly)."""
+    A, prof = rep.config.annuli[u], rep.profiles[u]
+    ang = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    out = []
+    for r in (A.r_inner, A.r_outer):
+        pts = np.asarray(A.center) + r * np.stack([np.cos(ang), np.sin(ang)], -1)
+        pts = pts[A.contains(pts) & rep.config.annuli[v].contains(pts)]
+        rel = (pts - A.center) @ [1, 1j]
+        assert len(pts) and not prof.dh(0.5 * (np.abs(rel) ** 2 - A.mid)).any()
+        out.append(pts)
+    return np.concatenate(out)
+
+
+class TestEventKernel:
+    """The word kernel claims a row only at the steps whose annulus holds it."""
+
+    @pytest.mark.parametrize("bad", [2, 0, "vertex"])
+    def test_bad_letters_are_value_errors(self, k6_rep, bad):
+        v = k6_rep.config.graph.vertices[0]
+        letter = ("q", 1) if bad == "vertex" else (v, bad)
+        pts = annulus_samples(k6_rep, 20, np.random.default_rng(0))
+        for letters in ([letter], [(v, 1), letter, (v, -1)]):
+            with pytest.raises(ValueError, match=re.escape(repr(letter))):
+                k6_rep.apply_letters(letters, pts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_work_bound_is_exact(self, k6_rep, seed, monkeypatch):
+        """Every row is tested once against each annulus the word uses, then a
+        claimed row only against the neighbours u of the claiming v_s that
+        act before v_s acts again: the count of rows passed to ``contains``
+        is rows * annuli used + sum_s |claimed_s| * #{u ~ v_s acting before
+        v_s acts again}, with claimed_s the reference fold's mask."""
+        cover = cover_of(k6_rep)
+        rng = np.random.default_rng(seed)
+        pts = np.concatenate([annulus_samples(cover, 200, rng), cover.config.all_punctures()])
+        w = random_words(cover.word_graph, rng, 60, 1)[0]
+        masks = []
+        expected_out = reference_fold(cover, w, pts, masks)
+        acting = [v for v, _ in reversed(w.letters)]
+        expected = len(pts) * len(set(acting))
+        for s, v in enumerate(acting):
+            again = acting.index(v, s + 1) if v in acting[s + 1:] else len(acting)
+            before = {u for u in acting[s + 1:again] if cover.config.graph.has_edge(u, v)}
+            expected += int(masks[s].sum()) * len(before)
+        tested = []
+        contains = RoundAnnulus.contains
+        monkeypatch.setattr(RoundAnnulus, "contains", lambda a, p: tested.append(len(p)) or contains(a, p))
+        assert np.array_equal(rep_apply(cover, w, pts), expected_out)
+        assert sum(tested) == expected
+        # one annulus: after the initial pass its letters test nothing
+        v = cover.config.graph.vertices[seed]
+        tested.clear()
+        cover.apply_letters([(v, 1), (v, 1), (v, -1), (v, 1)], pts)
+        assert tested == [len(pts)]
+
+    def test_claimed_rows_that_do_not_turn(self, k6_rep):
+        """Rows on the boundary circles of A(u) inside A(v): u claims them
+        with h'_u(t) == 0 and starts their stint without turning them.  Rows
+        in three annuli see two claiming neighbours at once."""
+        cover = cover_of(k6_rep)
+        rng = np.random.default_rng(6)
+        samples = annulus_samples(cover, 3000, rng)
+        held = sum(a.contains(samples).astype(int) for a in cover.config.annuli.values())
+        triple = samples[held == 3]
+        assert len(triple) >= 50
+        edges = cover.config.graph.sorted_edges()
+        for u, v in edges[:: len(edges) // 6]:
+            pts = np.concatenate([boundary_rows(cover, u, v), boundary_rows(cover, v, u), triple])
+            for pattern in ("v u v", "u v u", "v v u v", "u u v u", "v u- v u v-"):
+                letters = [({"u": u, "v": v}[t[0]], -1 if t.endswith("-") else 1) for t in pattern.split()]
+                w = Word(cover.word_graph, letters)
+                assert np.array_equal(rep_apply(cover, w, pts), reference_fold(cover, w, pts))
+        # words over the annuli that hold each triple row
+        annuli = list(cover.config.annuli.values())
+        for p in triple[:20]:
+            names = [x for x, a in zip(cover.config.annuli, annuli) if a.contains(p)]
+            letters = [(names[i], int(e)) for i, e in zip(rng.integers(0, 3, 12), rng.choice([1, -1], 12))]
+            w = Word(cover.word_graph, letters)
+            assert np.array_equal(rep_apply(cover, w, triple), reference_fold(cover, w, triple))
 
 
 class TestRepApplyErrors:

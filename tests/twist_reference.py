@@ -20,7 +20,7 @@ last claimed by another annulus, or by none, gets the factor rho =
 exp(-i N h'(t)) of its height now, and the stint's later letters reuse it,
 (v, +1) turning by rho and (v, -1) by conj(rho).  conj(exp(-iNx)) equals
 exp(+iNx) bit for bit, so the first letter of each stint equals
-``reference_twist``.  The tracked kernel must equal this fold bit for bit.
+``reference_twist``.  The word kernel must equal this fold bit for bit.
 ``mpmath_fold`` is the same word in 40-digit arithmetic.
 
 Area chart: ``AreaChart`` is the symplectomorphism of a round annulus onto
@@ -33,7 +33,7 @@ rounding, and ``RoundAnnulus.mid`` and ``.a`` must equal the chart's.
 
 Nerve: ``non_neighbour_hits`` lists the annuli that contain a point
 (``annulus_points``) of an annulus whose vertex is not their neighbour;
-the word kernel re-tests moved rows only against the neighbours.
+the word kernel tests the rows it claims only against the neighbours.
 
 Punctures: ``flood_fill`` labels the free cells of a grid, the route the
 exact circle arrangement of ``build_configuration`` replaced; it resolves
@@ -166,11 +166,12 @@ def letterwise_fold(rep, w, pts):
     return out[0] if pts.ndim == 1 else out
 
 
-def reference_fold(rep, w, pts):
+def reference_fold(rep, w, pts, masks=None):
     """The image of a word by the stint rule, one full-batch letter at a time.
 
     Each cover letter masks the whole batch with ``RoundAnnulus.contains``
-    (no tracking) and claims the masked rows.  A row whose last claim was
+    (no event lists) and claims the masked rows; a list passed as masks
+    gets each step's mask, in the order the letters act.  A row whose last claim was
     by another annulus, or by none, gets the factor rho = exp(-i N h'(t))
     of its height now; the other rows keep the factor of their stint.
     (v, +1) turns the rows with rho != 1 by rho and (v, -1) by conj(rho).
@@ -186,6 +187,8 @@ def reference_fold(rep, w, pts):
         ann, prof = rep.config.annuli[v], rep.profiles[v]
         c = complex(*ann.center)
         mask = ann.contains(out)
+        if masks is not None:
+            masks.append(mask)
         fresh = np.flatnonzero(mask & (owner != index[v]))
         rel = out[fresh, 0] + 1j * out[fresh, 1] - c
         t = 0.5 * (rel.real * rel.real + rel.imag * rel.imag - ann.mid)
